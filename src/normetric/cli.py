@@ -65,12 +65,19 @@ def _breakdown_json(breakdown: MetricBreakdown) -> str:
     return json.dumps({key: jsonable(value) for key, value in fields.items()}, indent=2)
 
 
+# what a predictions column must hold, and its vectorized test (NaN fails both)
+_INTEGERS = ("integer labels", lambda v: np.isfinite(v) & (v == np.trunc(v)))
+_PROBABILITIES = ("probabilities in [0, 1]", lambda v: (v >= 0.0) & (v <= 1.0))
+
+
 def _read_predictions(path: str, task: TaskKind) -> dict:
     """Load a predictions CSV into arrays keyed by column role.
 
     Expected columns: y_true and y_pred always; y_prob (probability of the
     predicted class) for binary; p_0..p_{C-1} probability vectors for
-    multiclass.  Clustering files carry cluster ids in y_pred.
+    multiclass.  Clustering files carry cluster ids in y_pred.  Label
+    columns of every task but regression must hold integers, and
+    probabilities must be finite and lie in [0, 1].
     """
     if not os.path.isfile(path):
         raise DataError(f"no such file: {path}")
@@ -82,21 +89,33 @@ def _read_predictions(path: str, task: TaskKind) -> dict:
             raise DataError(f"{path} is empty (no header row)") from None
         rows = [row for row in reader if row]
 
-    def column(name: str) -> np.ndarray:
+    def column(name: str, rule=None) -> np.ndarray:
         if name not in header:
             raise DataError(f"predictions file {path} lacks a {name!r} column")
         index = header.index(name)
         try:
-            return np.array([float(row[index]) for row in rows])
+            values = np.array([float(row[index]) for row in rows])
         except (ValueError, IndexError) as exc:
             raise DataError(f"bad value in column {name!r} of {path}: {exc}") from None
+        if rule is not None:
+            requirement, holds = rule
+            bad = np.flatnonzero(~holds(values))
+            if bad.size:
+                raise DataError(
+                    f"column {name!r} of {path} must hold {requirement}; "
+                    f"data row {bad[0] + 1} has {rows[bad[0]][index]!r}"
+                )
+        return values
 
     if not rows:
         raise DataError(f"predictions file {path} has no data rows")
 
-    out = {"y_true": column("y_true"), "y_pred": column("y_pred")}
+    if task is TaskKind.REGRESSION:
+        out = {"y_true": column("y_true"), "y_pred": column("y_pred")}
+    else:
+        out = {name: column(name, _INTEGERS).astype(int) for name in ("y_true", "y_pred")}
     if task is TaskKind.BINARY_CLASSIFICATION:
-        out["y_prob"] = column("y_prob")
+        out["y_prob"] = column("y_prob", _PROBABILITIES)
     elif task is TaskKind.MULTICLASS_CLASSIFICATION:
         prob_names = sorted(
             (name for name in header if name.startswith("p_") and name[2:].isdigit()),
@@ -106,7 +125,7 @@ def _read_predictions(path: str, task: TaskKind) -> dict:
             raise DataError(f"predictions file {path} lacks p_0..p_(C-1) columns")
         if [int(name[2:]) for name in prob_names] != list(range(len(prob_names))):
             raise DataError(f"probability columns must be contiguous p_0..p_(C-1), got {prob_names}")
-        out["proba"] = np.column_stack([column(name) for name in prob_names])
+        out["y_prob"] = np.column_stack([column(name, _PROBABILITIES) for name in prob_names])
     return out
 
 
@@ -118,27 +137,16 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if task is TaskKind.REGRESSION:
         base = mape_score(y_true, y_pred)
         bundle = EvaluationBundle(task, y_true, y_pred, args.d, args.n, base)
-    elif task is TaskKind.BINARY_CLASSIFICATION:
-        y_true, y_pred = y_true.astype(int), y_pred.astype(int)
+    elif task is TaskKind.CLUSTERING:
+        # renumber ids 0..k-1: they are arbitrary (DBSCAN noise is -1), NMI ignores names
+        _, y_pred = np.unique(y_pred, return_inverse=True)
+        base = nmi(y_true, y_pred)
+        bundle = EvaluationBundle(task, y_true, y_pred, args.d, args.n, base, class_sizes=np.bincount(y_pred))
+    else:
         base = accuracy(y_true, y_pred)
         bundle = EvaluationBundle(
             task, y_true, y_pred, args.d, args.n, base,
             y_prob=data["y_prob"], class_sizes=np.bincount(y_true),
-        )
-    elif task is TaskKind.MULTICLASS_CLASSIFICATION:
-        y_true, y_pred = y_true.astype(int), y_pred.astype(int)
-        base = accuracy(y_true, y_pred)
-        bundle = EvaluationBundle(
-            task, y_true, y_pred, args.d, args.n, base,
-            y_prob=data["proba"], class_sizes=np.bincount(y_true),
-        )
-    else:
-        y_true, y_pred = y_true.astype(int), y_pred.astype(int)
-        base = nmi(y_true, y_pred)
-        cluster_sizes = np.bincount(y_pred)
-        bundle = EvaluationBundle(
-            task, y_true, y_pred, args.d, args.n, base,
-            class_sizes=cluster_sizes[cluster_sizes > 0],
         )
 
     print(_breakdown_json(evaluate(bundle)))

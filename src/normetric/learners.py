@@ -112,12 +112,10 @@ def fit_linear(X: np.ndarray, y: np.ndarray) -> LinearModel:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z, dtype=float)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # exp(-|z|) never overflows; for z >= 0 it is exp(-z), otherwise exp(z)
+    e = np.exp(-np.abs(z))
+    denom = 1.0 + e
+    return np.where(z >= 0, 1.0 / denom, e / denom)
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -126,24 +124,16 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return ez / ez.sum(axis=1, keepdims=True)
 
 
-def _binary_loss_and_grads(w, b, X, y):
-    """Mean cross-entropy of a sigmoid model and its gradients."""
-    n = X.shape[0]
-    p = _sigmoid(X @ w + b)
-    eps = 1e-12
-    loss = -float(np.mean(y * np.log(p + eps) + (1.0 - y) * np.log(1.0 - p + eps)))
-    residual = p - y
-    return loss, (X.T @ residual) / n, float(np.mean(residual))
+def _binary_grads(w, b, X, y):
+    """Gradients of the mean cross-entropy of a sigmoid model."""
+    residual = _sigmoid(X @ w + b) - y
+    return (X.T @ residual) / X.shape[0], float(np.mean(residual))
 
 
-def _softmax_loss_and_grads(W, b, X, y_onehot):
-    """Mean cross-entropy of a softmax model and its gradients."""
-    n = X.shape[0]
-    probs = _softmax(X @ W.T + b)
-    eps = 1e-12
-    loss = -float(np.mean(np.log(np.sum(probs * y_onehot, axis=1) + eps)))
-    residual = probs - y_onehot
-    return loss, (residual.T @ X) / n, residual.mean(axis=0)
+def _softmax_grads(W, b, X, y_onehot):
+    """Gradients of the mean cross-entropy of a softmax model."""
+    residual = _softmax(X @ W.T + b) - y_onehot
+    return (residual.T @ X) / X.shape[0], residual.mean(axis=0)
 
 
 def fit_logistic(
@@ -158,7 +148,8 @@ def fit_logistic(
 
     Deterministic given the seed: weights start from a seeded normal draw
     and every epoch consumes the whole batch in order.  Binary problems use
-    the sigmoid parameterization, larger ones multinomial softmax.
+    the sigmoid parameterization, larger ones multinomial softmax.  Epochs
+    compute only the residual and the gradients, never the loss itself.
     """
     X = _check_2d_features(X)
     y = np.asarray(y, dtype=int)
@@ -184,7 +175,7 @@ def fit_logistic(
         b = 0.0
         yf = y.astype(float)
         for _ in range(epochs):
-            _, grad_w, grad_b = _binary_loss_and_grads(w, b, X, yf)
+            grad_w, grad_b = _binary_grads(w, b, X, yf)
             w = w - learning_rate * grad_w
             b = b - learning_rate * grad_b
         return LogisticModel(weights=w[np.newaxis, :], intercepts=np.array([b]), n_classes=2)
@@ -194,7 +185,7 @@ def fit_logistic(
     onehot = np.zeros((y.size, n_classes))
     onehot[np.arange(y.size), y] = 1.0
     for _ in range(epochs):
-        _, grad_W, grad_b = _softmax_loss_and_grads(W, b, X, onehot)
+        grad_W, grad_b = _softmax_grads(W, b, X, onehot)
         W = W - learning_rate * grad_W
         b = b - learning_rate * grad_b
     return LogisticModel(weights=W, intercepts=b, n_classes=n_classes)

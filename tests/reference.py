@@ -5,9 +5,14 @@ defining formulas, on purpose: no shared helpers with the library, no
 vectorization, no clever branches.  When a library function and its
 counterpart here agree on randomized inputs, that is evidence the library
 implements the formula and not merely itself.
+
+The one exception is the logistic training loop at the end: it pins bits,
+not a formula, so it repeats the library's vectorized arithmetic exactly.
 """
 
 import math
+
+import numpy as np
 
 
 def ref_dimensionality_factor(d, n):
@@ -178,3 +183,97 @@ def ref_smooth(values, window):
         hi = min(len(values), i + half + 1)
         out.append(sum(values[lo:hi]) / (hi - lo))
     return out
+
+
+def binary_cross_entropy(w, b, X, y):
+    """Mean of -[y log(p + eps) + (1 - y) log(1 - p + eps)], p = sigmoid(w.x + b)."""
+    eps = 1e-12
+    total = 0.0
+    for row, target in zip(X, y):
+        z = b
+        for weight, x in zip(w, row):
+            z += weight * x
+        p = 1.0 / (1.0 + math.exp(-z))
+        total += target * math.log(p + eps) + (1.0 - target) * math.log(1.0 - p + eps)
+    return -total / len(y)
+
+
+def softmax_cross_entropy(W, b, X, onehot):
+    """Mean of -log(p_true + eps), p = softmax over classes of W.x + b."""
+    eps = 1e-12
+    total = 0.0
+    for row, target in zip(X, onehot):
+        scores = []
+        for weights, bias in zip(W, b):
+            z = bias
+            for weight, x in zip(weights, row):
+                z += weight * x
+            scores.append(z)
+        top = max(scores)
+        exps = [math.exp(s - top) for s in scores]
+        norm = sum(exps)
+        p_true = 0.0
+        for e, t in zip(exps, target):
+            p_true += t * e / norm
+        total += math.log(p_true + eps)
+    return -total / len(X)
+
+
+def ref_masked_sigmoid(z):
+    """Sigmoid computed separately on the z >= 0 and z < 0 entries."""
+    out = np.empty_like(z, dtype=float)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def _ref_binary_loss_and_grads(w, b, X, y):
+    n = X.shape[0]
+    p = ref_masked_sigmoid(X @ w + b)
+    eps = 1e-12
+    loss = -float(np.mean(y * np.log(p + eps) + (1.0 - y) * np.log(1.0 - p + eps)))
+    residual = p - y
+    return loss, (X.T @ residual) / n, float(np.mean(residual))
+
+
+def _ref_softmax_loss_and_grads(W, b, X, y_onehot):
+    n = X.shape[0]
+    z = X @ W.T + b
+    ez = np.exp(z - z.max(axis=1, keepdims=True))
+    probs = ez / ez.sum(axis=1, keepdims=True)
+    eps = 1e-12
+    loss = -float(np.mean(np.log(np.sum(probs * y_onehot, axis=1) + eps)))
+    residual = probs - y_onehot
+    return loss, (residual.T @ X) / n, residual.mean(axis=0)
+
+
+def ref_fit_logistic_with_loss(X, y, n_classes, epochs, learning_rate, seed):
+    """Gradient descent whose every epoch also evaluates the cross-entropy.
+
+    The loss never feeds the update, so a loop that leaves it out must
+    produce these weights bit for bit.  Returns (weights, intercepts)
+    shaped as LogisticModel holds them.
+    """
+    rng = np.random.default_rng(seed)
+    d = X.shape[1]
+    if n_classes == 2:
+        w = 0.01 * rng.standard_normal(d)
+        b = 0.0
+        yf = y.astype(float)
+        for _ in range(epochs):
+            _, grad_w, grad_b = _ref_binary_loss_and_grads(w, b, X, yf)
+            w = w - learning_rate * grad_w
+            b = b - learning_rate * grad_b
+        return w[np.newaxis, :], np.array([b])
+
+    W = 0.01 * rng.standard_normal((n_classes, d))
+    b = np.zeros(n_classes)
+    onehot = np.zeros((y.size, n_classes))
+    onehot[np.arange(y.size), y] = 1.0
+    for _ in range(epochs):
+        _, grad_W, grad_b = _ref_softmax_loss_and_grads(W, b, X, onehot)
+        W = W - learning_rate * grad_W
+        b = b - learning_rate * grad_b
+    return W, b

@@ -86,6 +86,50 @@ class TestEvaluate:
         got = json.loads(capsys.readouterr().out)
         assert got["base"] == pytest.approx(1.0)  # relabeling-invariant NMI
 
+    def test_clustering_noise_ids_are_relabelled(self, tmp_path, capsys):
+        """DBSCAN-style noise (-1) is one more cluster id, not a crash."""
+        def run(rows, name):
+            path = tmp_path / name
+            path.write_text("y_true,y_pred\n" + "\n".join(rows) + "\n", encoding="utf-8")
+            code = main([
+                "evaluate", "--task", "clustering", "--predictions", str(path),
+                "--d", "4", "--n", "120",
+            ])
+            return code, capsys.readouterr().out
+
+        rows = ["0,-1"] * 3 + ["0,0"] * 4 + ["1,1"] * 5 + ["1,-1"] * 2
+        code, noisy = run(rows, "noise.csv")
+        assert code == 0
+        renamed = [row.replace(",1", ",7").replace(",-1", ",1") for row in rows]
+        assert run(renamed, "renamed.csv") == (0, noisy)
+
+    @pytest.mark.parametrize("task, text, column, row, value", [
+        ("binary", "y_true,y_pred,y_prob\n0,0,0.9\n0.7,0,0.8\n1,1,0.6\n", "y_true", 2, "0.7"),
+        ("multiclass", "y_true,y_pred,p_0,p_1,p_2\n0,0,1,0,0\n2,1.5,0,1,0\n", "y_pred", 2, "1.5"),
+        ("clustering", "y_true,y_pred\n0,0\n1,1\n1,inf\n", "y_pred", 3, "inf"),
+    ], ids=["binary-fraction", "multiclass-fraction", "clustering-inf"])
+    def test_non_integer_labels_are_a_data_error(self, tmp_path, capsys, task, text, column, row, value):
+        path = tmp_path / "labels.csv"
+        path.write_text(text, encoding="utf-8")
+        code = main(["evaluate", "--task", task, "--predictions", str(path), "--d", "2", "--n", "10"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and repr(column) in err and f"data row {row} has {value!r}" in err
+
+    @pytest.mark.parametrize("task, text, column, row, value", [
+        ("binary", "y_true,y_pred,y_prob\n0,0,0.9\n1,1,nan\n", "y_prob", 2, "nan"),
+        ("binary", "y_true,y_pred,y_prob\n0,0,-0.1\n1,1,0.5\n", "y_prob", 1, "-0.1"),
+        ("multiclass", "y_true,y_pred,p_0,p_1\n0,0,0.9,0.1\n1,1,0.2,1.5\n", "p_1", 2, "1.5"),
+        ("multiclass", "y_true,y_pred,p_0,p_1\n0,0,inf,0.1\n1,1,0.2,0.8\n", "p_0", 1, "inf"),
+    ], ids=["binary-nan", "binary-negative", "multiclass-above-one", "multiclass-inf"])
+    def test_invalid_probabilities_are_a_data_error(self, tmp_path, capsys, task, text, column, row, value):
+        path = tmp_path / "probs.csv"
+        path.write_text(text, encoding="utf-8")
+        code = main(["evaluate", "--task", task, "--predictions", str(path), "--d", "2", "--n", "10"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert repr(column) in err and f"data row {row} has {value!r}" in err
+
     def test_missing_file_is_a_data_error(self, capsys):
         code = main([
             "evaluate", "--task", "binary", "--predictions", "/nope/missing.csv",

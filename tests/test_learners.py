@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+import reference as ref
 from normetric import DegenerateDistributionError, DomainError, ShapeError
 from normetric.learners import (
-    _binary_loss_and_grads,
-    _softmax_loss_and_grads,
+    _binary_grads,
+    _sigmoid,
+    _softmax_grads,
     fit_kmeans,
     fit_linear,
     fit_logistic,
@@ -67,13 +69,13 @@ def test_binary_gradients_match_finite_differences():
     w = rng.normal(size=3) * 0.5
     b = 0.3
 
-    grad_w_fd = _finite_difference(lambda: _binary_loss_and_grads(w, b, X, y)[0], w)
-    _, grad_w, grad_b = _binary_loss_and_grads(w, b, X, y)
+    grad_w_fd = _finite_difference(lambda: ref.binary_cross_entropy(w, b, X, y), w)
+    grad_w, grad_b = _binary_grads(w, b, X, y)
     np.testing.assert_allclose(grad_w, grad_w_fd, atol=1e-7)
 
     eps = 1e-6
-    up = _binary_loss_and_grads(w, b + eps, X, y)[0]
-    down = _binary_loss_and_grads(w, b - eps, X, y)[0]
+    up = ref.binary_cross_entropy(w, b + eps, X, y)
+    down = ref.binary_cross_entropy(w, b - eps, X, y)
     assert grad_b == pytest.approx((up - down) / (2 * eps), abs=1e-7)
 
 
@@ -86,11 +88,53 @@ def test_softmax_gradients_match_finite_differences():
     W = rng.normal(size=(3, 4)) * 0.5
     b = rng.normal(size=3) * 0.1
 
-    grad_W_fd = _finite_difference(lambda: _softmax_loss_and_grads(W, b, X, onehot)[0], W)
-    grad_b_fd = _finite_difference(lambda: _softmax_loss_and_grads(W, b, X, onehot)[0], b)
-    _, grad_W, grad_b = _softmax_loss_and_grads(W, b, X, onehot)
+    grad_W_fd = _finite_difference(lambda: ref.softmax_cross_entropy(W, b, X, onehot), W)
+    grad_b_fd = _finite_difference(lambda: ref.softmax_cross_entropy(W, b, X, onehot), b)
+    grad_W, grad_b = _softmax_grads(W, b, X, onehot)
     np.testing.assert_allclose(grad_W, grad_W_fd, atol=1e-7)
     np.testing.assert_allclose(grad_b, grad_b_fd, atol=1e-7)
+
+
+def test_sigmoid_matches_masked_form_bitwise():
+    edges = [0.0, -0.0, 1e-300, -1e-300, 36.7, -36.7, 709.0, -709.0, 745.0, -745.0,
+             746.0, -746.0, 1e308, -1e308, np.inf, -np.inf]
+    z = np.concatenate([edges, np.linspace(-800.0, 800.0, 20001)])
+    got, want = _sigmoid(z), ref.ref_masked_sigmoid(z)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    assert np.isnan(_sigmoid(np.array([np.nan]))).all()  # NaN stays NaN; its sign bit is not pinned
+
+
+# n, d, classes, learning rate, feature scale, epochs; the scales of 100 and
+# more push |z| past 745, where exp underflows on one sigmoid branch and the
+# softmax shift decides which class keeps all the mass
+BIT_IDENTITY_CASES = [
+    (40, 3, 2, 0.1, 1.0, 200),
+    (257, 13, 2, 1.0, 1.0, 300),
+    (90, 1, 2, 2.5, 0.01, 150),
+    (64, 6, 2, 0.5, 300.0, 120),
+    (33, 20, 2, 1.0, 5000.0, 80),
+    (120, 4, 3, 0.1, 1.0, 200),
+    (75, 9, 3, 2.0, 10.0, 150),
+    (50, 2, 3, 1.0, 1000.0, 100),
+    (200, 13, 5, 0.3, 1.0, 250),
+    (45, 7, 5, 3.0, 0.1, 150),
+    (80, 5, 5, 0.7, 800.0, 100),
+    (1000, 13, 2, 1.0, 1.0, 60),
+]
+
+
+@pytest.mark.parametrize("case", range(len(BIT_IDENTITY_CASES)))
+def test_fit_logistic_equals_loss_evaluating_loop_bitwise(case):
+    n, d, n_classes, learning_rate, scale, epochs = BIT_IDENTITY_CASES[case]
+    rng = np.random.default_rng(1000 + case)
+    X = rng.normal(size=(n, d)) * scale
+    y = rng.integers(0, n_classes, size=n)
+    y[:n_classes] = np.arange(n_classes)
+    model = fit_logistic(X, y, n_classes, epochs=epochs, learning_rate=learning_rate, seed=case)
+    weights, intercepts = ref.ref_fit_logistic_with_loss(X, y, n_classes, epochs, learning_rate, case)
+    assert np.array_equal(model.weights, weights)
+    assert np.array_equal(model.intercepts, intercepts)
 
 
 def test_logistic_separable_blobs_reach_perfect_training_accuracy():

@@ -8,16 +8,14 @@ or to the requested output files.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
-import os
 import sys
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .data import load_csv, save_csv, schedule, synthetic_expand
+from .data import load_csv, parse_column, read_csv, save_csv, schedule, synthetic_expand
 from .exceptions import DataError, NormetricError
 from .factors import EvaluationBundle, MetricBreakdown, TaskKind, evaluate
 from .harness import (
@@ -65,8 +63,14 @@ def _breakdown_json(breakdown: MetricBreakdown) -> str:
     return json.dumps({key: jsonable(value) for key, value in fields.items()}, indent=2)
 
 
-# what a predictions column must hold, and its vectorized test (NaN fails both)
-_INTEGERS = ("integer labels", lambda v: np.isfinite(v) & (v == np.trunc(v)))
+def _labels(requirement: str, low: float = -(2.0**63), high: float = 2.0**63) -> tuple:
+    """A column rule: integers in [low, high), and its vectorized test (NaN fails).
+
+    The default range is int64's, so converting the column to int is exact.
+    """
+    return requirement, lambda v: np.isfinite(v) & (v == np.trunc(v)) & (v >= low) & (v < high)
+
+
 _PROBABILITIES = ("probabilities in [0, 1]", lambda v: (v >= 0.0) & (v <= 1.0))
 
 
@@ -75,48 +79,56 @@ def _read_predictions(path: str, task: TaskKind) -> dict:
 
     Expected columns: y_true and y_pred always; y_prob (probability of the
     predicted class) for binary; p_0..p_{C-1} probability vectors for
-    multiclass.  Clustering files carry cluster ids in y_pred.  Label
-    columns of every task but regression must hold integers, and
-    probabilities must be finite and lie in [0, 1].
+    multiclass.  Clustering files carry cluster ids, any integers, in
+    y_pred.  Binary labels must be 0 or 1 and y_true must hold both;
+    multiclass labels must be integers in [0, C); clustering y_true must
+    hold non-negative integers.  Probabilities must be finite and lie in
+    [0, 1].  A breach is a DataError naming the column and the first bad
+    data row.
     """
-    if not os.path.isfile(path):
-        raise DataError(f"no such file: {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path} is empty (no header row)") from None
-        rows = [row for row in reader if row]
+    header, rows = read_csv(path)
+    rows = [row for row in rows if row]
+    if not rows:
+        raise DataError(f"predictions file {path} has no data rows")
 
     def column(name: str, rule=None) -> np.ndarray:
         if name not in header:
             raise DataError(f"predictions file {path} lacks a {name!r} column")
         index = header.index(name)
         try:
-            values = np.array([float(row[index]) for row in rows])
-        except (ValueError, IndexError) as exc:
-            raise DataError(f"bad value in column {name!r} of {path}: {exc}") from None
-        if rule is not None:
+            cells = [row[index] for row in rows]
+            short = None
+        except IndexError:
+            short = next(i for i, row in enumerate(rows) if len(row) <= index)
+            cells = [row[index] for row in rows[:short]]
+        values, bad = parse_column(cells)
+        requirement = "numbers"
+        if bad is None and rule is not None:
             requirement, holds = rule
-            bad = np.flatnonzero(~holds(values))
-            if bad.size:
-                raise DataError(
-                    f"column {name!r} of {path} must hold {requirement}; "
-                    f"data row {bad[0] + 1} has {rows[bad[0]][index]!r}"
-                )
+            failed = np.flatnonzero(~holds(values))
+            bad = int(failed[0]) if failed.size else None
+        if bad is not None:
+            raise DataError(
+                f"column {name!r} of {path} must hold {requirement}; data row {bad + 1} has {cells[bad]!r}"
+            )
+        if short is not None:
+            raise DataError(
+                f"data row {short + 1} of {path} ends after field {len(rows[short])}; "
+                f"column {name!r} is field {index + 1}"
+            )
         return values
 
-    if not rows:
-        raise DataError(f"predictions file {path} has no data rows")
-
     if task is TaskKind.REGRESSION:
-        out = {"y_true": column("y_true"), "y_pred": column("y_pred")}
-    else:
-        out = {name: column(name, _INTEGERS).astype(int) for name in ("y_true", "y_pred")}
+        return {"y_true": column("y_true"), "y_pred": column("y_pred")}
+    if task is TaskKind.CLUSTERING:
+        return {
+            "y_true": column("y_true", _labels("non-negative integer labels", 0)).astype(int),
+            "y_pred": column("y_pred", _labels("integer cluster ids")).astype(int),
+        }
+
     if task is TaskKind.BINARY_CLASSIFICATION:
-        out["y_prob"] = column("y_prob", _PROBABILITIES)
-    elif task is TaskKind.MULTICLASS_CLASSIFICATION:
+        labels = _labels("labels 0 or 1", 0, 2)
+    else:
         prob_names = sorted(
             (name for name in header if name.startswith("p_") and name[2:].isdigit()),
             key=lambda name: int(name[2:]),
@@ -125,6 +137,16 @@ def _read_predictions(path: str, task: TaskKind) -> dict:
             raise DataError(f"predictions file {path} lacks p_0..p_(C-1) columns")
         if [int(name[2:]) for name in prob_names] != list(range(len(prob_names))):
             raise DataError(f"probability columns must be contiguous p_0..p_(C-1), got {prob_names}")
+        labels = _labels(f"integer labels in [0, {len(prob_names)})", 0, len(prob_names))
+    out = {name: column(name, labels).astype(int) for name in ("y_true", "y_pred")}
+    if task is TaskKind.BINARY_CLASSIFICATION:
+        if np.all(out["y_true"] == out["y_true"][0]):
+            raise DataError(
+                f"binary predictions file {path} holds only class {out['y_true'][0]} in 'y_true'; "
+                "both classes 0 and 1 must occur"
+            )
+        out["y_prob"] = column("y_prob", _PROBABILITIES)
+    else:
         out["y_prob"] = np.column_stack([column(name, _PROBABILITIES) for name in prob_names])
     return out
 

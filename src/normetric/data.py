@@ -6,7 +6,7 @@ import csv
 import math
 import os
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -76,94 +76,114 @@ def schedule(start: int, stop: int, step: int) -> SampleSchedule:
     return SampleSchedule(start=start, stop=stop, step=step, sizes=tuple(range(start, stop + 1, step)))
 
 
-def _parse_finite(cell: str) -> Optional[float]:
+def read_csv(path: str) -> tuple[list[str], list[list[str]]]:
+    """The header and the data rows of a UTF-8 CSV file, as lists of cells."""
+    if not os.path.isfile(path):
+        raise DataError(f"no such file: {path}")
     try:
-        value = float(cell)
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            rows = list(reader)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"{path} is not a readable UTF-8 CSV file: {exc}") from None
+    if header is None:
+        raise DataError(f"{path} is empty (no header row)")
+    return header, rows
+
+
+def parse_column(cells: Sequence[str]) -> tuple[np.ndarray, Optional[int]]:
+    """Floats from CSV cells, each read as Python's float() reads it.
+
+    numpy parses the whole column in one call (it converts a str through
+    float() too); only a column holding a cell that does not parse falls
+    back to one cell at a time.  Returns the values, NaN where a cell does
+    not parse, and the index of the first such cell (None if every cell
+    parses).
+    """
+    try:
+        return np.array(cells, dtype=float), None
     except ValueError:
-        return None
-    return value if math.isfinite(value) else None
+        pass
+    values = np.empty(len(cells))
+    first_bad = None
+    for i, cell in enumerate(cells):
+        try:
+            values[i] = float(cell)
+        except ValueError:
+            values[i] = math.nan
+            if first_bad is None:
+                first_bad = i
+    return values, first_bad
+
+
+def _nonempty(cells: Sequence[str]) -> np.ndarray:
+    return np.fromiter(map(bool, cells), dtype=bool, count=len(cells))
+
+
+def _first_appearance_codes(cells: list[str]) -> np.ndarray:
+    """Integer codes numbering distinct cells 0, 1, ... in order of first appearance."""
+    codes: dict[str, int] = {}
+    return np.fromiter((codes.setdefault(cell, len(codes)) for cell in cells), dtype=int, count=len(cells))
 
 
 def load_csv(path: str, target_column: str, task: TaskKind) -> Dataset:
     """Ingest a CSV with a header row into a Dataset.
 
-    A column counts as numeric when more than half of its cells parse as
-    finite floats; other columns are categorical and label-encoded in first-
-    appearance order.  Rows with the wrong field count, an empty cell, or an
+    A cell parses when Python's float() reads it as a finite number; a
+    column counts as numeric when more than half of its cells parse.  Other
+    columns are categorical and label-encoded in first-appearance order over
+    the kept rows.  Rows with the wrong field count, an empty cell, or an
     unparseable cell in a numeric column are dropped and counted in
     n_dropped.  Classification and clustering targets are re-indexed to
-    0..C-1 in first-appearance order; regression targets must be numeric.
+    0..C-1 in first-appearance order over the kept rows; regression targets
+    must parse.  If the target name occurs twice in the header, the last
+    such column is the target.  Each column is parsed in one numpy call
+    (see parse_column), not cell by cell.
     """
-    if not os.path.isfile(path):
-        raise DataError(f"no such file: {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path} is empty (no header row)") from None
-        raw_rows = list(reader)
-
+    header, rows = read_csv(path)
     if target_column not in header:
         raise DataError(f"target column {target_column!r} not in header {header}")
     target_idx = len(header) - 1 - header[::-1].index(target_column)
     n_columns = len(header)
 
-    rows = [r for r in raw_rows if len(r) == n_columns]
-    dropped = len(raw_rows) - len(rows)
+    n_read = len(rows)
+    rows = [r for r in rows if len(r) == n_columns]
+    if not rows:
+        raise DataError(f"{path} has no usable data rows ({n_read} dropped)")
+    columns = list(zip(*rows))
+    del rows
 
-    parsed = [[_parse_finite(cell) for cell in row] for row in rows]
-    numeric = []
-    for col in range(n_columns):
-        ok = sum(1 for row in parsed if row[col] is not None)
-        numeric.append(2 * ok > len(rows))
-
-    keep: list[int] = []
-    for i, row in enumerate(rows):
-        usable = True
-        for col in range(n_columns):
-            cell = row[col]
-            if col == target_idx and task.has_class_targets:
-                if cell == "":
-                    usable = False
-            elif numeric[col] or (col == target_idx and task is TaskKind.REGRESSION):
-                if parsed[i][col] is None:
-                    usable = False
-            elif cell == "":
-                usable = False
-            if not usable:
-                break
-        if usable:
-            keep.append(i)
-    dropped += len(rows) - len(keep)
-    if not keep:
+    class_targets = task.has_class_targets
+    usable = np.ones(len(columns[0]), dtype=bool)
+    numbers: dict[int, np.ndarray] = {}  # parsed numeric columns, the regression target included
+    for col, cells in enumerate(columns):
+        if col == target_idx and class_targets:
+            usable &= _nonempty(cells)
+            continue
+        values, _ = parse_column(cells)
+        finite = np.isfinite(values)
+        if col == target_idx or 2 * np.count_nonzero(finite) > len(cells):
+            numbers[col] = values
+            usable &= finite
+        else:
+            usable &= _nonempty(cells)
+    keep = np.flatnonzero(usable)
+    dropped = n_read - keep.size
+    if not keep.size:
         raise DataError(f"{path} has no usable data rows ({dropped} dropped)")
 
+    kept = keep.tolist()
+
+    def kept_codes(col: int) -> np.ndarray:
+        cells = columns[col]
+        return _first_appearance_codes([cells[i] for i in kept])
+
     feature_cols = [c for c in range(n_columns) if c != target_idx]
-    encodings: dict[int, dict[str, int]] = {c: {} for c in range(n_columns) if not numeric[c]}
-
-    def encode(col: int, cell: str) -> float:
-        codes = encodings[col]
-        if cell not in codes:
-            codes[cell] = len(codes)
-        return float(codes[cell])
-
-    features = np.empty((len(keep), len(feature_cols)))
-    for out_row, i in enumerate(keep):
-        for out_col, col in enumerate(feature_cols):
-            value = parsed[i][col]
-            features[out_row, out_col] = value if numeric[col] else encode(col, rows[i][col])
-
-    if task.has_class_targets:
-        labels: dict[str, int] = {}
-        target = np.empty(len(keep), dtype=int)
-        for out_row, i in enumerate(keep):
-            cell = rows[i][target_idx]
-            if cell not in labels:
-                labels[cell] = len(labels)
-            target[out_row] = labels[cell]
-    else:
-        target = np.array([parsed[i][target_idx] for i in keep], dtype=float)
+    features = np.empty((keep.size, len(feature_cols)))
+    for out_col, col in enumerate(feature_cols):
+        features[:, out_col] = numbers[col][keep] if col in numbers else kept_codes(col)
+    target = kept_codes(target_idx) if class_targets else numbers[target_idx][keep]
 
     return Dataset(
         feature_names=[header[c] for c in feature_cols],
@@ -176,15 +196,20 @@ def load_csv(path: str, target_column: str, task: TaskKind) -> Dataset:
 
 
 def save_csv(ds: Dataset, path: str) -> None:
-    """Write a Dataset back out in the ingestion dialect (header + rows)."""
+    """Write a Dataset back out in the ingestion dialect (header + rows).
+
+    Features and regression targets are written as Python's repr of the
+    float, the shortest text that reads back to the same bits; class
+    targets as integers (a NaN class target raises ValueError).
+    """
+    to_label = int if ds.task.has_class_targets else float
+    rows = ds.features.tolist()
+    for row, label in zip(rows, ds.target.tolist()):
+        row.append(to_label(label))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(ds.feature_names + [ds.target_name])
-        class_targets = ds.task.has_class_targets
-        for row, label in zip(ds.features, ds.target):
-            values = [str(v) for v in row]
-            values.append(str(int(label)) if class_targets else str(float(label)))
-            writer.writerow(values)
+        writer.writerows(rows)
 
 
 def split(ds: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
@@ -226,6 +251,55 @@ def split(ds: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Datase
     return ds.take(np.flatnonzero(~mask)), ds.take(np.flatnonzero(mask))
 
 
+# float temporaries per block of the neighbour scan (512 KB each, whatever the pool size)
+_SCAN_BLOCK_FLOATS = 2**16
+
+
+def _pool_neighbors(features: np.ndarray, k: int) -> np.ndarray:
+    """Row i lists the positions of the k rows nearest to row i, itself excluded.
+
+    Neighbours are ordered by (Euclidean distance, position), the order a
+    stable sort of the distances gives, so ties go to the lower position.
+    A pool of one row lists that row itself; a pool of m <= k rows lists
+    the other m - 1.
+    """
+    m, d = features.shape
+    if m == 1:
+        return np.zeros((1, 1), dtype=np.intp)
+    k = min(k, m - 1)
+    step = max(1, _SCAN_BLOCK_FLOATS // max(1, m * d))
+    table = np.empty((m, k), dtype=np.intp)
+    for start in range(0, m, step):
+        block = features[start:start + step]
+        b = block.shape[0]
+        diff = features - block[:, np.newaxis, :]
+        # the very sum np.linalg.norm takes, so distances match it bit for bit
+        distances = np.sqrt(np.add.reduce(np.square(diff, out=diff), axis=-1))
+        # the k nearest others lie within the (k+1)-th smallest distance, self included
+        cutoff = np.partition(distances, k, axis=1)[:, k:k + 1]
+        candidate = (distances <= cutoff) | np.isnan(cutoff)
+        candidate[np.arange(b), np.arange(start, start + b)] = False
+        rows, cols = np.nonzero(candidate)
+        order = np.lexsort((cols, distances[rows, cols], rows))
+        counts = np.bincount(rows, minlength=b)
+        rank = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        table[start:start + b] = cols[order][rank < k].reshape(b, k)
+    return table
+
+
+def _neighbor_lists(ds: Dataset, k: int) -> list[np.ndarray]:
+    """Each row's k nearest rows, by index, within its class (or all rows)."""
+    if ds.task.has_class_targets:
+        pools = [np.flatnonzero(ds.target == label) for label in np.unique(ds.target)]
+    else:
+        pools = [np.arange(ds.n)]
+    neighbor_lists: list[np.ndarray] = [np.empty(0, dtype=np.intp)] * ds.n
+    for pool in pools:
+        for i, nearest in zip(pool.tolist(), pool[_pool_neighbors(ds.features[pool], k)]):
+            neighbor_lists[i] = nearest
+    return neighbor_lists
+
+
 def synthetic_expand(ds: Dataset, target_n: int, k_neighbors: int, seed: int) -> Dataset:
     """Grow a dataset by interpolating between nearest-neighbor pairs.
 
@@ -235,27 +309,19 @@ def synthetic_expand(ds: Dataset, target_n: int, k_neighbors: int, seed: int) ->
     neighbor pool is restricted to the anchor's class and the synthetic row
     inherits that class (a singleton class replicates its one member).  The
     original rows are preserved, bitwise, ahead of the synthetic ones.
+
+    Neighbours are ranked by distance, ties going to the lower row index.
+    The scan is exact and so quadratic in the class size m: each class's
+    anchors are processed in blocks of about 2**16 // (m * d) rows, which
+    caps each float temporary at 2**16 elements (512 KB) however large
+    the class.
     """
     if target_n <= ds.n:
         raise DomainError(f"target_n must exceed the current {ds.n} rows, got {target_n}")
     if not 1 <= k_neighbors < ds.n:
         raise DomainError(f"k_neighbors must be in [1, {ds.n - 1}], got {k_neighbors}")
 
-    class_targets = ds.task.has_class_targets
-    neighbor_lists: list[np.ndarray] = []
-    for i in range(ds.n):
-        if class_targets:
-            pool = np.flatnonzero(ds.target == ds.target[i])
-        else:
-            pool = np.arange(ds.n)
-        pool = pool[pool != i]
-        if pool.size == 0:
-            neighbor_lists.append(np.array([i]))  # singleton class: self-replicate
-            continue
-        distances = np.linalg.norm(ds.features[pool] - ds.features[i], axis=1)
-        nearest = pool[np.argsort(distances, kind="stable")[:k_neighbors]]
-        neighbor_lists.append(nearest)
-
+    neighbor_lists = _neighbor_lists(ds, k_neighbors)
     rng = np.random.default_rng(seed)
     new_features = np.empty((target_n - ds.n, ds.d))
     new_targets = np.empty(target_n - ds.n, dtype=ds.target.dtype)

@@ -370,7 +370,8 @@ def evaluate(bundle: EvaluationBundle) -> MetricBreakdown:
     elif task is TaskKind.CLUSTERING:
         if bundle.class_sizes is None:
             raise ConfigurationError("clustering evaluation needs training cluster sizes for the imbalance ratio")
-        y_true_int = y_true.astype(int)
+        # class ids are names: number them 0..C-1 in sorted order (majority ties still go low)
+        _, y_true_int = np.unique(y_true.astype(int), return_inverse=True)
         n_classes = int(y_true_int.max()) + 1
         if n_classes < 2:
             raise DegenerateDistributionError("clustering evaluation needs at least 2 true classes")

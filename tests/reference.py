@@ -6,13 +6,18 @@ vectorization, no clever branches.  When a library function and its
 counterpart here agree on randomized inputs, that is evidence the library
 implements the formula and not merely itself.
 
-The one exception is the logistic training loop at the end: it pins bits,
-not a formula, so it repeats the library's vectorized arithmetic exactly.
+The exceptions are the logistic training loop and the data layer's former
+row loops at the end: they pin bits, not a formula, so they repeat the
+library's earlier code exactly.
 """
 
+import csv
 import math
+import os
 
 import numpy as np
+
+from normetric import DataError, Dataset, TaskKind
 
 
 def ref_dimensionality_factor(d, n):
@@ -277,3 +282,131 @@ def ref_fit_logistic_with_loss(X, y, n_classes, epochs, learning_rate, seed):
         W = W - learning_rate * grad_W
         b = b - learning_rate * grad_b
     return W, b
+
+
+# ---------------------------------------------------------------------------
+# The data layer's former row loops, kept verbatim.  Like the training loop
+# above they pin bits: load_csv, save_csv and the neighbour scan inside
+# synthetic_expand must reproduce them exactly.
+
+
+def _parse_finite(cell):
+    try:
+        value = float(cell)
+    except ValueError:
+        return None
+    return value if math.isfinite(value) else None
+
+
+def ref_load_csv(path, target_column, task):
+    """load_csv as a per-cell loop (returns a normetric Dataset)."""
+    if not os.path.isfile(path):
+        raise DataError(f"no such file: {path}")
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataError(f"{path} is empty (no header row)") from None
+        raw_rows = list(reader)
+
+    if target_column not in header:
+        raise DataError(f"target column {target_column!r} not in header {header}")
+    target_idx = len(header) - 1 - header[::-1].index(target_column)
+    n_columns = len(header)
+
+    rows = [r for r in raw_rows if len(r) == n_columns]
+    dropped = len(raw_rows) - len(rows)
+
+    parsed = [[_parse_finite(cell) for cell in row] for row in rows]
+    numeric = []
+    for col in range(n_columns):
+        ok = sum(1 for row in parsed if row[col] is not None)
+        numeric.append(2 * ok > len(rows))
+
+    keep = []
+    for i, row in enumerate(rows):
+        usable = True
+        for col in range(n_columns):
+            cell = row[col]
+            if col == target_idx and task.has_class_targets:
+                if cell == "":
+                    usable = False
+            elif numeric[col] or (col == target_idx and task is TaskKind.REGRESSION):
+                if parsed[i][col] is None:
+                    usable = False
+            elif cell == "":
+                usable = False
+            if not usable:
+                break
+        if usable:
+            keep.append(i)
+    dropped += len(rows) - len(keep)
+    if not keep:
+        raise DataError(f"{path} has no usable data rows ({dropped} dropped)")
+
+    feature_cols = [c for c in range(n_columns) if c != target_idx]
+    encodings = {c: {} for c in range(n_columns) if not numeric[c]}
+
+    def encode(col, cell):
+        codes = encodings[col]
+        if cell not in codes:
+            codes[cell] = len(codes)
+        return float(codes[cell])
+
+    features = np.empty((len(keep), len(feature_cols)))
+    for out_row, i in enumerate(keep):
+        for out_col, col in enumerate(feature_cols):
+            value = parsed[i][col]
+            features[out_row, out_col] = value if numeric[col] else encode(col, rows[i][col])
+
+    if task.has_class_targets:
+        labels = {}
+        target = np.empty(len(keep), dtype=int)
+        for out_row, i in enumerate(keep):
+            cell = rows[i][target_idx]
+            if cell not in labels:
+                labels[cell] = len(labels)
+            target[out_row] = labels[cell]
+    else:
+        target = np.array([parsed[i][target_idx] for i in keep], dtype=float)
+
+    return Dataset(
+        feature_names=[header[c] for c in feature_cols],
+        features=features,
+        target=target,
+        task=task,
+        target_name=header[target_idx],
+        n_dropped=dropped,
+    )
+
+
+def ref_save_csv(ds, path):
+    """save_csv as a per-row loop of str() calls."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(ds.feature_names + [ds.target_name])
+        class_targets = ds.task.has_class_targets
+        for row, label in zip(ds.features, ds.target):
+            values = [str(v) for v in row]
+            values.append(str(int(label)) if class_targets else str(float(label)))
+            writer.writerow(values)
+
+
+def ref_neighbor_lists(ds, k_neighbors):
+    """synthetic_expand's neighbour lists, one pool and one full sort per row."""
+    class_targets = ds.task.has_class_targets
+    neighbor_lists = []
+    for i in range(ds.n):
+        if class_targets:
+            pool = np.flatnonzero(ds.target == ds.target[i])
+        else:
+            pool = np.arange(ds.n)
+        pool = pool[pool != i]
+        if pool.size == 0:
+            neighbor_lists.append(np.array([i]))  # singleton class: self-replicate
+            continue
+        distances = np.linalg.norm(ds.features[pool] - ds.features[i], axis=1)
+        nearest = pool[np.argsort(distances, kind="stable")[:k_neighbors]]
+        neighbor_lists.append(nearest)
+    return neighbor_lists

@@ -1,9 +1,12 @@
 """End-to-end tests of the command-line interface, run in-process."""
 
+import csv
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from normetric import TaskKind, load_csv, make_blobs, make_regression, save_csv
 from normetric.cli import main
@@ -103,6 +106,23 @@ class TestEvaluate:
         renamed = [row.replace(",1", ",7").replace(",-1", ",1") for row in rows]
         assert run(renamed, "renamed.csv") == (0, noisy)
 
+    def test_clustering_true_ids_are_names(self, tmp_path, capsys):
+        """Sparse class ids score as their ranks do, without a table sized by the largest id."""
+        def run(rows, name):
+            path = tmp_path / name
+            path.write_text("y_true,y_pred\n" + "\n".join(rows) + "\n", encoding="utf-8")
+            code = main([
+                "evaluate", "--task", "clustering", "--predictions", str(path),
+                "--d", "4", "--n", "120",
+            ])
+            return code, capsys.readouterr().out
+
+        rows = ["0,0"] * 4 + ["1,0"] * 2 + ["1,1"] * 5 + ["2,1"] * 3
+        code, dense = run(rows, "dense.csv")
+        assert code == 0
+        sparse = [row.replace("2,", "1000000000000,").replace("1,", "7,", 1) for row in rows]
+        assert run(sparse, "sparse.csv") == (0, dense)
+
     @pytest.mark.parametrize("task, text, column, row, value", [
         ("binary", "y_true,y_pred,y_prob\n0,0,0.9\n0.7,0,0.8\n1,1,0.6\n", "y_true", 2, "0.7"),
         ("multiclass", "y_true,y_pred,p_0,p_1,p_2\n0,0,1,0,0\n2,1.5,0,1,0\n", "y_pred", 2, "1.5"),
@@ -129,6 +149,47 @@ class TestEvaluate:
         assert code == 2
         err = capsys.readouterr().err
         assert repr(column) in err and f"data row {row} has {value!r}" in err
+
+    @pytest.mark.parametrize("task, text, column, row, value", [
+        ("binary", "y_true,y_pred,y_prob\n0,0,0.9\n-1,0,0.9\n1,1,0.6\n", "y_true", 2, "-1"),
+        ("binary", "y_true,y_pred,y_prob\n0,0,0.9\n1,2,0.8\n", "y_pred", 2, "2"),
+        ("binary", "y_true,y_pred,y_prob\n0,-1,0.9\n1,1,0.8\n", "y_pred", 1, "-1"),
+        ("multiclass", "y_true,y_pred,p_0,p_1\n0,0,0.9,0.1\n5,1,0.2,0.8\n", "y_true", 2, "5"),
+        ("multiclass", "y_true,y_pred,p_0,p_1\n0,-1,0.9,0.1\n1,1,0.2,0.8\n", "y_pred", 1, "-1"),
+        ("multiclass", "y_true,y_pred,p_0,p_1\n0,0,0.9,0.1\n1,2,0.2,0.8\n", "y_pred", 2, "2"),
+        ("clustering", "y_true,y_pred\n0,0\n1,1\n-1,1\n", "y_true", 3, "-1"),
+    ], ids=["binary-negative-true", "binary-pred-two", "binary-negative-pred", "multiclass-true-beyond",
+            "multiclass-negative-pred", "multiclass-pred-beyond", "clustering-negative-true"])
+    def test_labels_outside_the_class_range_are_a_data_error(
+        self, tmp_path, capsys, task, text, column, row, value
+    ):
+        path = tmp_path / "labels.csv"
+        path.write_text(text, encoding="utf-8")
+        code = main(["evaluate", "--task", task, "--predictions", str(path), "--d", "2", "--n", "10"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and repr(column) in err and f"data row {row} has {value!r}" in err
+
+    @pytest.mark.parametrize("label", ["0", "1"])
+    def test_one_class_binary_file_is_a_data_error(self, tmp_path, capsys, label):
+        path = tmp_path / "one.csv"
+        path.write_text(f"y_true,y_pred,y_prob\n{label},0,0.9\n{label},1,0.8\n", encoding="utf-8")
+        code = main(["evaluate", "--task", "binary", "--predictions", str(path), "--d", "2", "--n", "10"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and f"only class {label}" in err
+
+    @pytest.mark.parametrize("text, message", [
+        ("y_true,y_pred,y_prob\n0,0,0.9\n1,1\n0,0,0.7\n", "data row 2 of {path} ends after field 2"),
+        ("y_true,y_pred,y_prob\n0,0,0.9\n1,1,x\n1,1\n", "data row 2 has 'x'"),
+        ("y_true,y_pred,y_prob\n0,0,0.9\n1\n1,1,x\n", "data row 2 of {path} ends after field 1"),
+    ], ids=["short", "bad-before-short", "short-before-bad"])
+    def test_first_short_or_bad_row_is_named(self, tmp_path, capsys, text, message):
+        path = tmp_path / "short.csv"
+        path.write_text(text, encoding="utf-8")
+        code = main(["evaluate", "--task", "binary", "--predictions", str(path), "--d", "2", "--n", "10"])
+        assert code == 2
+        assert message.format(path=path) in capsys.readouterr().err
 
     def test_missing_file_is_a_data_error(self, capsys):
         code = main([
@@ -313,3 +374,64 @@ class TestExpand:
 
 def test_no_subcommand_is_usage_error(capsys):
     assert main([]) == 1
+
+
+PREDICTION_COLUMNS = ["y_true", "y_pred", "y_prob", "p_0", "p_1", "p_2", "p_4", "p_x", "extra"]
+ODD_CELLS = ["2", "-1", "1.5", "nan", "inf", "-inf", "1e400", "", "x", " 1 ", "1_0"]
+
+
+@st.composite
+def malformed_predictions(draw):
+    """Bytes of a predictions file: well formed for some task, then partly broken."""
+    n_classes = draw(st.integers(1, 4))
+    header = ["y_true", "y_pred"] + draw(st.sampled_from([[], ["y_prob"], [f"p_{c}" for c in range(n_classes)]]))
+    if draw(st.integers(0, 3)) == 0:  # columns missing, misnamed or repeated
+        header = draw(st.lists(st.sampled_from(PREDICTION_COLUMNS), max_size=6))
+    label = st.integers(0, n_classes - 1).map(str)
+    probability = st.sampled_from(["0", "1", "0.25", "0.5", "0.75"])
+    rows = [
+        [draw(label if name in ("y_true", "y_pred") else probability) for name in header]
+        for _ in range(draw(st.integers(0, 8)))
+    ]
+    odd_cell = st.one_of(
+        st.sampled_from(ODD_CELLS),
+        st.floats().map(repr),
+        st.text(st.characters(blacklist_categories=("Cs",)), max_size=4),
+    )
+    for _ in range(draw(st.integers(0, 3)) if rows else 0):
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        cut = draw(st.integers(0, len(row)))
+        kind = draw(st.sampled_from(["cell", "short", "long"]))
+        if kind == "cell" and row:
+            row[min(cut, len(row) - 1)] = draw(odd_cell)
+        elif kind == "short":
+            del row[cut:]
+        else:
+            row.append(draw(odd_cell))
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    if header or draw(st.booleans()):
+        writer.writerow(header)
+    writer.writerows(rows)
+    data = text.getvalue().encode("utf-8")
+    if draw(st.integers(0, 19)) == 0:  # not UTF-8
+        data += b"\xff\xfe"
+    return data
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    data=malformed_predictions(),
+    task=st.sampled_from([kind.value for kind in TaskKind]),
+    d=st.integers(-1, 30),
+    n=st.integers(-1, 400),
+)
+def test_evaluate_fails_cleanly_on_malformed_files(tmp_path, capsys, data, task, d, n):
+    path = tmp_path / "fuzz.csv"
+    path.write_bytes(data)
+    code = main(["evaluate", "--task", task, "--predictions", str(path), "--d", str(d), "--n", str(n)])
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2, 3)
+    if code:
+        assert err.startswith("normetric:"), err
+    assert "Traceback" not in err

@@ -80,11 +80,11 @@ def _read_predictions(path: str, task: TaskKind) -> dict:
     Expected columns: y_true and y_pred always; y_prob (probability of the
     predicted class) for binary; p_0..p_{C-1} probability vectors for
     multiclass.  Clustering files carry cluster ids, any integers, in
-    y_pred.  Binary labels must be 0 or 1 and y_true must hold both;
-    multiclass labels must be integers in [0, C); clustering y_true must
-    hold non-negative integers.  Probabilities must be finite and lie in
-    [0, 1].  A breach is a DataError naming the column and the first bad
-    data row.
+    y_pred.  Binary labels must be 0 or 1; multiclass labels must be
+    integers in [0, C); clustering y_true must hold non-negative integers.
+    Probabilities must be finite and lie in [0, 1], and each row of
+    p_0..p_{C-1} must sum to 1 within 1e-6.  A breach is a DataError naming
+    the first bad data row.
     """
     header, rows = read_csv(path)
     rows = [row for row in rows if row]
@@ -140,14 +140,18 @@ def _read_predictions(path: str, task: TaskKind) -> dict:
         labels = _labels(f"integer labels in [0, {len(prob_names)})", 0, len(prob_names))
     out = {name: column(name, labels).astype(int) for name in ("y_true", "y_pred")}
     if task is TaskKind.BINARY_CLASSIFICATION:
-        if np.all(out["y_true"] == out["y_true"][0]):
-            raise DataError(
-                f"binary predictions file {path} holds only class {out['y_true'][0]} in 'y_true'; "
-                "both classes 0 and 1 must occur"
-            )
         out["y_prob"] = column("y_prob", _PROBABILITIES)
-    else:
-        out["y_prob"] = np.column_stack([column(name, _PROBABILITIES) for name in prob_names])
+        return out
+    probs = np.column_stack([column(name, _PROBABILITIES) for name in prob_names])
+    sums = probs.sum(axis=1)
+    summed_to_one = np.abs(sums - 1.0) <= 1e-6  # the tolerance snr_multiclass enforces
+    if not summed_to_one.all():
+        bad = int(np.argmin(summed_to_one))
+        raise DataError(
+            f"probabilities {prob_names[0]}..{prob_names[-1]} of {path} must sum to 1 within 1e-6; "
+            f"data row {bad + 1} sums to {float(sums[bad])!r}"
+        )
+    out["y_prob"] = probs
     return out
 
 
@@ -165,10 +169,19 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         base = nmi(y_true, y_pred)
         bundle = EvaluationBundle(task, y_true, y_pred, args.d, args.n, base, class_sizes=np.bincount(y_pred))
     else:
+        n_classes = 2 if task is TaskKind.BINARY_CLASSIFICATION else data["y_prob"].shape[1]
+        class_sizes = np.bincount(y_true, minlength=n_classes)
+        if not class_sizes.all():
+            present = np.flatnonzero(class_sizes).tolist()
+            raise DataError(
+                f"'y_true' of {args.predictions} has no row of class {int(np.argmin(class_sizes))} "
+                f"(it holds only class{'es' if len(present) > 1 else ''} {', '.join(map(str, present))}); "
+                f"each class 0..{n_classes - 1} needs one for the imbalance factor h"
+            )
         base = accuracy(y_true, y_pred)
         bundle = EvaluationBundle(
             task, y_true, y_pred, args.d, args.n, base,
-            y_prob=data["y_prob"], class_sizes=np.bincount(y_true),
+            y_prob=data["y_prob"], class_sizes=class_sizes,
         )
 
     print(_breakdown_json(evaluate(bundle)))

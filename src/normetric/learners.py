@@ -9,6 +9,7 @@ the same data and seed always produce the same model.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -111,29 +112,68 @@ def fit_linear(X: np.ndarray, y: np.ndarray) -> LinearModel:
     return LinearModel(weights=coef[:-1], intercept=float(coef[-1]))
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # exp(-|z|) never overflows; for z >= 0 it is exp(-z), otherwise exp(z)
-    e = np.exp(-np.abs(z))
-    denom = 1.0 + e
-    return np.where(z >= 0, 1.0 / denom, e / denom)
+def _sigmoid(z: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Logistic function of z, with no overflow and no branch.
+
+    e = exp(-|z|) never overflows.  The result is 1/(1+e) where z >= 0 and
+    e/(1+e) below, computed as a numerator max(e, [z >= 0]) over 1 + e:
+    e lies in [0, 1], so the numerator is 1 or e exactly.  Given out, the
+    result lands there and z, which must not be out, is overwritten as
+    scratch, so a caller that owns both buffers allocates nothing.
+    """
+    e = np.copysign(z, -1.0, out=out)  # -|z|
+    np.exp(e, out=e)
+    scratch = None if out is None else z
+    numerator = np.maximum(e, np.greater_equal(z, 0.0, out=scratch), out=scratch)
+    denom = np.add(1.0, e, out=e)
+    return np.divide(numerator, denom, out=e)
 
 
-def _softmax(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max(axis=1, keepdims=True)
-    ez = np.exp(shifted)
-    return ez / ez.sum(axis=1, keepdims=True)
+def _softmax(z: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Row-wise softmax of the logits z, written into out (which may be z).
+
+    The row max folds np.maximum over the class columns: one call per
+    class, not one short reduction per row.  Max is exact in any order,
+    and a shift by -0.0 for 0.0 only alters a zero that exp maps to 1, so
+    the bits match z.max(axis=1).  The row sum must stay sum(axis=1):
+    numpy adds a row in its own order, with eight accumulators from
+    eight terms up, and a fold over the columns would round differently.
+    """
+    top = np.maximum(z[:, 0], z[:, -1])
+    for c in range(1, z.shape[1] - 1):
+        np.maximum(top, z[:, c], out=top)
+    ez = np.subtract(z, top[:, np.newaxis], out=out)
+    np.exp(ez, out=ez)
+    return np.divide(ez, ez.sum(axis=1, keepdims=True), out=ez)
 
 
-def _binary_grads(w, b, X, y):
-    """Gradients of the mean cross-entropy of a sigmoid model."""
-    residual = _sigmoid(X @ w + b) - y
-    return (X.T @ residual) / X.shape[0], float(np.mean(residual))
+def _binary_grads(w, b, X, y, work=(None, None)):
+    """Gradients of the mean cross-entropy of a sigmoid model.
+
+    work holds two n-vectors, the logits and the residual, that training
+    allocates once per fit; by default each call allocates its own.
+    """
+    n = X.shape[0]
+    z = np.matmul(X, w, out=work[0])
+    z += b
+    residual = _sigmoid(z, out=work[1])
+    residual -= y
+    return (X.T @ residual) / n, float(np.add.reduce(residual)) / n
 
 
-def _softmax_grads(W, b, X, y_onehot):
-    """Gradients of the mean cross-entropy of a softmax model."""
-    residual = _softmax(X @ W.T + b) - y_onehot
-    return (residual.T @ X) / X.shape[0], residual.mean(axis=0)
+def _softmax_grads(W, b, X, y_onehot, work=None):
+    """Gradients of the mean cross-entropy of a softmax model.
+
+    work, an (n, C) array that training allocates once per fit, receives
+    the logits, then the probabilities and the residual in place.
+    """
+    n = X.shape[0]
+    z = np.matmul(X, W.T, out=work)
+    z += b
+    residual = _softmax(z, out=z)
+    residual -= y_onehot
+    # accumulate adds the rows in order, as mean(axis=0) does, in fewer steps
+    return (residual.T @ X) / n, np.add.accumulate(residual, axis=0)[-1] / n
 
 
 def fit_logistic(
@@ -149,7 +189,17 @@ def fit_logistic(
     Deterministic given the seed: weights start from a seeded normal draw
     and every epoch consumes the whole batch in order.  Binary problems use
     the sigmoid parameterization, larger ones multinomial softmax.  Epochs
-    compute only the residual and the gradients, never the loss itself.
+    compute only the residual and the gradients, never the loss itself, in
+    buffers allocated once per fit.
+
+    Every reduction keeps numpy's order, because a float sum taken in
+    another order rounds differently, and the weights, and so the CLI's
+    fixed-seed output, are pinned bit for bit.  The gradients come from
+    the BLAS products X.T @ residual and residual.T @ X; the softmax row
+    sum stays sum(axis=1); the sigmoid's bias gradient is the pairwise
+    np.add.reduce that np.mean runs, and the softmax's adds the rows in
+    order, as mean(axis=0) does.  Only the softmax row max, which is
+    exact in any order, is folded over the class columns.
     """
     X = _check_2d_features(X)
     y = np.asarray(y, dtype=int)
@@ -174,8 +224,9 @@ def fit_logistic(
         w = 0.01 * rng.standard_normal(d)
         b = 0.0
         yf = y.astype(float)
+        work = (np.empty(y.size), np.empty(y.size))
         for _ in range(epochs):
-            grad_w, grad_b = _binary_grads(w, b, X, yf)
+            grad_w, grad_b = _binary_grads(w, b, X, yf, work)
             w = w - learning_rate * grad_w
             b = b - learning_rate * grad_b
         return LogisticModel(weights=w[np.newaxis, :], intercepts=np.array([b]), n_classes=2)
@@ -184,8 +235,9 @@ def fit_logistic(
     b = np.zeros(n_classes)
     onehot = np.zeros((y.size, n_classes))
     onehot[np.arange(y.size), y] = 1.0
+    work = np.empty((y.size, n_classes))
     for _ in range(epochs):
-        grad_W, grad_b = _softmax_grads(W, b, X, onehot)
+        grad_W, grad_b = _softmax_grads(W, b, X, onehot, work)
         W = W - learning_rate * grad_W
         b = b - learning_rate * grad_b
     return LogisticModel(weights=W, intercepts=b, n_classes=n_classes)

@@ -234,6 +234,13 @@ def ref_masked_sigmoid(z):
     return out
 
 
+def ref_softmax(z):
+    """The library's softmax before its row max became a column fold, verbatim."""
+    shifted = z - z.max(axis=1, keepdims=True)
+    ez = np.exp(shifted)
+    return ez / ez.sum(axis=1, keepdims=True)
+
+
 def _ref_binary_loss_and_grads(w, b, X, y):
     n = X.shape[0]
     p = ref_masked_sigmoid(X @ w + b)

@@ -179,6 +179,45 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert str(path) in err and f"only class {label}" in err
 
+    @pytest.mark.parametrize("rows, row, total", [
+        (["0,0,0.5,0.25,0.25", "1,1,0.5,0.5,0.5", "2,2,0,0,1"], 2, "1.5"),
+        (["0,0,1,0,0", "1,1,0,1,0", "2,2,0,0,0.5", "2,2,0,0,0.5"], 3, "0.5"),
+        (["0,0,0.5,0.5,0.000002", "1,1,0,1,0", "2,2,0,0,1"], 1, "1.000002"),
+    ], ids=["middle-row", "later-row", "just-outside-tolerance"])
+    def test_probabilities_not_summing_to_one_are_a_data_error(self, tmp_path, capsys, rows, row, total):
+        path = tmp_path / "sums.csv"
+        path.write_text("y_true,y_pred,p_0,p_1,p_2\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        code = main(["evaluate", "--task", "multiclass", "--predictions", str(path), "--d", "2", "--n", "10"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "sum to 1 within 1e-6" in err and f"data row {row} sums to {total}" in err
+
+    def test_probabilities_within_the_sum_tolerance_are_accepted(self, tmp_path, capsys):
+        path = tmp_path / "thirds.csv"
+        path.write_text(
+            "y_true,y_pred,p_0,p_1,p_2\n0,0,0.3333333,0.3333333,0.3333333\n1,1,0,1,0\n2,2,0,0,1\n",
+            encoding="utf-8",
+        )
+        code = main(["evaluate", "--task", "multiclass", "--predictions", str(path), "--d", "2", "--n", "10"])
+        assert code == 0
+
+    @pytest.mark.parametrize("labels, missing, present", [
+        ([0, 2, 0, 2], 1, "classes 0, 2"),
+        ([0, 1, 1, 0], 2, "classes 0, 1"),
+        ([1, 2, 2, 1], 0, "classes 1, 2"),
+    ], ids=["middle", "top", "bottom"])
+    def test_multiclass_class_missing_from_y_true_is_a_data_error(
+        self, tmp_path, capsys, labels, missing, present
+    ):
+        """Class sizes span every p_* column, so an absent class is named, not dropped from h."""
+        path = tmp_path / "missing.csv"
+        rows = [f"{c},{c}," + ",".join("1" if k == c else "0" for k in range(3)) for c in labels]
+        path.write_text("y_true,y_pred,p_0,p_1,p_2\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        code = main(["evaluate", "--task", "multiclass", "--predictions", str(path), "--d", "2", "--n", "10"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and f"no row of class {missing}" in err and f"only {present}" in err
+
     @pytest.mark.parametrize("text, message", [
         ("y_true,y_pred,y_prob\n0,0,0.9\n1,1\n0,0,0.7\n", "data row 2 of {path} ends after field 2"),
         ("y_true,y_pred,y_prob\n0,0,0.9\n1,1,x\n1,1\n", "data row 2 has 'x'"),
@@ -435,3 +474,6 @@ def test_evaluate_fails_cleanly_on_malformed_files(tmp_path, capsys, data, task,
     if code:
         assert err.startswith("normetric:"), err
     assert "Traceback" not in err
+    # rows that do not sum to 1, and classes absent from y_true, are data errors
+    if "sum to 1" in err or "at least one sample" in err or "no row of class" in err:
+        assert code == 2, err

@@ -6,8 +6,10 @@ import pytest
 import reference as ref
 from normetric import DegenerateDistributionError, DomainError, ShapeError
 from normetric.learners import (
+    LogisticModel,
     _binary_grads,
     _sigmoid,
+    _softmax,
     _softmax_grads,
     fit_kmeans,
     fit_linear,
@@ -121,6 +123,14 @@ BIT_IDENTITY_CASES = [
     (45, 7, 5, 3.0, 0.1, 150),
     (80, 5, 5, 0.7, 800.0, 100),
     (1000, 13, 2, 1.0, 1.0, 60),
+    # C >= 8 takes numpy's pairwise row sum; n > 1024 spans several reduction blocks
+    (150, 13, 8, 1.0, 1.0, 120),
+    (90, 6, 8, 2.0, 500.0, 80),
+    (160, 13, 12, 0.5, 1.0, 120),
+    (70, 4, 12, 1.5, 2000.0, 80),
+    (1500, 13, 4, 1.0, 1.0, 60),
+    (2100, 9, 12, 0.3, 50.0, 40),
+    (1300, 7, 2, 2.0, 300.0, 60),
 ]
 
 
@@ -135,6 +145,25 @@ def test_fit_logistic_equals_loss_evaluating_loop_bitwise(case):
     weights, intercepts = ref.ref_fit_logistic_with_loss(X, y, n_classes, epochs, learning_rate, case)
     assert np.array_equal(model.weights, weights)
     assert np.array_equal(model.intercepts, intercepts)
+
+
+@pytest.mark.parametrize("n_classes", [3, 4, 8, 12])
+def test_softmax_equals_the_row_max_reduction_bitwise(n_classes):
+    """The column-fold row max gives the bits of z.max(axis=1), extremes and ties included."""
+    rng = np.random.default_rng(n_classes)
+    extremes = np.array([0.0, -0.0, 746.0, -746.0, 745.5, -745.5, 1e308, -1e308, 3.25, -2.0])
+    logits = np.vstack([
+        rng.choice(extremes, size=(400, n_classes)),
+        rng.normal(size=(400, n_classes)) * 300.0,
+        np.full((1, n_classes), -1e308),
+    ])
+    model = LogisticModel(weights=np.eye(n_classes), intercepts=np.zeros(n_classes), n_classes=n_classes)
+    in_place = logits.copy()
+    with np.errstate(over="ignore"):  # -1e308 - 1e308 overflows to -inf, which exp sends to 0
+        want = ref.ref_softmax(logits @ model.weights.T + model.intercepts)
+        assert np.array_equal(model.predict_proba(logits), want)
+        assert _softmax(in_place, out=in_place) is in_place
+        assert np.array_equal(in_place, ref.ref_softmax(logits))
 
 
 def test_logistic_separable_blobs_reach_perfect_training_accuracy():

@@ -9,7 +9,7 @@ through each factor to show where that 0.75 gets taken back.
 
 import numpy as np
 
-from normetric import EvaluationBundle, TaskKind, evaluate
+from normetric import TaskKind, evaluate
 
 # A do-nothing predictor on an imbalanced test set: 150 of class 0, 50 of
 # class 1, every prediction "0" with a flat 75% confidence.
@@ -17,17 +17,16 @@ y_true = np.array([0] * 150 + [1] * 50)
 y_pred = np.zeros(200, dtype=int)
 y_prob = np.full(200, 0.75)
 
-bundle = EvaluationBundle(
-    task=TaskKind.BINARY_CLASSIFICATION,
-    y_true=y_true,
-    y_pred=y_pred,
+# evaluate picks the base metric from the task: accuracy for classification.
+score = evaluate(
+    TaskKind.BINARY_CLASSIFICATION,
+    y_true,
+    y_pred,
     d=10,                 # the model saw 10 features
     n_train=200,          # and 200 training rows -> 20 per feature
-    base_metric=0.75,
     y_prob=y_prob,
     class_sizes=[150, 50],
 )
-score = evaluate(bundle)
 
 print("raw accuracy          :", score.base)
 print("dimensionality factor :", score.dim_factor_f, "(20 rows per feature, no boost)")

@@ -23,12 +23,10 @@ from .exceptions import (
 )
 from .factors import (
     SAMPLES_PER_FEATURE,
-    EvaluationBundle,
     MetricBreakdown,
     TaskKind,
     average_class_imbalance_ratio,
     class_imbalance_ratio,
-    cluster_imbalance_adjustment,
     compose_normalized_metric,
     dimensionality_factor,
     evaluate,
@@ -61,20 +59,18 @@ from .learners import (
     fit_linear,
     fit_logistic,
 )
-from .metrics import ConfusionMatrix, accuracy, confusion_matrix, mape_score, nmi
+from .metrics import accuracy, mape_score, nmi
 from .synthetic import make_binary_classification, make_blobs, make_regression
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ConfigurationError",
-    "ConfusionMatrix",
     "CurvePoint",
     "DataError",
     "Dataset",
     "DegenerateDistributionError",
     "DomainError",
-    "EvaluationBundle",
     "KMeansModel",
     "LearnerConfig",
     "LinearModel",
@@ -90,9 +86,7 @@ __all__ = [
     "accuracy",
     "average_class_imbalance_ratio",
     "class_imbalance_ratio",
-    "cluster_imbalance_adjustment",
     "compose_normalized_metric",
-    "confusion_matrix",
     "dimensionality_factor",
     "evaluate",
     "fit_kmeans",

@@ -1,13 +1,15 @@
 """Command-line front end: evaluate, curve, expand, and report subcommands.
 
-Exit codes: 0 success, 1 usage error, 2 data error (bad or missing files),
-3 numeric or domain error.  Diagnostics go to stderr; results go to stdout
-or to the requested output files.
+Exit codes: 0 success, 1 usage error (a numeric flag outside its own domain
+included), 2 data error (bad or missing files), 3 numeric or domain error.
+Diagnostics go to stderr; results go to stdout or to the requested output
+files.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -17,7 +19,7 @@ import numpy as np
 
 from .data import load_csv, parse_column, read_csv, save_csv, schedule, synthetic_expand
 from .exceptions import DataError, NormetricError
-from .factors import EvaluationBundle, MetricBreakdown, TaskKind, evaluate
+from .factors import MetricBreakdown, TaskKind, evaluate
 from .harness import (
     LearnerConfig,
     format_report_json,
@@ -26,7 +28,6 @@ from .harness import (
     run_curve,
     stability_report,
 )
-from .metrics import accuracy, mape_score, nmi
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -42,24 +43,37 @@ class _Parser(argparse.ArgumentParser):
     """argparse exits with 2 on usage errors; this tool reserves 2 for data."""
 
     def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+        # the prefix every diagnostic of this tool starts with, then the usage
+        self.exit(EXIT_USAGE, f"normetric: error: {message}\n{self.format_usage()}")
+
+
+def _flag_type(convert, holds, requirement: str):
+    """An argparse type converting a flag's value and rejecting one outside its domain."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not holds(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text!r}")
+        return value
+
+    return parse
+
+
+_POSITIVE_INT = _flag_type(int, lambda v: v >= 1, "an integer >= 1")
+_SEED = _flag_type(int, lambda v: v >= 0, "an integer >= 0")
+_ODD_INT = _flag_type(int, lambda v: v >= 1 and v % 2 == 1, "an odd integer >= 1")
+_OPEN_FRACTION = _flag_type(float, lambda v: 0.0 < v < 1.0, "a number in (0, 1)")
+_POSITIVE_FINITE = _flag_type(float, lambda v: 0.0 < v < math.inf, "a finite number > 0")
 
 
 def _breakdown_json(breakdown: MetricBreakdown) -> str:
     def jsonable(value: float):
         return value if math.isfinite(value) else str(value)
 
-    fields = {
-        "base": breakdown.base,
-        "dim_factor_f": breakdown.dim_factor_f,
-        "snr_db": breakdown.snr_db,
-        "snr_normalized": breakdown.snr_normalized,
-        "snr_factor_g": breakdown.snr_factor_g,
-        "imbalance_ratio": breakdown.imbalance_ratio,
-        "imbalance_factor_h": breakdown.imbalance_factor_h,
-        "normalized": breakdown.normalized,
-    }
+    fields = dataclasses.asdict(breakdown)
     return json.dumps({key: jsonable(value) for key, value in fields.items()}, indent=2)
 
 
@@ -75,7 +89,7 @@ _PROBABILITIES = ("probabilities in [0, 1]", lambda v: (v >= 0.0) & (v <= 1.0))
 
 
 def _read_predictions(path: str, task: TaskKind) -> dict:
-    """Load a predictions CSV into arrays keyed by column role.
+    """Load a predictions CSV into `evaluate`'s keyword arguments.
 
     Expected columns: y_true and y_pred always; y_prob (probability of the
     predicted class) for binary; p_0..p_{C-1} probability vectors for
@@ -85,6 +99,10 @@ def _read_predictions(path: str, task: TaskKind) -> dict:
     Probabilities must be finite and lie in [0, 1], and each row of
     p_0..p_{C-1} must sum to 1 within 1e-6.  A breach is a DataError naming
     the first bad data row.
+
+    The class sizes for h are counted from this file: y_true per class
+    0..C-1 for classification, where each class must occur, and y_pred per
+    cluster id for clustering.
     """
     header, rows = read_csv(path)
     rows = [row for row in rows if row]
@@ -121,12 +139,13 @@ def _read_predictions(path: str, task: TaskKind) -> dict:
     if task is TaskKind.REGRESSION:
         return {"y_true": column("y_true"), "y_pred": column("y_pred")}
     if task is TaskKind.CLUSTERING:
-        return {
-            "y_true": column("y_true", _labels("non-negative integer labels", 0)).astype(int),
-            "y_pred": column("y_pred", _labels("integer cluster ids")).astype(int),
-        }
+        y_true = column("y_true", _labels("non-negative integer labels", 0)).astype(int)
+        y_pred = column("y_pred", _labels("integer cluster ids")).astype(int)
+        # ids are arbitrary names (DBSCAN noise is -1): count the rows of each one present
+        return {"y_true": y_true, "y_pred": y_pred, "class_sizes": np.unique(y_pred, return_counts=True)[1]}
 
     if task is TaskKind.BINARY_CLASSIFICATION:
+        n_classes = 2
         labels = _labels("labels 0 or 1", 0, 2)
     else:
         prob_names = sorted(
@@ -137,54 +156,39 @@ def _read_predictions(path: str, task: TaskKind) -> dict:
             raise DataError(f"predictions file {path} lacks p_0..p_(C-1) columns")
         if [int(name[2:]) for name in prob_names] != list(range(len(prob_names))):
             raise DataError(f"probability columns must be contiguous p_0..p_(C-1), got {prob_names}")
-        labels = _labels(f"integer labels in [0, {len(prob_names)})", 0, len(prob_names))
+        n_classes = len(prob_names)
+        labels = _labels(f"integer labels in [0, {n_classes})", 0, n_classes)
     out = {name: column(name, labels).astype(int) for name in ("y_true", "y_pred")}
     if task is TaskKind.BINARY_CLASSIFICATION:
         out["y_prob"] = column("y_prob", _PROBABILITIES)
-        return out
-    probs = np.column_stack([column(name, _PROBABILITIES) for name in prob_names])
-    sums = probs.sum(axis=1)
-    summed_to_one = np.abs(sums - 1.0) <= 1e-6  # the tolerance snr_multiclass enforces
-    if not summed_to_one.all():
-        bad = int(np.argmin(summed_to_one))
+    else:
+        probs = np.column_stack([column(name, _PROBABILITIES) for name in prob_names])
+        sums = probs.sum(axis=1)
+        summed_to_one = np.abs(sums - 1.0) <= 1e-6  # the tolerance snr_multiclass enforces
+        if not summed_to_one.all():
+            bad = int(np.argmin(summed_to_one))
+            raise DataError(
+                f"probabilities {prob_names[0]}..{prob_names[-1]} of {path} must sum to 1 within 1e-6; "
+                f"data row {bad + 1} sums to {float(sums[bad])!r}"
+            )
+        out["y_prob"] = probs
+
+    class_sizes = np.bincount(out["y_true"], minlength=n_classes)
+    if not class_sizes.all():
+        present = np.flatnonzero(class_sizes).tolist()
         raise DataError(
-            f"probabilities {prob_names[0]}..{prob_names[-1]} of {path} must sum to 1 within 1e-6; "
-            f"data row {bad + 1} sums to {float(sums[bad])!r}"
+            f"'y_true' of {path} has no row of class {int(np.argmin(class_sizes))} "
+            f"(it holds only class{'es' if len(present) > 1 else ''} {', '.join(map(str, present))}); "
+            f"each class 0..{n_classes - 1} needs one for the imbalance factor h"
         )
-    out["y_prob"] = probs
+    out["class_sizes"] = class_sizes
     return out
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     task = TaskKind(args.task)
-    data = _read_predictions(args.predictions, task)
-    y_true, y_pred = data["y_true"], data["y_pred"]
-
-    if task is TaskKind.REGRESSION:
-        base = mape_score(y_true, y_pred)
-        bundle = EvaluationBundle(task, y_true, y_pred, args.d, args.n, base)
-    elif task is TaskKind.CLUSTERING:
-        # renumber ids 0..k-1: they are arbitrary (DBSCAN noise is -1), NMI ignores names
-        _, y_pred = np.unique(y_pred, return_inverse=True)
-        base = nmi(y_true, y_pred)
-        bundle = EvaluationBundle(task, y_true, y_pred, args.d, args.n, base, class_sizes=np.bincount(y_pred))
-    else:
-        n_classes = 2 if task is TaskKind.BINARY_CLASSIFICATION else data["y_prob"].shape[1]
-        class_sizes = np.bincount(y_true, minlength=n_classes)
-        if not class_sizes.all():
-            present = np.flatnonzero(class_sizes).tolist()
-            raise DataError(
-                f"'y_true' of {args.predictions} has no row of class {int(np.argmin(class_sizes))} "
-                f"(it holds only class{'es' if len(present) > 1 else ''} {', '.join(map(str, present))}); "
-                f"each class 0..{n_classes - 1} needs one for the imbalance factor h"
-            )
-        base = accuracy(y_true, y_pred)
-        bundle = EvaluationBundle(
-            task, y_true, y_pred, args.d, args.n, base,
-            y_prob=data["y_prob"], class_sizes=class_sizes,
-        )
-
-    print(_breakdown_json(evaluate(bundle)))
+    breakdown = evaluate(task, d=args.d, n_train=args.n, **_read_predictions(args.predictions, task))
+    print(_breakdown_json(breakdown))
     return EXIT_OK
 
 
@@ -251,43 +255,43 @@ def build_parser() -> argparse.ArgumentParser:
     ev = commands.add_parser("evaluate", help="one-shot adjusted metric from a predictions file")
     ev.add_argument("--task", required=True, choices=tasks)
     ev.add_argument("--predictions", required=True, help="CSV of y_true, y_pred[, probabilities]")
-    ev.add_argument("--d", type=int, required=True, help="feature count of the evaluated model")
-    ev.add_argument("--n", type=int, required=True, help="training-set size of the evaluated model")
+    ev.add_argument("--d", type=_POSITIVE_INT, required=True, help="feature count of the evaluated model")
+    ev.add_argument("--n", type=_POSITIVE_INT, required=True, help="training-set size of the evaluated model")
     ev.set_defaults(func=cmd_evaluate)
 
     cv = commands.add_parser("curve", help="learning-curve experiment over a dataset CSV")
     cv.add_argument("--task", required=True, choices=tasks)
     cv.add_argument("--data", required=True, help="dataset CSV with a header row")
     cv.add_argument("--target-column", required=True)
-    cv.add_argument("--start", type=int, required=True)
-    cv.add_argument("--stop", type=int, required=True)
-    cv.add_argument("--step", type=int, required=True)
+    cv.add_argument("--start", type=_POSITIVE_INT, required=True)
+    cv.add_argument("--stop", type=_POSITIVE_INT, required=True)
+    cv.add_argument("--step", type=_POSITIVE_INT, required=True)
     cv.add_argument("--series", default=None, help="write the per-size series CSV here")
     cv.add_argument("--report", default=None, help="write the stability report JSON here")
-    cv.add_argument("--seed", type=int, default=42)
-    cv.add_argument("--test-fraction", type=float, default=0.2)
-    cv.add_argument("--d", type=int, default=None, help="override the feature count")
-    cv.add_argument("--n-star", type=int, default=None, help="override the 20*d threshold")
-    cv.add_argument("--smooth-window", type=int, default=5, help="odd window for display smoothing")
-    cv.add_argument("--epochs", type=int, default=500)
-    cv.add_argument("--lr", type=float, default=0.1)
-    cv.add_argument("--k", type=int, default=None, help="cluster count (clustering task)")
+    cv.add_argument("--seed", type=_SEED, default=42)
+    cv.add_argument("--test-fraction", type=_OPEN_FRACTION, default=0.2)
+    cv.add_argument("--d", type=_POSITIVE_INT, default=None, help="override the feature count")
+    cv.add_argument("--n-star", type=_POSITIVE_INT, default=None, help="override the 20*d threshold")
+    cv.add_argument("--smooth-window", type=_ODD_INT, default=5, help="odd window for display smoothing")
+    cv.add_argument("--epochs", type=_POSITIVE_INT, default=500)
+    cv.add_argument("--lr", type=_POSITIVE_FINITE, default=0.1)
+    cv.add_argument("--k", type=_POSITIVE_INT, default=None, help="cluster count (clustering task)")
     cv.set_defaults(func=cmd_curve)
 
     ex = commands.add_parser("expand", help="synthetic nearest-neighbor expansion to a new CSV")
     ex.add_argument("--task", required=True, choices=tasks)
     ex.add_argument("--data", required=True)
     ex.add_argument("--target-column", required=True)
-    ex.add_argument("--target-n", type=int, required=True)
-    ex.add_argument("--k-neighbors", type=int, default=5)
+    ex.add_argument("--target-n", type=_POSITIVE_INT, required=True)
+    ex.add_argument("--k-neighbors", type=_POSITIVE_INT, default=5)
     ex.add_argument("--out", required=True, help="destination CSV")
-    ex.add_argument("--seed", type=int, default=42)
+    ex.add_argument("--seed", type=_SEED, default=42)
     ex.set_defaults(func=cmd_expand)
 
     rp = commands.add_parser("report", help="recompute a stability report from a series CSV")
     rp.add_argument("--series", required=True, help="series CSV produced by the curve subcommand")
-    rp.add_argument("--d", type=int, default=None)
-    rp.add_argument("--n-star", type=int, default=None)
+    rp.add_argument("--d", type=_POSITIVE_INT, default=None)
+    rp.add_argument("--n-star", type=_POSITIVE_INT, default=None)
     rp.add_argument("--mad-scope", choices=["all", "before"], default="all")
     rp.add_argument("--report", default=None, help="write JSON here instead of stdout")
     rp.set_defaults(func=cmd_report)

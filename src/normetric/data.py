@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -59,10 +59,7 @@ class Dataset:
 class SampleSchedule:
     """Increasing training sizes start, start+step, ..., capped at stop."""
 
-    start: int
-    stop: int
-    step: int
-    sizes: tuple[int, ...] = field(default=())
+    sizes: tuple[int, ...]
 
     @property
     def max_size(self) -> int:
@@ -73,7 +70,7 @@ def schedule(start: int, stop: int, step: int) -> SampleSchedule:
     """Arithmetic size sequence inclusive of start and capped at stop."""
     if start < 1 or stop < start or step < 1:
         raise DomainError(f"need 1 <= start <= stop and step >= 1, got ({start}, {stop}, {step})")
-    return SampleSchedule(start=start, stop=stop, step=step, sizes=tuple(range(start, stop + 1, step)))
+    return SampleSchedule(sizes=tuple(range(start, stop + 1, step)))
 
 
 def read_csv(path: str) -> tuple[list[str], list[list[str]]]:

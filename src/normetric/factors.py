@@ -7,7 +7,8 @@ or NMI) by three dataset-condition factors:
 
 where f boosts models trained with too few samples per feature, g rewards a
 clean signal-to-noise ratio, and h penalizes class or cluster imbalance.
-Everything here is a pure function; `evaluate` composes them per task kind.
+Everything here is a pure function; `evaluate` picks the base metric and
+composes the factors per task kind.
 """
 
 from __future__ import annotations
@@ -25,17 +26,16 @@ from .exceptions import (
     DomainError,
     ShapeError,
 )
+from .metrics import accuracy, mape_score, nmi
 
 __all__ = [
     "TaskKind",
-    "EvaluationBundle",
     "MetricBreakdown",
     "dimensionality_factor",
     "class_imbalance_ratio",
     "imbalance_adjustment_binary",
     "average_class_imbalance_ratio",
     "imbalance_adjustment_multiclass",
-    "cluster_imbalance_adjustment",
     "snr_regression",
     "snr_binary",
     "snr_multiclass",
@@ -59,35 +59,9 @@ class TaskKind(Enum):
     CLUSTERING = "clustering"
 
     @property
-    def is_classification(self) -> bool:
-        return self in (TaskKind.BINARY_CLASSIFICATION, TaskKind.MULTICLASS_CLASSIFICATION)
-
-    @property
     def has_class_targets(self) -> bool:
         """True when targets are class indices rather than real values."""
         return self is not TaskKind.REGRESSION
-
-
-@dataclass
-class EvaluationBundle:
-    """Everything one metric evaluation needs.
-
-    y_true / y_pred hold class indices for classification and clustering
-    (clustering y_pred holds cluster ids) and real values for regression.
-    y_prob is the per-sample probability of the predicted class (binary) or
-    the per-sample probability vector over all classes (multiclass).
-    class_sizes are the per-class (or per-cluster) training-split counts the
-    imbalance factor is computed from; d excludes the target column.
-    """
-
-    task: TaskKind
-    y_true: Sequence
-    y_pred: Sequence
-    d: int
-    n_train: int
-    base_metric: float
-    y_prob: Optional[Sequence] = None
-    class_sizes: Optional[Sequence[int]] = None
 
 
 @dataclass(frozen=True)
@@ -156,18 +130,6 @@ def imbalance_adjustment_multiclass(acir: float) -> float:
     if not 0.0 < acir <= 1.0:
         raise DomainError(f"ACIR must be in (0, 1], got {acir}")
     return 1.0 + math.log10(1.0 / acir)
-
-
-def cluster_imbalance_adjustment(cluster_sizes: Sequence[int]) -> float:
-    """Imbalance penalty over cluster sizes.
-
-    Computes the mean cluster-to-majority ratio and applies the same
-    1 + log10(1/ratio) form as the multiclass penalty, so clusterings with
-    very unequal cluster sizes are penalized (h > 1) and balanced ones are
-    left alone (h = 1).  Raises if any cluster is empty; drop empty clusters
-    beforehand if that is the intended policy.
-    """
-    return imbalance_adjustment_multiclass(average_class_imbalance_ratio(cluster_sizes))
 
 
 def snr_regression(y_true: Sequence[float], y_pred: Sequence[float]) -> float:
@@ -323,72 +285,90 @@ def _clusters_to_majority_labels(
     return mapped
 
 
-def evaluate(bundle: EvaluationBundle) -> MetricBreakdown:
+def evaluate(
+    task: TaskKind,
+    y_true: Sequence,
+    y_pred: Sequence,
+    d: int,
+    n_train: int,
+    *,
+    y_prob: Optional[Sequence] = None,
+    class_sizes: Optional[Sequence[int]] = None,
+) -> MetricBreakdown:
     """Compute the full normalized-metric breakdown for one evaluation.
 
-    Dispatches on the task kind: binary uses the correct-count SNR and the
-    majority/minority penalty; multiclass uses the confusion-based SNR and
-    the mean class-to-majority penalty; regression uses the residual SNR
-    with no imbalance penalty; clustering maps each cluster to its majority
-    true label, scores the mapping with the multiclass SNR on one-hot
-    vectors, and penalizes uneven cluster sizes.
+    The task kind picks the base metric, the SNR formula and the imbalance
+    penalty h: binary uses accuracy, the correct-count SNR and the
+    majority/minority penalty; multiclass uses accuracy, the confusion-based
+    SNR and the mean class-to-majority penalty; regression uses 1 - MAPE and
+    the residual SNR with no imbalance penalty; clustering uses NMI, maps
+    each cluster to its majority true label, scores the mapping with the
+    multiclass SNR on one-hot vectors, and penalizes uneven cluster sizes.
+
+    y_true / y_pred hold class indices for classification, true class ids
+    and cluster ids (any integers) for clustering, and real values for
+    regression.  y_prob is the per-sample probability of the predicted
+    class (binary) or the per-sample probability vector over all classes
+    (multiclass).  d is the feature count (target excluded) and n_train the
+    training-set size.
+
+    class_sizes are the per-class (clustering: per-cluster) counts h is
+    computed from; every task but regression needs them, and the caller
+    chooses their source.  `run_curve` counts the whole training pool, or
+    the fitted model's training assignments for clustering; the `evaluate`
+    command counts the predictions file, its y_true (clustering: y_pred).
     """
-    y_true = np.asarray(bundle.y_true)
-    y_pred = np.asarray(bundle.y_pred)
+    y_true = np.asarray(y_true)
+    y_pred = np.asarray(y_pred)
     if y_true.shape != y_pred.shape or y_true.ndim != 1:
         raise ShapeError(f"y_true and y_pred must be 1-D and equal length, got {y_true.shape} vs {y_pred.shape}")
     if y_true.size == 0:
         raise DomainError("cannot evaluate an empty prediction set")
-    if bundle.d < 1 or bundle.n_train < 1:
-        raise DomainError(f"d and n_train must be >= 1, got d={bundle.d}, n_train={bundle.n_train}")
-    if not 0.0 <= bundle.base_metric <= 1.0:
-        raise DomainError(f"base_metric must be in [0, 1], got {bundle.base_metric}")
+    if d < 1 or n_train < 1:
+        raise DomainError(f"d and n_train must be >= 1, got d={d}, n_train={n_train}")
+    if class_sizes is None and task.has_class_targets:
+        raise ConfigurationError(f"{task.value} evaluation needs class sizes for the imbalance ratio")
+    if y_prob is None and task in (TaskKind.BINARY_CLASSIFICATION, TaskKind.MULTICLASS_CLASSIFICATION):
+        raise ConfigurationError(f"{task.value} evaluation needs per-sample predicted probabilities")
 
-    task = bundle.task
-    f = dimensionality_factor(bundle.d, bundle.n_train)
+    f = dimensionality_factor(d, n_train)
 
     if task is TaskKind.BINARY_CLASSIFICATION:
-        if bundle.y_prob is None:
-            raise ConfigurationError("binary evaluation needs per-sample predicted-class probabilities")
-        if bundle.class_sizes is None:
-            raise ConfigurationError("binary evaluation needs training class sizes for the imbalance ratio")
-        snr_db = snr_binary(y_true, y_pred, bundle.y_prob)
-        ratio = class_imbalance_ratio(bundle.class_sizes)
+        base = accuracy(y_true, y_pred)
+        snr_db = snr_binary(y_true, y_pred, y_prob)
+        ratio = class_imbalance_ratio(class_sizes)
         h = imbalance_adjustment_binary(ratio)
     elif task is TaskKind.MULTICLASS_CLASSIFICATION:
-        if bundle.y_prob is None:
-            raise ConfigurationError("multiclass evaluation needs per-sample probability vectors")
-        if bundle.class_sizes is None:
-            raise ConfigurationError("multiclass evaluation needs training class sizes for the imbalance ratio")
-        snr_db = snr_multiclass(y_true, bundle.y_prob)
-        ratio = average_class_imbalance_ratio(bundle.class_sizes)
+        base = accuracy(y_true, y_pred)
+        snr_db = snr_multiclass(y_true, y_prob)
+        ratio = average_class_imbalance_ratio(class_sizes)
         h = imbalance_adjustment_multiclass(ratio)
     elif task is TaskKind.REGRESSION:
+        base = mape_score(y_true, y_pred)
         snr_db = snr_regression(y_true, y_pred)
         ratio = 1.0
         h = 1.0
     elif task is TaskKind.CLUSTERING:
-        if bundle.class_sizes is None:
-            raise ConfigurationError("clustering evaluation needs training cluster sizes for the imbalance ratio")
         # class ids are names: number them 0..C-1 in sorted order (majority ties still go low)
         _, y_true_int = np.unique(y_true.astype(int), return_inverse=True)
         n_classes = int(y_true_int.max()) + 1
         if n_classes < 2:
             raise DegenerateDistributionError("clustering evaluation needs at least 2 true classes")
+        base = nmi(y_true_int, y_pred)
         mapped = _clusters_to_majority_labels(y_true_int, y_pred.astype(int), n_classes)
         one_hot = np.zeros((y_true_int.size, n_classes))
         one_hot[np.arange(y_true_int.size), mapped] = 1.0
         snr_db = snr_multiclass(y_true_int, one_hot)
-        ratio = average_class_imbalance_ratio(bundle.class_sizes)
+        ratio = average_class_imbalance_ratio(class_sizes)
         h = imbalance_adjustment_multiclass(ratio)
     else:  # pragma: no cover - enum is exhaustive
         raise ConfigurationError(f"unknown task kind {task!r}")
 
     snr_norm = normalize_snr(snr_db)
     g = snr_adjustment(snr_norm)
-    normalized = compose_normalized_metric(bundle.base_metric, f, g, h)
+    normalized = compose_normalized_metric(base, f, g, h)
     return MetricBreakdown(
-        base=bundle.base_metric,
+        base=base,
         dim_factor_f=f,
         snr_db=snr_db,
         snr_normalized=snr_norm,

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 import os
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
@@ -13,15 +12,8 @@ import numpy as np
 
 from .data import Dataset, SampleSchedule, split
 from .exceptions import ConfigurationError, DataError, DomainError
-from .factors import (
-    SAMPLES_PER_FEATURE,
-    EvaluationBundle,
-    MetricBreakdown,
-    TaskKind,
-    evaluate,
-)
+from .factors import SAMPLES_PER_FEATURE, MetricBreakdown, TaskKind, evaluate
 from .learners import fit_kmeans, fit_linear, fit_logistic
-from .metrics import accuracy, mape_score, nmi
 
 __all__ = [
     "CurvePoint",
@@ -111,11 +103,16 @@ def _curve_point(
     y_train = pool.target[:size]
 
     if task is TaskKind.REGRESSION:
-        model = fit_linear(X_train, y_train)
+        preds = fit_linear(X_train, y_train).predict(X_test)
+        scoring = {}
+    elif task is TaskKind.CLUSTERING:
+        k = config.n_clusters
+        if k is None:  # one cluster per true class
+            k = int(max(pool.target.max(), test.target.max())) + 1
+        model = fit_kmeans(X_train, k, seed=fit_seed)
         preds = model.predict(X_test)
-        base = mape_score(test.target, preds)
-        bundle = EvaluationBundle(task, test.target, preds, d, size, base)
-    elif task.is_classification:
+        scoring = {"class_sizes": np.unique(model.assignments, return_counts=True)[1]}
+    else:
         n_classes = int(max(pool.target.max(), test.target.max())) + 1
         model = fit_logistic(
             X_train,
@@ -127,28 +124,13 @@ def _curve_point(
         )
         proba = model.predict_proba(X_test)
         preds = np.argmax(proba, axis=1)
-        base = accuracy(test.target.astype(int), preds)
-        class_sizes = np.bincount(pool.target.astype(int), minlength=n_classes)
-        y_prob = proba[np.arange(preds.size), preds] if task is TaskKind.BINARY_CLASSIFICATION else proba
-        bundle = EvaluationBundle(
-            task, test.target.astype(int), preds, d, size, base,
-            y_prob=y_prob, class_sizes=class_sizes,
-        )
-    elif task is TaskKind.CLUSTERING:
-        k = config.n_clusters or int(max(pool.target.max(), test.target.max())) + 1
-        model = fit_kmeans(X_train, k, seed=fit_seed)
-        assignments = model.predict(X_test)
-        base = nmi(test.target.astype(int), assignments)
-        cluster_sizes = np.bincount(model.assignments, minlength=model.k)
-        bundle = EvaluationBundle(
-            task, test.target.astype(int), assignments, d, size, base,
-            class_sizes=cluster_sizes[cluster_sizes > 0],
-        )
-    else:  # pragma: no cover - enum is exhaustive
-        raise ConfigurationError(f"unknown task kind {task!r}")
+        scoring = {
+            "y_prob": proba[np.arange(preds.size), preds] if task is TaskKind.BINARY_CLASSIFICATION else proba,
+            "class_sizes": np.bincount(pool.target.astype(int), minlength=n_classes),
+        }
 
-    breakdown = evaluate(bundle)
-    return CurvePoint(size, base, breakdown.normalized, breakdown)
+    breakdown = evaluate(task, test.target, preds, d, size, **scoring)
+    return CurvePoint(size, breakdown.base, breakdown.normalized, breakdown)
 
 
 def run_curve(
@@ -259,58 +241,47 @@ def stability_report(
     return StabilityReport(threshold_n_star=int(n_star), initial=stats(base), adjusted=stats(adjusted))
 
 
-SERIES_COLUMNS = (
-    "train_size",
-    "base_metric",
-    "adjusted_metric",
-    "f",
-    "g",
-    "h",
-    "snr_db",
-    "snr_normalized",
-    "imbalance_ratio",
-    "base_smoothed",
-    "adjusted_smoothed",
+# series CSV column -> MetricBreakdown field, in file order; train_size comes
+# first and the two smoothed display columns last
+_SERIES_FIELDS = (
+    ("base_metric", "base"),
+    ("adjusted_metric", "normalized"),
+    ("f", "dim_factor_f"),
+    ("g", "snr_factor_g"),
+    ("h", "imbalance_factor_h"),
+    ("snr_db", "snr_db"),
+    ("snr_normalized", "snr_normalized"),
+    ("imbalance_ratio", "imbalance_ratio"),
 )
+SERIES_COLUMNS = ("train_size", *(column for column, _ in _SERIES_FIELDS), "base_smoothed", "adjusted_smoothed")
 
 
 def format_series_csv(points: Sequence[CurvePoint], smooth_window: int = 5) -> str:
     """Render a curve as a plot-ready CSV string.
 
-    The first nine columns are the raw per-size values (infinities appear
-    as the token `inf`); the last two are the smoothed display series.
-    Floats are written in shortest round-trip form so the file carries
-    full precision.
+    The first nine columns are each point's size and raw breakdown
+    (infinities appear as the token `inf`); the last two are the smoothed
+    display series.  Floats are written in shortest round-trip form so the
+    file carries full precision.
     """
     smoothed = smooth(points, smooth_window)
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(SERIES_COLUMNS)
     for point, disp in zip(points, smoothed):
-        b = point.breakdown
-        writer.writerow(
-            [str(point.train_size)]
-            + [
-                str(float(value))
-                for value in (
-                    point.base_metric,
-                    point.adjusted_metric,
-                    b.dim_factor_f,
-                    b.snr_factor_g,
-                    b.imbalance_factor_h,
-                    b.snr_db,
-                    b.snr_normalized,
-                    b.imbalance_ratio,
-                    disp.base_metric,
-                    disp.adjusted_metric,
-                )
-            ]
-        )
+        values = [getattr(point.breakdown, name) for _, name in _SERIES_FIELDS]
+        values += [disp.base_metric, disp.adjusted_metric]
+        writer.writerow([str(point.train_size)] + [str(float(value)) for value in values])
     return buffer.getvalue()
 
 
 def parse_series_csv(path: str) -> list[CurvePoint]:
-    """Read a series CSV back into curve points with full breakdowns."""
+    """Read a series CSV back into curve points with full breakdowns.
+
+    A row is a DataError, naming the file and data row, when a field does
+    not parse, when its base or adjusted metric is not a number in [0, 1],
+    or when its train_size does not exceed the previous row's.
+    """
     if not os.path.isfile(path):
         raise DataError(f"no such file: {path}")
     with open(path, newline="", encoding="utf-8") as fh:
@@ -325,30 +296,26 @@ def parse_series_csv(path: str) -> list[CurvePoint]:
             raise DataError(f"series file {path} lacks columns: {', '.join(missing)}")
         at = {name: header.index(name) for name in required}
         points = []
-        for row in reader:
+        for number, row in enumerate(reader, start=1):
             if len(row) != len(header):
-                raise DataError(f"series row has {len(row)} fields, expected {len(header)}")
-            value = {name: row[index] for name, index in at.items()}
+                raise DataError(f"data row {number} of {path} has {len(row)} fields, expected {len(header)}")
             try:
-                breakdown = MetricBreakdown(
-                    base=float(value["base_metric"]),
-                    dim_factor_f=float(value["f"]),
-                    snr_db=float(value["snr_db"]),
-                    snr_normalized=float(value["snr_normalized"]),
-                    snr_factor_g=float(value["g"]),
-                    imbalance_ratio=float(value["imbalance_ratio"]),
-                    imbalance_factor_h=float(value["h"]),
-                    normalized=float(value["adjusted_metric"]),
-                )
-                point = CurvePoint(
-                    train_size=int(value["train_size"]),
-                    base_metric=breakdown.base,
-                    adjusted_metric=breakdown.normalized,
-                    breakdown=breakdown,
-                )
+                train_size = int(row[at["train_size"]])
+                breakdown = MetricBreakdown(**{name: float(row[at[column]]) for column, name in _SERIES_FIELDS})
             except ValueError as exc:
-                raise DataError(f"unparseable series row {row!r}: {exc}") from None
-            points.append(point)
+                raise DataError(f"data row {number} of {path} does not parse: {exc}") from None
+            for column, value in (("base_metric", breakdown.base), ("adjusted_metric", breakdown.normalized)):
+                if not 0.0 <= value <= 1.0:  # NaN fails too
+                    raise DataError(
+                        f"column {column!r} of {path} must hold numbers in [0, 1]; "
+                        f"data row {number} has {row[at[column]]!r}"
+                    )
+            if points and train_size <= points[-1].train_size:
+                raise DataError(
+                    f"column 'train_size' of {path} must increase strictly; data row {number} has "
+                    f"{train_size} after {points[-1].train_size}"
+                )
+            points.append(CurvePoint(train_size, breakdown.base, breakdown.normalized, breakdown))
     if not points:
         raise DataError(f"series file {path} has no data rows")
     return points

@@ -1,35 +1,14 @@
-"""Base performance metrics: accuracy, 1 - MAPE, NMI, and the confusion matrix."""
+"""Base performance metrics: accuracy, 1 - MAPE and NMI."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .exceptions import DomainError, ShapeError
 
-__all__ = ["ConfusionMatrix", "accuracy", "mape_score", "confusion_matrix", "nmi"]
-
-
-@dataclass(frozen=True)
-class ConfusionMatrix:
-    """Count grid with rows = true class, columns = predicted class."""
-
-    counts: np.ndarray
-
-    @property
-    def n_classes(self) -> int:
-        return self.counts.shape[0]
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-    @property
-    def true_positives(self) -> np.ndarray:
-        """Per-class correct counts (the diagonal)."""
-        return np.diagonal(self.counts)
+__all__ = ["accuracy", "mape_score", "nmi"]
 
 
 def _as_equal_length(y_true: Sequence, y_pred: Sequence) -> tuple[np.ndarray, np.ndarray]:
@@ -61,21 +40,6 @@ def mape_score(y_true: Sequence[float], y_pred: Sequence[float]) -> float:
         raise DomainError("MAPE is undefined when y_true contains zeros")
     mape = float(np.mean(np.abs(yp - yt) / np.abs(yt)))
     return max(0.0, 1.0 - mape)
-
-
-def confusion_matrix(y_true: Sequence[int], y_pred: Sequence[int], n_classes: int) -> ConfusionMatrix:
-    """Count matrix counts[i][j] = number of samples with true i predicted j."""
-    yt, yp = _as_equal_length(y_true, y_pred)
-    yt = yt.astype(int)
-    yp = yp.astype(int)
-    if n_classes < 2:
-        raise DomainError(f"confusion matrix needs at least 2 classes, got {n_classes}")
-    for name, labels in (("y_true", yt), ("y_pred", yp)):
-        if labels.min() < 0 or labels.max() >= n_classes:
-            raise DomainError(f"{name} labels must lie in [0, {n_classes})")
-    counts = np.zeros((n_classes, n_classes), dtype=int)
-    np.add.at(counts, (yt, yp), 1)
-    return ConfusionMatrix(counts=counts)
 
 
 def _entropy(counts: np.ndarray, n: int) -> float:

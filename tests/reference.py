@@ -137,13 +137,6 @@ def ref_mape_score(y_true, y_pred):
     return max(0.0, 1.0 - total / len(y_true))
 
 
-def ref_confusion(y_true, y_pred, n_classes):
-    counts = [[0] * n_classes for _ in range(n_classes)]
-    for t, p in zip(y_true, y_pred):
-        counts[t][p] += 1
-    return counts
-
-
 def _entropy(labels):
     n = len(labels)
     freq = {}

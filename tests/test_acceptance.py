@@ -16,14 +16,12 @@ import pytest
 
 import reference as ref
 from normetric import (
-    EvaluationBundle,
     LearnerConfig,
     TaskKind,
     accuracy,
     average_class_imbalance_ratio,
     class_imbalance_ratio,
     compose_normalized_metric,
-    confusion_matrix,
     dimensionality_factor,
     evaluate,
     imbalance_adjustment_binary,
@@ -125,8 +123,6 @@ def test_matches_reference_oracles_on_randomized_inputs():
             snr_multiclass(yt3, rows),
             ref.ref_snr_multiclass(list(yt3), list(yp3), [list(r) for r in rows]),
         )
-        got_cm = confusion_matrix(yt3, yp3, c).counts
-        assert np.array_equal(got_cm, ref.ref_confusion(list(yt3), list(yp3), c))
         check(nmi(yt3, yp3), ref.ref_nmi(list(yt3), list(yp3)))
 
         x = float(rng.uniform(-20.0, 60.0))
@@ -265,17 +261,9 @@ def test_imbalance_penalty_demotes_majority_predictor():
     y_true = [0] * 150 + [1] * 50
     y_pred = [0] * 200
     prob = [0.75] * 200
-    bundle = EvaluationBundle(
-        task=TaskKind.BINARY_CLASSIFICATION,
-        y_true=y_true,
-        y_pred=y_pred,
-        d=10,
-        n_train=200,
-        base_metric=0.75,
-        y_prob=prob,
-        class_sizes=[150, 50],
-    )
-    got = evaluate(bundle).normalized
+    got = evaluate(
+        TaskKind.BINARY_CLASSIFICATION, y_true, y_pred, d=10, n_train=200, y_prob=prob, class_sizes=[150, 50]
+    ).normalized
 
     # Chain the loop-based oracles end to end for the same scenario.
     f = ref.ref_dimensionality_factor(10, 200)

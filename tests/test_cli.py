@@ -258,6 +258,15 @@ class TestEvaluate:
         assert code == 3
         assert "normetric:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--d", "--n"])
+    @pytest.mark.parametrize("value", ["0", "-5", "2.5"])
+    def test_nonpositive_size_flag_is_a_usage_error(self, binary_preds, capsys, flag, value):
+        argv = {"--task": "binary", "--predictions": binary_preds, "--d": "10", "--n": "200"}
+        argv[flag] = value
+        code = main(["evaluate"] + [item for pair in argv.items() for item in pair])
+        assert code == 1
+        assert f"argument {flag}: must be an integer >= 1" in capsys.readouterr().err
+
     def test_missing_required_flag_is_a_usage_error(self, capsys):
         code = main(["evaluate", "--task", "binary", "--d", "2", "--n", "10"])
         assert code == 1
@@ -334,7 +343,27 @@ class TestCurve:
             "--start", "30", "--stop", "60", "--step", "30",
             "--series", str(tmp_path / "s.csv"), "--smooth-window", "4", "--epochs", "10",
         ])
-        assert code == 3
+        assert code == 1
+        assert "--smooth-window" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--k", "0"), ("--k", "-2"), ("--epochs", "0"), ("--start", "0"), ("--stop", "-1"),
+        ("--step", "0"), ("--step", "1.5"), ("--test-fraction", "0"), ("--test-fraction", "1"),
+        ("--test-fraction", "nan"), ("--smooth-window", "0"), ("--smooth-window", "-3"),
+        ("--lr", "0"), ("--lr", "-0.1"), ("--lr", "inf"), ("--lr", "nan"), ("--lr", "x"),
+        ("--d", "0"), ("--n-star", "0"), ("--seed", "-1"),
+    ])
+    def test_out_of_domain_flag_is_a_usage_error_naming_it(self, blobs_csv, tmp_path, capsys, flag, value):
+        argv = {
+            "--task": "clustering", "--data": blobs_csv, "--target-column": "label",
+            "--start": "30", "--stop": "60", "--step": "30", "--epochs": "10",
+            "--series": str(tmp_path / "s.csv"),
+        }
+        argv[flag] = value
+        code = main(["curve"] + [item for pair in argv.items() for item in pair])
+        assert code == 1
+        assert f"argument {flag}: must be" in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()
 
 
 class TestReport:
@@ -361,6 +390,41 @@ class TestReport:
         code = main(["report", "--series", str(series), "--n-star", "60", "--mad-scope", "before"])
         assert code == 0
         json.loads(capsys.readouterr().out)
+
+    @pytest.mark.parametrize("column, bad", [
+        ("base_metric", "nan"), ("base_metric", "1.5"), ("adjusted_metric", "inf"), ("adjusted_metric", "-0.1"),
+    ])
+    def test_metric_outside_unit_interval_is_a_data_error(self, blobs_csv, tmp_path, capsys, column, bad):
+        series = tmp_path / "series.csv"
+        main([
+            "curve", "--task", "binary", "--data", blobs_csv, "--target-column", "label",
+            "--start", "30", "--stop", "90", "--step", "30",
+            "--series", str(series), "--epochs", "10",
+        ])
+        rows = list(csv.reader(io.StringIO(series.read_text(encoding="utf-8"))))
+        rows[2][rows[0].index(column)] = bad
+        series.write_text("".join(",".join(row) + "\n" for row in rows), encoding="utf-8")
+        code = main(["report", "--series", str(series), "--d", "2"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert str(series) in err and "data row 2" in err and column in err
+
+    @pytest.mark.parametrize("sizes, row", [(("30", "30", "90"), 2), (("30", "90", "60"), 3)])
+    def test_train_size_not_strictly_increasing_is_a_data_error(self, blobs_csv, tmp_path, capsys, sizes, row):
+        series = tmp_path / "series.csv"
+        main([
+            "curve", "--task", "binary", "--data", blobs_csv, "--target-column", "label",
+            "--start", "30", "--stop", "90", "--step", "30",
+            "--series", str(series), "--epochs", "10",
+        ])
+        rows = list(csv.reader(io.StringIO(series.read_text(encoding="utf-8"))))
+        for cells, size in zip(rows[1:], sizes):
+            cells[0] = size
+        series.write_text("".join(",".join(row) + "\n" for row in rows), encoding="utf-8")
+        code = main(["report", "--series", str(series), "--d", "2"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert str(series) in err and "train_size" in err and f"data row {row}" in err
 
     def test_threshold_required(self, blobs_csv, tmp_path, capsys):
         series = tmp_path / "series.csv"
@@ -413,6 +477,24 @@ class TestExpand:
 
 def test_no_subcommand_is_usage_error(capsys):
     assert main([]) == 1
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["expand", "--target-n", "0"], "--target-n"),
+    (["expand", "--target-n", "500", "--k-neighbors", "0"], "--k-neighbors"),
+    (["expand", "--target-n", "500", "--seed", "-1"], "--seed"),
+    (["report", "--d", "0"], "--d"),
+    (["report", "--n-star", "-4"], "--n-star"),
+])
+def test_out_of_domain_flag_of_expand_or_report_is_a_usage_error(blobs_csv, tmp_path, capsys, argv, flag):
+    out = tmp_path / "out.csv"
+    if argv[0] == "expand":
+        argv = argv + ["--task", "binary", "--data", blobs_csv, "--target-column", "label", "--out", str(out)]
+    else:
+        argv = argv + ["--series", blobs_csv]
+    assert main(argv) == 1
+    assert f"argument {flag}: must be" in capsys.readouterr().err
+    assert not out.exists()
 
 
 PREDICTION_COLUMNS = ["y_true", "y_pred", "y_prob", "p_0", "p_1", "p_2", "p_4", "p_x", "extra"]

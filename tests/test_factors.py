@@ -6,15 +6,16 @@ import numpy as np
 import pytest
 
 from normetric import (
+    accuracy,
+    mape_score,
+    nmi,
     DegenerateDistributionError,
     ConfigurationError,
     DomainError,
-    EvaluationBundle,
     ShapeError,
     TaskKind,
     average_class_imbalance_ratio,
     class_imbalance_ratio,
-    cluster_imbalance_adjustment,
     compose_normalized_metric,
     dimensionality_factor,
     evaluate,
@@ -100,9 +101,12 @@ class TestImbalanceMulticlass:
         assert acir == pytest.approx((1.0 + 1.0 / 9.0) / 2.0, abs=1e-12)
 
     def test_cluster_variant_matches_acir_form(self):
-        assert cluster_imbalance_adjustment([60, 60, 60]) == 1.0
-        assert cluster_imbalance_adjustment([120, 40, 40]) == pytest.approx(1.255272505103306, abs=1e-12)
-        assert cluster_imbalance_adjustment([99, 1]) == pytest.approx(1.2966651902615312, abs=1e-12)
+        def h(sizes):
+            return imbalance_adjustment_multiclass(average_class_imbalance_ratio(sizes))
+
+        assert h([60, 60, 60]) == 1.0
+        assert h([120, 40, 40]) == pytest.approx(1.255272505103306, abs=1e-12)
+        assert h([99, 1]) == pytest.approx(1.2966651902615312, abs=1e-12)
 
     def test_rejects_degenerate(self):
         with pytest.raises(DomainError):
@@ -218,17 +222,10 @@ class TestCompose:
 
 class TestEvaluateDispatcher:
     def test_perfect_binary_model(self):
-        bundle = EvaluationBundle(
-            task=TaskKind.BINARY_CLASSIFICATION,
-            y_true=[0, 1] * 5,
-            y_pred=[0, 1] * 5,
-            d=2,
-            n_train=100,
-            base_metric=1.0,
-            y_prob=[1.0] * 10,
-            class_sizes=[50, 50],
+        got = evaluate(
+            TaskKind.BINARY_CLASSIFICATION, [0, 1] * 5, [0, 1] * 5, d=2, n_train=100,
+            y_prob=[1.0] * 10, class_sizes=[50, 50],
         )
-        got = evaluate(bundle)
         assert got.dim_factor_f == 1.0
         assert got.snr_factor_g == 1.5
         assert got.imbalance_factor_h == 1.0
@@ -238,17 +235,11 @@ class TestEvaluateDispatcher:
         """A 75%-accurate do-nothing predictor scores well below 0.75."""
         y_true = np.array([0] * 150 + [1] * 50)
         y_pred = np.zeros(200, dtype=int)
-        bundle = EvaluationBundle(
-            task=TaskKind.BINARY_CLASSIFICATION,
-            y_true=y_true,
-            y_pred=y_pred,
-            d=10,
-            n_train=200,
-            base_metric=0.75,
-            y_prob=np.full(200, 0.75),
-            class_sizes=[150, 50],
+        got = evaluate(
+            TaskKind.BINARY_CLASSIFICATION, y_true, y_pred, d=10, n_train=200,
+            y_prob=np.full(200, 0.75), class_sizes=[150, 50],
         )
-        got = evaluate(bundle)
+        assert got.base == 0.75
         assert got.dim_factor_f == 1.0
         assert got.snr_db == pytest.approx(10.79181246047625, abs=1e-9)
         assert got.imbalance_factor_h == pytest.approx(1.4771212547196624, abs=1e-12)
@@ -256,15 +247,7 @@ class TestEvaluateDispatcher:
         assert got.normalized < got.base
 
     def test_regression_has_no_imbalance_penalty(self):
-        bundle = EvaluationBundle(
-            task=TaskKind.REGRESSION,
-            y_true=[100.0, 200.0],
-            y_pred=[110.0, 180.0],
-            d=5,
-            n_train=100,
-            base_metric=0.9,
-        )
-        got = evaluate(bundle)
+        got = evaluate(TaskKind.REGRESSION, [100.0, 200.0], [110.0, 180.0], d=5, n_train=100)
         assert got.imbalance_factor_h == 1.0
         assert got.imbalance_ratio == 1.0
 
@@ -272,71 +255,48 @@ class TestEvaluateDispatcher:
         # two clean clusters, ids swapped relative to the true labels
         y_true = np.array([0, 0, 0, 1, 1, 1])
         assignments = np.array([1, 1, 1, 0, 0, 0])
-        bundle = EvaluationBundle(
-            task=TaskKind.CLUSTERING,
-            y_true=y_true,
-            y_pred=assignments,
-            d=2,
-            n_train=40,
-            base_metric=1.0,
-            class_sizes=[3, 3],
-        )
-        got = evaluate(bundle)
+        got = evaluate(TaskKind.CLUSTERING, y_true, assignments, d=2, n_train=40, class_sizes=[3, 3])
         # mapping is exact, so the one-hot vectors match truth: zero noise
         assert got.snr_db == math.inf
         assert got.snr_factor_g == 1.5
         assert got.normalized == 1.0
 
     def test_clustering_single_true_class_rejected(self):
-        bundle = EvaluationBundle(
-            task=TaskKind.CLUSTERING,
-            y_true=[0, 0, 0],
-            y_pred=[0, 1, 1],
-            d=2,
-            n_train=10,
-            base_metric=0.5,
-            class_sizes=[2, 1],
-        )
         with pytest.raises(DegenerateDistributionError):
-            evaluate(bundle)
+            evaluate(TaskKind.CLUSTERING, [0, 0, 0], [0, 1, 1], d=2, n_train=10, class_sizes=[2, 1])
 
     def test_missing_probabilities_is_a_configuration_error(self):
-        bundle = EvaluationBundle(
-            task=TaskKind.BINARY_CLASSIFICATION,
-            y_true=[0, 1],
-            y_pred=[0, 1],
-            d=1,
-            n_train=10,
-            base_metric=1.0,
-            class_sizes=[1, 1],
-        )
         with pytest.raises(ConfigurationError):
-            evaluate(bundle)
+            evaluate(TaskKind.BINARY_CLASSIFICATION, [0, 1], [0, 1], d=1, n_train=10, class_sizes=[1, 1])
 
-    def test_base_metric_must_be_in_unit_interval(self):
-        bundle = EvaluationBundle(
-            task=TaskKind.REGRESSION,
-            y_true=[1.0],
-            y_pred=[1.0],
-            d=1,
-            n_train=10,
-            base_metric=1.5,
-        )
-        with pytest.raises(DomainError):
-            evaluate(bundle)
+    def test_missing_class_sizes_is_a_configuration_error(self):
+        with pytest.raises(ConfigurationError):
+            evaluate(TaskKind.CLUSTERING, [0, 1], [0, 1], d=1, n_train=10)
+
+    @pytest.mark.parametrize(
+        "task, y_true, y_pred, extra, metric",
+        [
+            (TaskKind.BINARY_CLASSIFICATION, [0, 1, 1, 0, 1], [0, 1, 0, 0, 0],
+             {"y_prob": [0.9, 0.8, 0.6, 0.7, 0.55], "class_sizes": [20, 30]}, accuracy),
+            (TaskKind.MULTICLASS_CLASSIFICATION, [0, 1, 2, 2], [0, 2, 2, 1],
+             {"y_prob": [[0.8, 0.1, 0.1], [0.2, 0.3, 0.5], [0.1, 0.1, 0.8], [0.3, 0.4, 0.3]],
+              "class_sizes": [10, 12, 9]}, accuracy),
+            (TaskKind.REGRESSION, [3.0, 5.0, 8.0], [2.5, 5.5, 9.0], {}, mape_score),
+            (TaskKind.CLUSTERING, [5, 5, 9, 9, 7, 7], [-1, -1, 3, 3, 3, 0],
+             {"class_sizes": [2, 3, 1]}, nmi),
+        ],
+        ids=["binary", "multiclass", "regression", "clustering"],
+    )
+    def test_base_metric_is_the_task_metric(self, task, y_true, y_pred, extra, metric):
+        got = evaluate(task, y_true, y_pred, d=2, n_train=30, **extra)
+        assert 0.0 < got.base < 1.0
+        assert got.base == metric(y_true, y_pred)
 
     def test_breakdown_is_self_consistent(self):
-        bundle = EvaluationBundle(
-            task=TaskKind.BINARY_CLASSIFICATION,
-            y_true=[0, 0, 1, 1],
-            y_pred=[0, 0, 0, 1],
-            d=3,
-            n_train=30,
-            base_metric=0.75,
-            y_prob=[0.9, 0.8, 0.6, 0.7],
-            class_sizes=[12, 18],
+        got = evaluate(
+            TaskKind.BINARY_CLASSIFICATION, [0, 0, 1, 1], [0, 0, 0, 1], d=3, n_train=30,
+            y_prob=[0.9, 0.8, 0.6, 0.7], class_sizes=[12, 18],
         )
-        got = evaluate(bundle)
         recomposed = min(
             1.0, got.base * got.dim_factor_f * got.snr_factor_g / got.imbalance_factor_h
         )

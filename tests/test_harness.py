@@ -90,6 +90,11 @@ class TestRunCurve:
         assert all(0.0 <= p.base_metric <= 1.0 for p in points)
         assert all(p.breakdown.imbalance_factor_h >= 1.0 for p in points)
 
+    def test_zero_clusters_is_not_read_as_unset(self):
+        ds = make_blobs(200, d=2, n_classes=3, seed=12, task=TaskKind.CLUSTERING)
+        with pytest.raises(DomainError):
+            run_curve(ds, schedule(60, 120, 30), TaskKind.CLUSTERING, LearnerConfig(n_clusters=0), seed=3)
+
 
 class TestSmooth:
     def test_window_one_is_identity(self):
@@ -243,6 +248,17 @@ class TestSerialization:
             parse_series_csv(str(empty))
         with pytest.raises(DataError):
             parse_series_csv(str(tmp_path / "missing.csv"))
+
+    def test_parse_uses_the_column_table(self, tmp_path):
+        # columns in another order, plus an extra one, read back by name
+        point = make_point(10, 0.5, 0.625)
+        path = tmp_path / "series.csv"
+        path.write_text(
+            "extra,imbalance_ratio,snr_normalized,snr_db,h,g,f,adjusted_metric,base_metric,train_size\n"
+            "x,1.0,0.25,10.0,1.0,1.25,1.0,0.625,0.5,10\n",
+            encoding="utf-8",
+        )
+        assert parse_series_csv(str(path)) == [point]
 
     def test_report_json_has_six_decimal_reals(self):
         pts = [make_point(s, b, a) for s, b, a in

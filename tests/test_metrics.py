@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from normetric import DomainError, ShapeError, accuracy, confusion_matrix, mape_score, nmi
+from normetric import DomainError, ShapeError, accuracy, mape_score, nmi
 
 
 def test_accuracy_identity():
@@ -51,35 +51,6 @@ def test_mape_score_scale_invariant():
     y = rng.uniform(1, 10, size=20)
     p = y + rng.normal(0, 0.5, size=20)
     assert mape_score(y * 37.0, p * 37.0) == pytest.approx(mape_score(y, p), abs=1e-12)
-
-
-def test_confusion_identity():
-    got = confusion_matrix([0, 1], [0, 1], 2)
-    np.testing.assert_array_equal(got.counts, [[1, 0], [0, 1]])
-
-
-def test_confusion_all_wrong():
-    got = confusion_matrix([0, 0], [1, 1], 2)
-    np.testing.assert_array_equal(got.counts, [[0, 2], [0, 0]])
-
-
-def test_confusion_hand_enumerated():
-    got = confusion_matrix([0, 1, 2, 2], [0, 2, 2, 1], 3)
-    np.testing.assert_array_equal(got.counts, [[1, 0, 0], [0, 0, 1], [0, 1, 1]])
-
-
-def test_confusion_rejects_out_of_range():
-    with pytest.raises(DomainError):
-        confusion_matrix([0, 3], [0, 1], 3)
-
-
-def test_confusion_trace_equals_accuracy():
-    rng = np.random.default_rng(3)
-    y_true = rng.integers(0, 4, size=60)
-    y_pred = rng.integers(0, 4, size=60)
-    cm = confusion_matrix(y_true, y_pred, 4)
-    assert np.trace(cm.counts) / 60 == pytest.approx(accuracy(y_true, y_pred), abs=1e-15)
-    assert cm.counts.sum() == 60
 
 
 def test_nmi_perfect_under_relabeling():

@@ -17,6 +17,7 @@ from .exceptions import (
     ConfigurationError,
     DataError,
     DegenerateDistributionError,
+    DivergenceError,
     DomainError,
     NormetricError,
     ShapeError,
@@ -70,6 +71,7 @@ __all__ = [
     "DataError",
     "Dataset",
     "DegenerateDistributionError",
+    "DivergenceError",
     "DomainError",
     "KMeansModel",
     "LearnerConfig",

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import math
 import sys
@@ -104,21 +105,27 @@ def _read_predictions(path: str, task: TaskKind) -> dict:
     0..C-1 for classification, where each class must occur, and y_pred per
     cluster id for clustering.
     """
-    header, rows = read_csv(path)
-    rows = [row for row in rows if row]
-    if not rows:
+    header, columns, others = read_csv(path)
+    # blank lines are skipped, so the other rows are numbered among the rest
+    blanks_so_far = itertools.accumulate(not row for _, row in others)
+    odd = [(at - blanks, row) for (at, row), blanks in zip(others, blanks_so_far) if row]
+    if not odd and not (columns and columns[0]):
         raise DataError(f"predictions file {path} has no data rows")
 
     def column(name: str, rule=None) -> np.ndarray:
         if name not in header:
             raise DataError(f"predictions file {path} lacks a {name!r} column")
         index = header.index(name)
-        try:
-            cells = [row[index] for row in rows]
-            short = None
-        except IndexError:
-            short = next(i for i, row in enumerate(rows) if len(row) <= index)
-            cells = [row[index] for row in rows[:short]]
+        full, cells, short = columns[index], [], None
+        for spliced, (at, row) in enumerate(odd):  # splice the odd rows in among the full ones
+            used = len(cells) - spliced
+            cells += full[used:used + at - len(cells)]
+            if len(row) <= index:
+                short = (at, len(row))
+                break
+            cells.append(row[index])
+        else:
+            cells += full[len(cells) - len(odd):]
         values, bad = parse_column(cells)
         requirement = "numbers"
         if bad is None and rule is not None:
@@ -131,13 +138,13 @@ def _read_predictions(path: str, task: TaskKind) -> dict:
             )
         if short is not None:
             raise DataError(
-                f"data row {short + 1} of {path} ends after field {len(rows[short])}; "
+                f"data row {short[0] + 1} of {path} ends after field {short[1]}; "
                 f"column {name!r} is field {index + 1}"
             )
         return values
 
     if task is TaskKind.REGRESSION:
-        return {"y_true": column("y_true"), "y_pred": column("y_pred")}
+        return {name: column(name, ("finite numbers", np.isfinite)) for name in ("y_true", "y_pred")}
     if task is TaskKind.CLUSTERING:
         y_true = column("y_true", _labels("non-negative integer labels", 0)).astype(int)
         y_pred = column("y_pred", _labels("integer cluster ids")).astype(int)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import os
 from dataclasses import dataclass, replace
@@ -73,20 +74,46 @@ def schedule(start: int, stop: int, step: int) -> SampleSchedule:
     return SampleSchedule(sizes=tuple(range(start, stop + 1, step)))
 
 
-def read_csv(path: str) -> tuple[list[str], list[list[str]]]:
-    """The header and the data rows of a UTF-8 CSV file, as lists of cells."""
+def read_csv(path: str) -> tuple[list[str], list[Sequence[str]], list[tuple[int, list[str]]]]:
+    """The header and the data rows of a UTF-8 CSV file, as csv.reader reads them.
+
+    columns[j] lists cell j of each row as wide as the header, in order; others
+    lists (position from 0, cells) for every other row, blank lines as [].  A plain
+    file (no '"', '\\r' or NUL, no line over csv.field_size_limit()) is split at
+    '\\n' and ',' a block of lines at a time, with no list per row: the same cells.
+    """
     if not os.path.isfile(path):
         raise DataError(f"no such file: {path}")
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            rows = list(reader)
+            text = fh.read()
+            lines = text.split("\n") if text and not any(c in text for c in '"\r\0') else None
+            del text
+            if lines is None or max(map(len, lines)) > csv.field_size_limit():
+                fh.seek(0)
+                lines, rows = None, list(csv.reader(fh))
     except (UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"{path} is not a readable UTF-8 CSV file: {exc}") from None
-    if header is None:
-        raise DataError(f"{path} is empty (no header row)")
-    return header, rows
+    if lines is None:
+        if not rows:
+            raise DataError(f"{path} is empty (no header row)")
+        header, width = rows[0], len(rows[0])
+        others = [(at, row) for at, row in enumerate(rows[1:]) if not row or len(row) != width]
+        full = [row for row in rows[1:] if row and len(row) == width]
+        return header, list(zip(*full)) if full else [()] * width, others
+    header = lines[0].split(",") if lines[0] else []
+    width, lines = len(header), lines[1:len(lines) - (not lines[-1])]  # a final newline starts no row
+    odd = np.fromiter(map(str.count, lines, itertools.repeat(",")), np.intp, len(lines)) != width - 1
+    odd |= ~_nonempty(lines)
+    others = [(at, lines[at].split(",") if lines[at] else []) for at in np.flatnonzero(odd).tolist()]
+    lines = list(itertools.compress(lines, (~odd).tolist()))
+    columns: list[list[str]] = [[] for _ in range(width)]
+    while lines:  # lines are freed as they are split, so they and the cells never all coexist
+        cells = ",".join(lines[:4096]).split(",")
+        del lines[:4096]
+        for j, column in enumerate(columns):
+            column += cells[j::width]
+    return header, columns, others
 
 
 def parse_column(cells: Sequence[str]) -> tuple[np.ndarray, Optional[int]]:
@@ -94,24 +121,24 @@ def parse_column(cells: Sequence[str]) -> tuple[np.ndarray, Optional[int]]:
 
     numpy parses the whole column in one call (it converts a str through
     float() too); only a column holding a cell that does not parse falls
-    back to one cell at a time.  Returns the values, NaN where a cell does
-    not parse, and the index of the first such cell (None if every cell
-    parses).
+    back to parsing each distinct cell once.  Returns the values, NaN where
+    a cell does not parse, and the index of the first such cell (None if
+    every cell parses).
     """
     try:
         return np.array(cells, dtype=float), None
     except ValueError:
         pass
-    values = np.empty(len(cells))
+    parsed = dict.fromkeys(cells)  # distinct cells in order of first appearance
     first_bad = None
-    for i, cell in enumerate(cells):
+    for cell in parsed:
         try:
-            values[i] = float(cell)
+            parsed[cell] = float(cell)
         except ValueError:
-            values[i] = math.nan
+            parsed[cell] = math.nan
             if first_bad is None:
-                first_bad = i
-    return values, first_bad
+                first_bad = cells.index(cell)
+    return np.fromiter(map(parsed.__getitem__, cells), dtype=float, count=len(cells)), first_bad
 
 
 def _nonempty(cells: Sequence[str]) -> np.ndarray:
@@ -120,8 +147,8 @@ def _nonempty(cells: Sequence[str]) -> np.ndarray:
 
 def _first_appearance_codes(cells: list[str]) -> np.ndarray:
     """Integer codes numbering distinct cells 0, 1, ... in order of first appearance."""
-    codes: dict[str, int] = {}
-    return np.fromiter((codes.setdefault(cell, len(codes)) for cell in cells), dtype=int, count=len(cells))
+    codes = {cell: code for code, cell in enumerate(dict.fromkeys(cells))}
+    return np.fromiter(map(codes.__getitem__, cells), dtype=int, count=len(cells))
 
 
 def load_csv(path: str, target_column: str, task: TaskKind) -> Dataset:
@@ -135,21 +162,18 @@ def load_csv(path: str, target_column: str, task: TaskKind) -> Dataset:
     n_dropped.  Classification and clustering targets are re-indexed to
     0..C-1 in first-appearance order over the kept rows; regression targets
     must parse.  If the target name occurs twice in the header, the last
-    such column is the target.  Each column is parsed in one numpy call
-    (see parse_column), not cell by cell.
+    such column is the target.  Files are read as csv.reader reads them
+    (see read_csv), and columns parsed as parse_column parses them.
     """
-    header, rows = read_csv(path)
+    header, columns, others = read_csv(path)
     if target_column not in header:
         raise DataError(f"target column {target_column!r} not in header {header}")
     target_idx = len(header) - 1 - header[::-1].index(target_column)
     n_columns = len(header)
 
-    n_read = len(rows)
-    rows = [r for r in rows if len(r) == n_columns]
-    if not rows:
+    n_read = len(columns[0]) + len(others)
+    if not columns[0]:
         raise DataError(f"{path} has no usable data rows ({n_read} dropped)")
-    columns = list(zip(*rows))
-    del rows
 
     class_targets = task.has_class_targets
     usable = np.ones(len(columns[0]), dtype=bool)
@@ -204,9 +228,9 @@ def save_csv(ds: Dataset, path: str) -> None:
     for row, label in zip(rows, ds.target.tolist()):
         row.append(to_label(label))
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(ds.feature_names + [ds.target_name])
-        writer.writerows(rows)
+        # only the names may need csv's quoting: a float's or int's repr never does
+        csv.writer(fh, lineterminator="\n").writerow(ds.feature_names + [ds.target_name])
+        fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
 
 
 def split(ds: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Dataset]:

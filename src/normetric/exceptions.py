@@ -23,3 +23,7 @@ class ConfigurationError(NormetricError, ValueError):
 
 class DataError(NormetricError, ValueError):
     """Input data could not be ingested (missing file, missing column, no usable rows)."""
+
+
+class DivergenceError(NormetricError, ArithmeticError):
+    """Gradient descent overflowed or ended with non-finite weights (e.g. a learning rate far too large)."""

@@ -344,8 +344,12 @@ def evaluate(
         ratio = average_class_imbalance_ratio(class_sizes)
         h = imbalance_adjustment_multiclass(ratio)
     elif task is TaskKind.REGRESSION:
-        base = mape_score(y_true, y_pred)
-        snr_db = snr_regression(y_true, y_pred)
+        try:
+            with np.errstate(all="raise", under="ignore"):
+                base = mape_score(y_true, y_pred)
+                snr_db = snr_regression(y_true, y_pred)
+        except FloatingPointError:
+            raise DomainError("regression values too large to score: an error or a square overflows") from None
         ratio = 1.0
         h = 1.0
     elif task is TaskKind.CLUSTERING:

@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .exceptions import DegenerateDistributionError, DomainError, ShapeError
+from .exceptions import DegenerateDistributionError, DivergenceError, DomainError, ShapeError
 
 __all__ = [
     "LinearModel",
@@ -199,7 +199,8 @@ def fit_logistic(
     sum stays sum(axis=1); the sigmoid's bias gradient is the pairwise
     np.add.reduce that np.mean runs, and the softmax's adds the rows in
     order, as mean(axis=0) does.  Only the softmax row max, which is
-    exact in any order, is folded over the class columns.
+    exact in any order, is folded over the class columns.  A run that
+    overflows, or ends with non-finite weights, raises DivergenceError.
     """
     X = _check_2d_features(X)
     y = np.asarray(y, dtype=int)
@@ -220,27 +221,34 @@ def fit_logistic(
 
     rng = np.random.default_rng(seed)
     d = X.shape[1]
-    if n_classes == 2:
-        w = 0.01 * rng.standard_normal(d)
-        b = 0.0
-        yf = y.astype(float)
-        work = (np.empty(y.size), np.empty(y.size))
-        for _ in range(epochs):
-            grad_w, grad_b = _binary_grads(w, b, X, yf, work)
-            w = w - learning_rate * grad_w
-            b = b - learning_rate * grad_b
-        return LogisticModel(weights=w[np.newaxis, :], intercepts=np.array([b]), n_classes=2)
-
-    W = 0.01 * rng.standard_normal((n_classes, d))
-    b = np.zeros(n_classes)
-    onehot = np.zeros((y.size, n_classes))
-    onehot[np.arange(y.size), y] = 1.0
-    work = np.empty((y.size, n_classes))
-    for _ in range(epochs):
-        grad_W, grad_b = _softmax_grads(W, b, X, onehot, work)
-        W = W - learning_rate * grad_W
-        b = b - learning_rate * grad_b
-    return LogisticModel(weights=W, intercepts=b, n_classes=n_classes)
+    try:
+        with np.errstate(all="raise", under="ignore"):
+            if n_classes == 2:
+                w = 0.01 * rng.standard_normal(d)
+                b = 0.0
+                yf = y.astype(float)
+                work = (np.empty(y.size), np.empty(y.size))
+                for _ in range(epochs):
+                    grad_w, grad_b = _binary_grads(w, b, X, yf, work)
+                    w = w - learning_rate * grad_w
+                    b = b - learning_rate * grad_b
+                model = LogisticModel(weights=w[np.newaxis, :], intercepts=np.array([b]), n_classes=2)
+            else:
+                W = 0.01 * rng.standard_normal((n_classes, d))
+                b = np.zeros(n_classes)
+                onehot = np.zeros((y.size, n_classes))
+                onehot[np.arange(y.size), y] = 1.0
+                work = np.empty((y.size, n_classes))
+                for _ in range(epochs):
+                    grad_W, grad_b = _softmax_grads(W, b, X, onehot, work)
+                    W = W - learning_rate * grad_W
+                    b = b - learning_rate * grad_b
+                model = LogisticModel(weights=W, intercepts=b, n_classes=n_classes)
+    except FloatingPointError:
+        model = None
+    if model is None or not (np.isfinite(model.weights).all() and np.isfinite(model.intercepts).all()):
+        raise DivergenceError(f"fit diverged at training size {y.size}, learning rate {learning_rate!r}")
+    return model
 
 
 def _nearest_centroid(X: np.ndarray, centroids: np.ndarray) -> np.ndarray:

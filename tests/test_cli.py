@@ -3,12 +3,14 @@
 import csv
 import io
 import json
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from normetric import TaskKind, load_csv, make_blobs, make_regression, save_csv
+from normetric import TaskKind, load_csv, make_binary_classification, make_blobs, make_regression, save_csv
 from normetric.cli import main
 
 
@@ -28,6 +30,10 @@ def blobs_csv(tmp_path):
     path = tmp_path / "blobs.csv"
     save_csv(ds, str(path))
     return str(path)
+
+
+BINARY_ROWS = ["y_true,y_pred,y_prob", "0,0,0.9", "1,1,0.8", "0,1,0.6", "1,0,0.7"]
+MULTICLASS_ROWS = ["y_true,y_pred,p_0,p_1,p_2", "0,0,0.8,0.1,0.1", "1,1,0.1,0.8,0.1", "2,2,0.1,0.1,0.8"]
 
 
 class TestEvaluate:
@@ -230,6 +236,58 @@ class TestEvaluate:
         assert code == 2
         assert message.format(path=path) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("task, rows, message", [
+        ("binary", BINARY_ROWS[:3] + ["0,1,x"] + BINARY_ROWS[4:],
+         "column 'y_prob' of {path} must hold numbers; data row 3 has 'x'"),
+        ("binary", BINARY_ROWS[:3] + ["0,1"] + BINARY_ROWS[4:],
+         "data row 3 of {path} ends after field 2; column 'y_prob' is field 3"),
+        ("binary", BINARY_ROWS[:2] + ["1,2,0.8"] + BINARY_ROWS[3:],
+         "column 'y_pred' of {path} must hold labels 0 or 1; data row 2 has '2'"),
+        ("binary", BINARY_ROWS[:4] + ["1,0,1.5"],
+         "column 'y_prob' of {path} must hold probabilities in [0, 1]; data row 4 has '1.5'"),
+        ("multiclass", MULTICLASS_ROWS[:2] + ["1,1,0.1,0.5,0.1"] + MULTICLASS_ROWS[3:],
+         "probabilities p_0..p_2 of {path} must sum to 1 within 1e-6; data row 2 sums to 0.7"),
+        ("multiclass", MULTICLASS_ROWS[:3] + ["1,2,0.1,0.1,0.8"],
+         "'y_true' of {path} has no row of class 2 (it holds only classes 0, 1); "
+         "each class 0..2 needs one for the imbalance factor h"),
+        ("binary", BINARY_ROWS[:2] + ["", "0,0,0.9,extra", "0,1,x"] + BINARY_ROWS[4:],
+         "column 'y_prob' of {path} must hold numbers; data row 3 has 'x'"),
+        ("binary", BINARY_ROWS[:2] + ["1,1,0.8,extra", "", "0"] + BINARY_ROWS[4:],
+         "data row 3 of {path} ends after field 1; column 'y_pred' is field 2"),
+    ], ids=["not-a-number", "short-row", "label-out-of-range", "probability-above-one", "row-sum",
+            "absent-class", "bad-cell-after-blank-and-long-rows", "short-row-after-long-and-blank-rows"])
+    def test_each_input_rule_reads_the_same_through_both_tokenizers(self, tmp_path, capsys, task, rows, message):
+        """One mutation of a valid file per documented rule, read plain and through csv.reader.
+
+        A quoted header cell sends the same rows through csv.reader; the exit
+        code and every byte of stderr must agree with the plain reading.
+        """
+        path = tmp_path / "mutated.csv"
+        argv = ["evaluate", "--task", task, "--predictions", str(path), "--d", "2", "--n", "10"]
+        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        with mock.patch("normetric.data.csv.reader", side_effect=AssertionError("plain file sent to csv.reader")):
+            plain = main(argv), capsys.readouterr().err
+        path.write_text('"y_true"' + "\n".join(rows)[len("y_true"):] + "\n", encoding="utf-8")
+        quoted = main(argv), capsys.readouterr().err
+        assert plain == quoted == (2, f"normetric: data error: {message.format(path=path)}\n")
+
+    def test_regression_values_must_be_finite(self, tmp_path, capsys):
+        path = tmp_path / "reg.csv"
+        path.write_text("y_true,y_pred\n1.5,1.4\ninf,2.0\n", encoding="utf-8")
+        code = main(["evaluate", "--task", "regression", "--predictions", str(path), "--d", "2", "--n", "10"])
+        assert code == 2
+        assert "column 'y_true' of" in capsys.readouterr().err
+
+    def test_regression_values_too_large_to_score_are_a_numeric_error(self, tmp_path, capsys):
+        path = tmp_path / "reg.csv"
+        path.write_text("y_true,y_pred\n1e200,1.0\n2.0,1.0\n", encoding="utf-8")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["evaluate", "--task", "regression", "--predictions", str(path), "--d", "2", "--n", "10"])
+        assert code == 3
+        assert "too large to score" in capsys.readouterr().err
+        assert not caught
+
     def test_missing_file_is_a_data_error(self, capsys):
         code = main([
             "evaluate", "--task", "binary", "--predictions", "/nope/missing.csv",
@@ -336,6 +394,25 @@ class TestCurve:
             "--start", "100", "--stop", "400", "--step", "100", "--epochs", "10",
         ])
         assert code == 3
+
+    @pytest.mark.parametrize("task", ["binary", "multiclass"])
+    def test_divergent_training_is_a_numeric_error_without_numpy_warnings(self, tmp_path, capsys, task):
+        if task == "binary":  # flipped labels keep the gradient from vanishing
+            ds = make_binary_classification(300, d=3, seed=0)
+        else:
+            ds = make_blobs(300, d=2, n_classes=3, seed=0, task=TaskKind.MULTICLASS_CLASSIFICATION)
+        path = tmp_path / "data.csv"
+        save_csv(ds, str(path))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([
+                "curve", "--task", task, "--data", str(path), "--target-column", "label",
+                "--start", "30", "--stop", "90", "--step", "30", "--epochs", "50", "--lr", "1e308",
+            ])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "fit diverged at training size 30, learning rate 1e+308" in err
+        assert "Warning" not in err and not caught
 
     def test_even_smooth_window_is_domain_error(self, blobs_csv, tmp_path, capsys):
         code = main([

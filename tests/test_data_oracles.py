@@ -6,10 +6,13 @@ loops live on in tests/reference.py; these property tests feed both the
 kinds of input where column parsing, label encoding and tie-breaking could
 drift: wrong-width rows, cells Python's float() treats specially, columns
 at the half-numeric threshold, heavy distance ties and tiny classes.
+read_csv splits a plain file (no quotes, no carriage returns) itself and
+sends any other through csv.reader, so both kinds of file are generated.
 """
 
 import csv
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,7 +20,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 import reference as ref
 from normetric import DataError, Dataset, TaskKind, load_csv, save_csv
-from normetric.data import _neighbor_lists
+from normetric import data
+from normetric.data import _neighbor_lists, read_csv
 
 CLASS_TASKS = [TaskKind.BINARY_CLASSIFICATION, TaskKind.MULTICLASS_CLASSIFICATION, TaskKind.CLUSTERING]
 
@@ -64,6 +68,34 @@ def csv_texts(draw):
     return out.getvalue()
 
 
+# cells a plain file can hold: no quote and no comma
+PLAIN_CELLS = [cell for cell in PARSING + FAILING if '"' not in cell and "," not in cell]
+
+
+@st.composite
+def plain_csv_texts(draw):
+    """A dataset CSV written line by line with no quoting, as read_csv splits it itself.
+
+    Blank lines, rows a field short or over, one-column files, an empty
+    header line and a missing final newline all occur.
+    """
+    n_columns = draw(st.integers(1, 4))
+    header = draw(st.lists(st.sampled_from(["a", "b", "y", ""]), min_size=n_columns, max_size=n_columns))
+    if draw(st.integers(0, 9)):
+        header[draw(st.integers(0, n_columns - 1))] = "y"
+    elif draw(st.booleans()):
+        header = []  # an empty header line
+    cell = st.one_of(
+        st.sampled_from(PLAIN_CELLS),
+        st.floats().map(repr),
+        st.integers(-3, 3).map(str),
+    )
+    widths = st.sampled_from([n_columns] * 4 + [0, n_columns - 1, n_columns + 1])
+    rows = [[draw(cell) for _ in range(draw(widths))] for _ in range(draw(st.integers(0, 12)))]
+    text = "\n".join(",".join(row) for row in [header] + rows)
+    return text + draw(st.sampled_from(["\n", ""]))
+
+
 def load_both(path, task):
     outcomes = []
     for loader in (ref.ref_load_csv, load_csv):
@@ -74,11 +106,7 @@ def load_both(path, task):
     return outcomes
 
 
-@settings(max_examples=400, deadline=None)
-@given(text=csv_texts(), task=st.sampled_from(list(TaskKind)))
-def test_load_csv_matches_row_loop(tmp_path_factory, text, task):
-    path = tmp_path_factory.mktemp("load") / "data.csv"
-    path.write_text(text, encoding="utf-8", newline="")
+def assert_loads_as_row_loop(path, task):
     expected, got = load_both(str(path), task)
     if isinstance(expected, str):
         assert got == expected
@@ -89,6 +117,69 @@ def test_load_csv_matches_row_loop(tmp_path_factory, text, task):
     assert got.task is expected.task
     assert bits(got.features) == bits(expected.features)
     assert bits(got.target) == bits(expected.target)
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=csv_texts(), task=st.sampled_from(list(TaskKind)))
+def test_load_csv_matches_row_loop(tmp_path_factory, text, task):
+    path = tmp_path_factory.mktemp("load") / "data.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    assert_loads_as_row_loop(path, task)
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=plain_csv_texts(), task=st.sampled_from(list(TaskKind)))
+def test_load_csv_matches_row_loop_on_plain_files(tmp_path_factory, text, task):
+    path = tmp_path_factory.mktemp("plain") / "data.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    assert_loads_as_row_loop(path, task)
+
+
+def rows_of(columns, others):
+    """The data rows in file order, rebuilt from what read_csv returns."""
+    full = zip(*columns)
+    odd = dict(others)
+    n_rows = (len(columns[0]) if columns else 0) + len(odd)
+    return [list(odd[at]) if at in odd else list(next(full)) for at in range(n_rows)]
+
+
+def read_as_csv_reader_does(path, text):
+    """read_csv's header and rows, asserting that a plain file never reaches csv.reader."""
+    if '"' in text or "\r" in text:
+        return read_csv(str(path))
+    with mock.patch.object(data.csv, "reader", side_effect=AssertionError("plain file sent to csv.reader")):
+        return read_csv(str(path))
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=st.one_of(plain_csv_texts(), csv_texts()))
+def test_read_csv_gives_the_rows_of_csv_reader(tmp_path_factory, text):
+    assume(text)  # an empty file has no header: a DataError, tested with load_csv
+    path = tmp_path_factory.mktemp("read") / "data.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    expected = list(csv.reader(io.StringIO(text, newline="")))
+    header, columns, others = read_as_csv_reader_does(path, text)
+    assert header == expected[0]
+    assert len(columns) == len(header)
+    assert all(not row or len(row) != len(header) for _, row in others)
+    assert rows_of(columns, others) == expected[1:]
+
+
+@pytest.mark.parametrize("text", [
+    "y\n1\n\n2",  # one column, a blank line, no final newline
+    "\n1,2\n\n",  # an empty header line
+    "a,y\n1,2\n\n1\n1,2,3\n3,4",  # blank, short and long rows
+    "a,y\n",  # no data rows
+    "y\n\n\n",  # only blank rows
+], ids=["one-column", "empty-header", "odd-rows", "header-only", "only-blank"])
+def test_plain_edge_cases_read_as_csv_reader_reads_them(tmp_path, text):
+    path = tmp_path / "edge.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    header, columns, others = read_as_csv_reader_does(path, text)
+    expected = list(csv.reader(io.StringIO(text, newline="")))
+    assert [header] + rows_of(columns, others) == expected
+    for task in TaskKind:
+        assert_loads_as_row_loop(path, task)
 
 
 def test_load_csv_oracle_sees_the_generator_cases(tmp_path):
@@ -112,6 +203,29 @@ def test_load_csv_oracle_sees_the_generator_cases(tmp_path):
         assert bits(got.target) == bits(expected.target)
     assert bits(got.features) == bits(np.array([[1000.0, 0.0, 6.0, -0.0], [12.0, 1.0, 8.0, 5e-324]]))
     assert got.feature_names == ["a", "b", "c,d", "a"]
+
+
+def test_plain_tokenizer_spans_several_blocks(tmp_path):
+    """A plain file of many blocks of lines, with odd rows scattered, read as csv.reader reads it."""
+    rng = np.random.default_rng(3)
+    widths = rng.choice([3, 3, 3, 3, 0, 2, 4], size=9000)
+    lines = ["a,b,y"] + [",".join(repr(v) for v in rng.standard_normal(w).round(3)) for w in widths]
+    text = "\n".join(lines) + "\n"
+    path = tmp_path / "blocks.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    header, columns, others = read_as_csv_reader_does(path, text)
+    assert [header] + rows_of(columns, others) == list(csv.reader(io.StringIO(text, newline="")))
+    assert_loads_as_row_loop(path, TaskKind.REGRESSION)
+
+
+def test_a_line_over_the_field_limit_is_left_to_csv_reader(tmp_path):
+    """A plain file whose cell exceeds csv.field_size_limit() fails as csv.reader fails."""
+    path = tmp_path / "long.csv"
+    path.write_text("a,y\n" + "1" * (csv.field_size_limit() + 1) + ",0\n", encoding="utf-8")
+    with pytest.raises(csv.Error):
+        ref.ref_load_csv(str(path), "y", TaskKind.BINARY_CLASSIFICATION)
+    with pytest.raises(DataError, match="field larger than field limit"):
+        load_csv(str(path), "y", TaskKind.BINARY_CLASSIFICATION)
 
 
 special_floats = st.sampled_from([-0.0, 0.0, 5e-324, 1e16, 1e-5, 0.1, -1.5e300, 123456789.125])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import reference as ref
-from normetric import DegenerateDistributionError, DomainError, ShapeError
+from normetric import DegenerateDistributionError, DivergenceError, DomainError, ShapeError
 from normetric.learners import (
     LogisticModel,
     _binary_grads,
@@ -203,6 +203,19 @@ def test_logistic_rejects_degenerate_labels():
         fit_logistic(X, np.zeros(5, dtype=int), n_classes=2)
     with pytest.raises(DomainError):
         fit_logistic(X, np.array([0, 1, 0, 1, 2]), n_classes=2)
+
+
+@pytest.mark.parametrize("n_classes", [2, 3])
+def test_logistic_divergence_is_reported(n_classes):
+    """An overflowing run, or one fed a NaN feature, raises instead of returning junk weights."""
+    rng = np.random.default_rng(4)
+    X = 1e10 * rng.standard_normal((40, 3))  # the first step, about 1e300 * 1e10, overflows
+    y = np.arange(40) % n_classes
+    with pytest.raises(DivergenceError, match="training size 40, learning rate 1e\\+300"):
+        fit_logistic(X, y, n_classes, epochs=50, learning_rate=1e300)
+    X[5, 1] = np.nan
+    with pytest.raises(DivergenceError):
+        fit_logistic(X, y, n_classes, epochs=5)
 
 
 def test_kmeans_two_obvious_clusters():

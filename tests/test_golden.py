@@ -3,7 +3,8 @@
 Each case runs one `normetric` command in-process on small data from the
 package's seeded generators and compares every byte it writes with a file
 under tests/golden/.  The cases cover `curve` (series CSV and report JSON)
-for all four tasks, `evaluate` for all four tasks and a `report` replay.
+for all four tasks, `curve` with no output flag (report on stdout) and with
+`--series` alone, `evaluate` for all four tasks and a `report` replay.
 
 A change that alters these outputs on purpose regenerates the files with
 
@@ -103,18 +104,29 @@ def produce(workdir: str) -> dict:
         data[name] = (os.path.join(workdir, f"{name}.csv"), ds)
         save_csv(ds, data[name][0])
 
-    for name, (task, source, extra) in CURVES.items():
+    def curve(task: str, source: str, *flags) -> str:
         path, ds = data[source]
+        return _run([
+            "curve", "--task", task, "--data", path, "--target-column", ds.target_name,
+            "--start", 20, "--stop", 300, "--step", 40, "--seed", 7, *flags,
+        ])
+
+    def read(path: str) -> None:
+        with open(path, encoding="utf-8", newline="") as fh:
+            outputs[os.path.basename(path)] = fh.read()
+
+    for name, (task, source, extra) in CURVES.items():
         series = os.path.join(workdir, f"curve-{name}.series.csv")
         report = os.path.join(workdir, f"curve-{name}.report.json")
-        _run([
-            "curve", "--task", task, "--data", path, "--target-column", ds.target_name,
-            "--start", 20, "--stop", 300, "--step", 40, "--seed", 7,
-            "--series", series, "--report", report, *extra,
-        ])
-        for out in (series, report):
-            with open(out, encoding="utf-8", newline="") as fh:
-                outputs[os.path.basename(out)] = fh.read()
+        curve(task, source, "--series", series, "--report", report, *extra)
+        read(series)
+        read(report)
+
+    # with no output flag the report goes to stdout; with --series alone nothing does
+    outputs["curve-regression-stdout.report.json"] = curve("regression", "regression")
+    series = os.path.join(workdir, "curve-binary-series-only.series.csv")
+    assert curve("binary", "binary", "--series", series, "--epochs", 100, "--smooth-window", 7) == ""
+    read(series)
 
     outputs["report-binary-before.json"] = _run([
         "report", "--series", os.path.join(workdir, "curve-binary.series.csv"),

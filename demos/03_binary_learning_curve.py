@@ -23,13 +23,15 @@ sizes = schedule(80, 1000, 20)
 config = LearnerConfig(learning_rate=1.0)
 
 points = run_curve(ds, sizes, TaskKind.BINARY_CLASSIFICATION, config, seed=3)
-display = smooth(points, 5)  # display-only moving average
+# display-only moving averages of the two metric series
+base = smooth([p.base_metric for p in points], 5)
+adjusted = smooth([p.adjusted_metric for p in points], 5)
 
 print("size   accuracy  adjusted     f      g      h")
-for p in display[::6]:
-    b = p.breakdown
+for i in range(0, len(points), 6):
+    b = points[i].breakdown
     print("%5d   %.4f    %.4f   %.3f  %.3f  %.3f"
-          % (p.train_size, p.base_metric, p.adjusted_metric,
+          % (points[i].train_size, base[i], adjusted[i],
              b.dim_factor_f, b.snr_factor_g, b.imbalance_factor_h))
 print()
 

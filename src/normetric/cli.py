@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import itertools
 import json
 import math
 import sys
@@ -18,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .data import load_csv, parse_column, read_csv, save_csv, schedule, synthetic_expand
+from .data import integer_rule, load_csv, read_columns, save_csv, schedule, synthetic_expand
 from .exceptions import DataError, NormetricError
 from .factors import MetricBreakdown, TaskKind, evaluate
 from .harness import (
@@ -78,14 +77,6 @@ def _breakdown_json(breakdown: MetricBreakdown) -> str:
     return json.dumps({key: jsonable(value) for key, value in fields.items()}, indent=2)
 
 
-def _labels(requirement: str, low: float = -(2.0**63), high: float = 2.0**63) -> tuple:
-    """A column rule: integers in [low, high), and its vectorized test (NaN fails).
-
-    The default range is int64's, so converting the column to int is exact.
-    """
-    return requirement, lambda v: np.isfinite(v) & (v == np.trunc(v)) & (v >= low) & (v < high)
-
-
 _PROBABILITIES = ("probabilities in [0, 1]", lambda v: (v >= 0.0) & (v <= 1.0))
 
 
@@ -105,55 +96,19 @@ def _read_predictions(path: str, task: TaskKind) -> dict:
     0..C-1 for classification, where each class must occur, and y_pred per
     cluster id for clustering.
     """
-    header, columns, others = read_csv(path)
-    # blank lines are skipped, so the other rows are numbered among the rest
-    blanks_so_far = itertools.accumulate(not row for _, row in others)
-    odd = [(at - blanks, row) for (at, row), blanks in zip(others, blanks_so_far) if row]
-    if not odd and not (columns and columns[0]):
-        raise DataError(f"predictions file {path} has no data rows")
-
-    def column(name: str, rule=None) -> np.ndarray:
-        if name not in header:
-            raise DataError(f"predictions file {path} lacks a {name!r} column")
-        index = header.index(name)
-        full, cells, short = columns[index], [], None
-        for spliced, (at, row) in enumerate(odd):  # splice the odd rows in among the full ones
-            used = len(cells) - spliced
-            cells += full[used:used + at - len(cells)]
-            if len(row) <= index:
-                short = (at, len(row))
-                break
-            cells.append(row[index])
-        else:
-            cells += full[len(cells) - len(odd):]
-        values, bad = parse_column(cells)
-        requirement = "numbers"
-        if bad is None and rule is not None:
-            requirement, holds = rule
-            failed = np.flatnonzero(~holds(values))
-            bad = int(failed[0]) if failed.size else None
-        if bad is not None:
-            raise DataError(
-                f"column {name!r} of {path} must hold {requirement}; data row {bad + 1} has {cells[bad]!r}"
-            )
-        if short is not None:
-            raise DataError(
-                f"data row {short[0] + 1} of {path} ends after field {short[1]}; "
-                f"column {name!r} is field {index + 1}"
-            )
-        return values
+    header, column = read_columns(path, "predictions file")
 
     if task is TaskKind.REGRESSION:
         return {name: column(name, ("finite numbers", np.isfinite)) for name in ("y_true", "y_pred")}
     if task is TaskKind.CLUSTERING:
-        y_true = column("y_true", _labels("non-negative integer labels", 0)).astype(int)
-        y_pred = column("y_pred", _labels("integer cluster ids")).astype(int)
+        y_true = column("y_true", integer_rule("non-negative integer labels", 0)).astype(int)
+        y_pred = column("y_pred", integer_rule("integer cluster ids")).astype(int)
         # ids are arbitrary names (DBSCAN noise is -1): count the rows of each one present
         return {"y_true": y_true, "y_pred": y_pred, "class_sizes": np.unique(y_pred, return_counts=True)[1]}
 
     if task is TaskKind.BINARY_CLASSIFICATION:
         n_classes = 2
-        labels = _labels("labels 0 or 1", 0, 2)
+        labels = integer_rule("labels 0 or 1", 0, 2)
     else:
         prob_names = sorted(
             (name for name in header if name.startswith("p_") and name[2:].isdigit()),
@@ -164,7 +119,7 @@ def _read_predictions(path: str, task: TaskKind) -> dict:
         if [int(name[2:]) for name in prob_names] != list(range(len(prob_names))):
             raise DataError(f"probability columns must be contiguous p_0..p_(C-1), got {prob_names}")
         n_classes = len(prob_names)
-        labels = _labels(f"integer labels in [0, {n_classes})", 0, n_classes)
+        labels = integer_rule(f"integer labels in [0, {n_classes})", 0, n_classes)
     out = {name: column(name, labels).astype(int) for name in ("y_true", "y_pred")}
     if task is TaskKind.BINARY_CLASSIFICATION:
         out["y_prob"] = column("y_prob", _PROBABILITIES)
@@ -222,15 +177,10 @@ def cmd_curve(args: argparse.Namespace) -> int:
     points = run_curve(ds, sched, task, config, seed=args.seed, d=args.d)
     report = stability_report(points, d=args.d if args.d is not None else ds.d, n_star=args.n_star)
 
-    series_text = format_series_csv(points, smooth_window=args.smooth_window)
-    report_text = format_report_json(report)
-    if args.series is None and args.report is None:
-        sys.stdout.write(report_text)
-        return EXIT_OK
     if args.series is not None:
-        _write_or_print(series_text, args.series)
-    if args.report is not None:
-        _write_or_print(report_text, args.report)
+        _write_or_print(format_series_csv(points, smooth_window=args.smooth_window), args.series)
+    if args.report is not None or args.series is None:  # with no output file, the report goes to stdout
+        _write_or_print(format_report_json(report), args.report)
     return EXIT_OK
 
 

@@ -7,7 +7,7 @@ import itertools
 import math
 import os
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -139,6 +139,66 @@ def parse_column(cells: Sequence[str]) -> tuple[np.ndarray, Optional[int]]:
             if first_bad is None:
                 first_bad = cells.index(cell)
     return np.fromiter(map(parsed.__getitem__, cells), dtype=float, count=len(cells)), first_bad
+
+
+def integer_rule(requirement: str, low: float = -(2.0**63), high: float = 2.0**63) -> tuple:
+    """A column rule for read_columns: integers in [low, high), and its vectorized test (NaN fails).
+
+    The default range is int64's, so converting the column to int is exact.
+    """
+    return requirement, lambda v: np.isfinite(v) & (v == np.trunc(v)) & (v >= low) & (v < high)
+
+
+def read_columns(path: str, kind: str) -> tuple[list[str], Callable[..., np.ndarray]]:
+    """The header of a CSV file, and a reader of its columns by name.
+
+    column(name, rule=None) parses the named column over every data row as
+    parse_column does; rule is (requirement, test), the test marking each
+    value that holds.  Blank lines are skipped and not counted as data rows,
+    and a row longer than the header is read for its named cells.  A
+    DataError names the file (a `kind`, such as "series file") and the
+    column when it is absent, and else the first bad data row: one whose
+    cell is not a number or fails the rule, or one that ends before the
+    column.
+    """
+    header, columns, others = read_csv(path)
+    blanks_so_far = itertools.accumulate(not row for _, row in others)
+    odd = [(at - blanks, row) for (at, row), blanks in zip(others, blanks_so_far) if row]
+    if not odd and not (columns and columns[0]):
+        raise DataError(f"{kind} {path} has no data rows")
+
+    def column(name: str, rule: Optional[tuple] = None) -> np.ndarray:
+        if name not in header:
+            raise DataError(f"{kind} {path} lacks a {name!r} column")
+        index = header.index(name)
+        full, cells, short = columns[index], [], None
+        for spliced, (at, row) in enumerate(odd):  # splice the odd rows in among the full ones
+            used = len(cells) - spliced
+            cells += full[used:used + at - len(cells)]
+            if len(row) <= index:
+                short = (at, len(row))
+                break
+            cells.append(row[index])
+        else:
+            cells += full[len(cells) - len(odd):]
+        values, bad = parse_column(cells)
+        requirement = "numbers"
+        if bad is None and rule is not None:
+            requirement, holds = rule
+            failed = np.flatnonzero(~holds(values))
+            bad = int(failed[0]) if failed.size else None
+        if bad is not None:
+            raise DataError(
+                f"column {name!r} of {path} must hold {requirement}; data row {bad + 1} has {cells[bad]!r}"
+            )
+        if short is not None:
+            raise DataError(
+                f"data row {short[0] + 1} of {path} ends after field {short[1]}; "
+                f"column {name!r} is field {index + 1}"
+            )
+        return values
+
+    return header, column
 
 
 def _nonempty(cells: Sequence[str]) -> np.ndarray:

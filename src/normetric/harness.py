@@ -2,15 +2,12 @@
 
 from __future__ import annotations
 
-import csv
-import io
-import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .data import Dataset, SampleSchedule, split
+from .data import Dataset, SampleSchedule, integer_rule, read_columns, split
 from .exceptions import ConfigurationError, DataError, DomainError
 from .factors import SAMPLES_PER_FEATURE, MetricBreakdown, TaskKind, evaluate
 from .learners import fit_kmeans, fit_linear, fit_logistic
@@ -33,16 +30,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CurvePoint:
-    """One learning-curve sample: metrics for a model trained on train_size rows.
-
-    adjusted_metric equals breakdown.normalized for raw curves; smoothing
-    replaces the two metric values but keeps the raw breakdown.
-    """
+    """One learning-curve sample: the metric breakdown of a model trained on train_size rows."""
 
     train_size: int
-    base_metric: float
-    adjusted_metric: float
     breakdown: MetricBreakdown
+
+    @property
+    def base_metric(self) -> float:
+        return self.breakdown.base
+
+    @property
+    def adjusted_metric(self) -> float:
+        return self.breakdown.normalized
 
 
 @dataclass(frozen=True)
@@ -130,7 +129,7 @@ def _curve_point(
         }
 
     breakdown = evaluate(task, test.target, preds, d, size, **scoring)
-    return CurvePoint(size, breakdown.base, breakdown.normalized, breakdown)
+    return CurvePoint(size, breakdown)
 
 
 def run_curve(
@@ -167,31 +166,17 @@ def run_curve(
     ]
 
 
-def smooth(points: Sequence[CurvePoint], window: int) -> list[CurvePoint]:
-    """Centered moving average of both metric series, truncated at the ends.
+def smooth(values: Sequence[float], window: int) -> np.ndarray:
+    """Centered moving average of one series, the window truncated at the ends.
 
-    Window must be odd; 1 is the identity.  The smoothed points keep each
-    raw point's breakdown, so this is display-only — stability statistics
-    should always be computed from the raw curve.
+    Window must be odd; 1 is the identity.  Display-only: stability
+    statistics should always be computed from the raw curve.
     """
     if window < 1 or window % 2 == 0:
         raise DomainError(f"smoothing window must be odd and >= 1, got {window}")
-    if window == 1:
-        return list(points)
+    values = np.asarray(values, dtype=float)
     half = window // 2
-    base = np.array([p.base_metric for p in points])
-    adjusted = np.array([p.adjusted_metric for p in points])
-    out = []
-    for i, point in enumerate(points):
-        lo, hi = max(0, i - half), min(len(points), i + half + 1)
-        out.append(
-            replace(
-                point,
-                base_metric=float(np.mean(base[lo:hi])),
-                adjusted_metric=float(np.mean(adjusted[lo:hi])),
-            )
-        )
-    return out
+    return np.array([np.mean(values[max(0, i - half):i + half + 1]) for i in range(values.size)])
 
 
 def stability_report(
@@ -260,65 +245,46 @@ def format_series_csv(points: Sequence[CurvePoint], smooth_window: int = 5) -> s
     """Render a curve as a plot-ready CSV string.
 
     The first nine columns are each point's size and raw breakdown
-    (infinities appear as the token `inf`); the last two are the smoothed
-    display series.  Floats are written in shortest round-trip form so the
-    file carries full precision.
+    (infinities appear as the token `inf`); the last two are the base and
+    adjusted metrics smoothed for display.  Floats are written in shortest
+    round-trip form so the file carries full precision.
     """
-    smoothed = smooth(points, smooth_window)
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(SERIES_COLUMNS)
-    for point, disp in zip(points, smoothed):
-        values = [getattr(point.breakdown, name) for _, name in _SERIES_FIELDS]
-        values += [disp.base_metric, disp.adjusted_metric]
-        writer.writerow([str(point.train_size)] + [str(float(value)) for value in values])
-    return buffer.getvalue()
+    base = smooth([p.base_metric for p in points], smooth_window)
+    adjusted = smooth([p.adjusted_metric for p in points], smooth_window)
+    lines = [",".join(SERIES_COLUMNS)]
+    for point, *shown in zip(points, base.tolist(), adjusted.tolist()):
+        values = [getattr(point.breakdown, name) for _, name in _SERIES_FIELDS] + shown
+        lines.append(",".join([str(point.train_size), *map(repr, map(float, values))]))
+    return "\n".join(lines) + "\n"
+
+
+_UNIT_INTERVAL = ("numbers in [0, 1]", lambda v: (v >= 0.0) & (v <= 1.0))
 
 
 def parse_series_csv(path: str) -> list[CurvePoint]:
     """Read a series CSV back into curve points with full breakdowns.
 
-    A row is a DataError, naming the file and data row, when a field does
-    not parse, when its base or adjusted metric is not a number in [0, 1],
-    or when its train_size does not exceed the previous row's.
+    Columns are read by name, as the predictions file of `evaluate` is
+    (see data.read_columns).  A DataError names the file and the first bad
+    data row when a field is not a number, a train_size is not an integer
+    >= 1 or does not exceed the one before it, or a base or adjusted metric
+    is not in [0, 1].
     """
-    if not os.path.isfile(path):
-        raise DataError(f"no such file: {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path} is empty (no header row)") from None
-        required = SERIES_COLUMNS[:9]
-        missing = [name for name in required if name not in header]
-        if missing:
-            raise DataError(f"series file {path} lacks columns: {', '.join(missing)}")
-        at = {name: header.index(name) for name in required}
-        points = []
-        for number, row in enumerate(reader, start=1):
-            if len(row) != len(header):
-                raise DataError(f"data row {number} of {path} has {len(row)} fields, expected {len(header)}")
-            try:
-                train_size = int(row[at["train_size"]])
-                breakdown = MetricBreakdown(**{name: float(row[at[column]]) for column, name in _SERIES_FIELDS})
-            except ValueError as exc:
-                raise DataError(f"data row {number} of {path} does not parse: {exc}") from None
-            for column, value in (("base_metric", breakdown.base), ("adjusted_metric", breakdown.normalized)):
-                if not 0.0 <= value <= 1.0:  # NaN fails too
-                    raise DataError(
-                        f"column {column!r} of {path} must hold numbers in [0, 1]; "
-                        f"data row {number} has {row[at[column]]!r}"
-                    )
-            if points and train_size <= points[-1].train_size:
-                raise DataError(
-                    f"column 'train_size' of {path} must increase strictly; data row {number} has "
-                    f"{train_size} after {points[-1].train_size}"
-                )
-            points.append(CurvePoint(train_size, breakdown.base, breakdown.normalized, breakdown))
-    if not points:
-        raise DataError(f"series file {path} has no data rows")
-    return points
+    _, column = read_columns(path, "series file")
+    sizes = column("train_size", integer_rule("integers >= 1", 1)).astype(int)
+    drop = np.flatnonzero(np.diff(sizes) <= 0)
+    if drop.size:
+        at = int(drop[0]) + 1
+        raise DataError(
+            f"column 'train_size' of {path} must increase strictly; data row {at + 1} has "
+            f"{sizes[at]} after {sizes[at - 1]}"
+        )
+    rules = {"base_metric": _UNIT_INTERVAL, "adjusted_metric": _UNIT_INTERVAL}
+    fields = {name: column(col, rules.get(col)).tolist() for col, name in _SERIES_FIELDS}
+    return [
+        CurvePoint(size, MetricBreakdown(**dict(zip(fields, values))))
+        for size, values in zip(sizes.tolist(), zip(*fields.values()))
+    ]
 
 
 def _stats_lines(name: str, stats: MetricStats, last: bool) -> list[str]:

@@ -25,6 +25,7 @@ __all__ = [
 ]
 
 RIDGE_FALLBACK = 1e-8
+KMEANS_MAX_ITERS = 100
 
 
 @dataclass(frozen=True)
@@ -52,11 +53,18 @@ class LogisticModel:
     n_classes: int
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
+        """Class probabilities; logits that overflow raise DomainError."""
         X = np.asarray(X, dtype=float)
-        if self.n_classes == 2:
-            p = _sigmoid(X @ self.weights[0] + self.intercepts[0])
+        binary = self.n_classes == 2
+        try:
+            with np.errstate(all="raise", under="ignore"):
+                z = X @ self.weights[0] + self.intercepts[0] if binary else X @ self.weights.T + self.intercepts
+        except FloatingPointError:
+            raise DomainError("logits too large to score: a product of weights and features overflows") from None
+        if binary:
+            p = _sigmoid(z)
             return np.column_stack([1.0 - p, p])
-        return _softmax(X @ self.weights.T + self.intercepts)
+        return _softmax(z)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return np.argmax(self.predict_proba(X), axis=1)
@@ -68,10 +76,6 @@ class KMeansModel:
 
     centroids: np.ndarray  # (k, d)
     assignments: np.ndarray  # cluster index per training sample
-
-    @property
-    def k(self) -> int:
-        return self.centroids.shape[0]
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return _nearest_centroid(np.asarray(X, dtype=float), self.centroids)
@@ -256,13 +260,13 @@ def _nearest_centroid(X: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     return np.argmin(distances, axis=1)
 
 
-def fit_kmeans(X: np.ndarray, k: int, max_iters: int = 100, seed: int = 0) -> KMeansModel:
+def fit_kmeans(X: np.ndarray, k: int, seed: int = 0) -> KMeansModel:
     """Lloyd's algorithm with seeded initialization.
 
     Initial centroids are k distinct rows drawn with a seeded generator.
     A cluster that loses all members is reseeded to the point farthest from
     its stale centroid.  Iteration stops when assignments stop changing or
-    max_iters is reached; the result is deterministic given the seed.
+    after KMEANS_MAX_ITERS rounds; the result is deterministic given the seed.
     """
     X = _check_2d_features(X)
     n = X.shape[0]
@@ -270,13 +274,11 @@ def fit_kmeans(X: np.ndarray, k: int, max_iters: int = 100, seed: int = 0) -> KM
         raise DomainError(f"k must be >= 1, got {k}")
     if n < k:
         raise DomainError(f"need at least k={k} samples, got {n}")
-    if max_iters < 1:
-        raise DomainError(f"max_iters must be >= 1, got {max_iters}")
 
     rng = np.random.default_rng(seed)
     centroids = X[rng.choice(n, size=k, replace=False)].copy()
     assignments = _nearest_centroid(X, centroids)
-    for _ in range(max_iters):
+    for _ in range(KMEANS_MAX_ITERS):
         taken: set[int] = set()
         for cluster in range(k):
             members = assignments == cluster

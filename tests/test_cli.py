@@ -33,6 +33,12 @@ def blobs_csv(tmp_path):
 
 
 BINARY_ROWS = ["y_true,y_pred,y_prob", "0,0,0.9", "1,1,0.8", "0,1,0.6", "1,0,0.7"]
+SERIES_ROWS = [
+    "train_size,base_metric,adjusted_metric,f,g,h,snr_db,snr_normalized,imbalance_ratio,base_smoothed,adjusted_smoothed",
+    "30,0.7,0.8,1.2,1.1,1.05,3.0,0.1,1.2,0.725,0.8",
+    "60,0.75,0.8,1.0,1.1,1.05,3.5,0.1,1.2,0.75,0.817",
+    "90,0.8,0.85,1.0,1.1,1.05,4.0,0.1,1.2,0.775,0.825",
+]
 MULTICLASS_ROWS = ["y_true,y_pred,p_0,p_1,p_2", "0,0,0.8,0.1,0.1", "1,1,0.1,0.8,0.1", "2,2,0.1,0.1,0.8"]
 
 
@@ -502,6 +508,59 @@ class TestReport:
         err = capsys.readouterr().err
         assert code == 2
         assert str(series) in err and "train_size" in err and f"data row {row}" in err
+
+    @pytest.mark.parametrize("rows, message", [
+        (SERIES_ROWS[:2] + ["60.5" + SERIES_ROWS[2][2:]] + SERIES_ROWS[3:],
+         "column 'train_size' of {path} must hold integers >= 1; data row 2 has '60.5'"),
+        (SERIES_ROWS[:1] + ["0" + SERIES_ROWS[1][2:]] + SERIES_ROWS[2:],
+         "column 'train_size' of {path} must hold integers >= 1; data row 1 has '0'"),
+        (SERIES_ROWS[:3] + ["60" + SERIES_ROWS[3][2:]],
+         "column 'train_size' of {path} must increase strictly; data row 3 has 60 after 60"),
+        (SERIES_ROWS[:1] + [SERIES_ROWS[1].replace(",0.8,", ",1.5,", 1)] + SERIES_ROWS[2:],
+         "column 'adjusted_metric' of {path} must hold numbers in [0, 1]; data row 1 has '1.5'"),
+        (SERIES_ROWS[:3] + [SERIES_ROWS[3].replace(",1.1,", ",x,")],
+         "column 'g' of {path} must hold numbers; data row 3 has 'x'"),
+        ([row.replace(",h,", ",").replace(",1.05,", ",") for row in SERIES_ROWS],
+         "series file {path} lacks a 'h' column"),
+        (SERIES_ROWS[:2] + ["60,0.75,0.8,1.0"] + SERIES_ROWS[3:],
+         "data row 2 of {path} ends after field 4; column 'g' is field 5"),
+        (SERIES_ROWS[:2] + ["", SERIES_ROWS[2] + ",extra", SERIES_ROWS[3].replace("0.8", "nan", 1)],
+         "column 'base_metric' of {path} must hold numbers in [0, 1]; data row 3 has 'nan'"),
+    ], ids=["train-size-not-an-integer", "train-size-zero", "train-size-not-increasing", "metric-outside-unit-interval",
+            "not-a-number", "missing-column", "short-row", "bad-cell-after-blank-and-long-rows"])
+    def test_each_series_rule_reads_the_same_through_both_tokenizers(self, tmp_path, capsys, rows, message):
+        """One mutation of a valid series per rule, read plain and through csv.reader."""
+        path = tmp_path / "mutated.csv"
+        argv = ["report", "--series", str(path), "--d", "2"]
+        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        with mock.patch("normetric.data.csv.reader", side_effect=AssertionError("plain file sent to csv.reader")):
+            plain = main(argv), capsys.readouterr().err
+        path.write_text('"train_size"' + "\n".join(rows)[len("train_size"):] + "\n", encoding="utf-8")
+        quoted = main(argv), capsys.readouterr().err
+        assert plain == quoted == (2, f"normetric: data error: {message.format(path=path)}\n")
+
+    def test_blank_lines_and_long_rows_are_read_for_their_columns(self, tmp_path, capsys):
+        path = tmp_path / "series.csv"
+        path.write_text("\n".join(SERIES_ROWS) + "\n", encoding="utf-8")
+        assert main(["report", "--series", str(path), "--d", "2"]) == 0
+        want = capsys.readouterr().out
+        rows = SERIES_ROWS[:2] + ["", SERIES_ROWS[2] + ",extra,cells"] + SERIES_ROWS[3:] + [""]
+        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        assert main(["report", "--series", str(path), "--d", "2"]) == 0
+        assert capsys.readouterr().out == want
+
+    @pytest.mark.parametrize("tail", [
+        b"\xff\xfe\n",
+        b"30," + b"1" * (csv.field_size_limit() + 1) + b"\n",
+    ], ids=["not-utf-8", "field-over-the-limit"])
+    def test_unreadable_series_is_a_data_error_naming_the_file(self, tmp_path, capsys, tail):
+        path = tmp_path / "series.csv"
+        path.write_bytes(("\n".join(SERIES_ROWS) + "\n").encode("utf-8") + tail)
+        code = main(["report", "--series", str(path), "--d", "2"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"normetric: data error: {path} is not a readable UTF-8 CSV file: ")
+        assert "Traceback" not in err
 
     def test_threshold_required(self, blobs_csv, tmp_path, capsys):
         series = tmp_path / "series.csv"

@@ -1,10 +1,13 @@
 """Unit tests for the learning-curve harness and the stability report."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+import reference as ref
 from normetric import (
     ConfigurationError,
     CurvePoint,
@@ -37,7 +40,7 @@ def make_point(size, base, adjusted):
         imbalance_factor_h=1.0,
         normalized=adjusted,
     )
-    return CurvePoint(train_size=size, base_metric=base, adjusted_metric=adjusted, breakdown=breakdown)
+    return CurvePoint(train_size=size, breakdown=breakdown)
 
 
 class TestRunCurve:
@@ -98,39 +101,29 @@ class TestRunCurve:
 
 class TestSmooth:
     def test_window_one_is_identity(self):
-        pts = [make_point(10 * (i + 1), v, v) for i, v in enumerate([0.2, 0.9, 0.4])]
-        assert smooth(pts, 1) == pts
+        values = [0.2, 0.9, 0.4]
+        assert smooth(values, 1).tolist() == values
 
     def test_constant_series_unchanged(self):
-        pts = [make_point(10 * (i + 1), 0.7, 0.7) for i in range(5)]
-        for p in smooth(pts, 3):
-            assert p.base_metric == pytest.approx(0.7, abs=1e-15)
+        assert smooth([0.7] * 5, 3).tolist() == pytest.approx([0.7] * 5, abs=1e-15)
 
     def test_centered_truncated_window(self):
-        pts = [make_point(10, 0.0, 0.0), make_point(20, 1.0, 1.0), make_point(30, 0.0, 0.0)]
-        out = smooth(pts, 3)
-        assert out[0].base_metric == pytest.approx(0.5)
-        assert out[1].base_metric == pytest.approx(1.0 / 3.0)
-        assert out[2].base_metric == pytest.approx(0.5)
+        assert smooth([0.0, 1.0, 0.0], 3).tolist() == pytest.approx([0.5, 1.0 / 3.0, 0.5])
 
     def test_never_escapes_raw_range(self):
-        rng = np.random.default_rng(8)
-        values = rng.uniform(0.1, 0.9, size=15)
-        pts = [make_point(10 * (i + 1), v, v) for i, v in enumerate(values)]
-        out = smooth(pts, 7)
-        lo, hi = values.min(), values.max()
-        for p in out:
-            assert lo - 1e-12 <= p.base_metric <= hi + 1e-12
+        values = np.random.default_rng(8).uniform(0.1, 0.9, size=15)
+        out = smooth(values, 7)
+        assert (values.min() - 1e-12 <= out).all() and (out <= values.max() + 1e-12).all()
 
-    def test_smoothing_keeps_raw_breakdown(self):
-        pts = [make_point(10, 0.0, 0.0), make_point(20, 1.0, 1.0), make_point(30, 0.0, 0.0)]
-        out = smooth(pts, 3)
-        assert out[1].breakdown == pts[1].breakdown
+    @given(values=st.lists(st.floats(0.0, 1.0), max_size=30), half=st.integers(0, 20))
+    def test_matches_the_loop_oracle(self, values, half):
+        out = smooth(values, 2 * half + 1)
+        assert out.shape == (len(values),)
+        np.testing.assert_allclose(out, ref.ref_smooth(values, 2 * half + 1), rtol=0, atol=1e-14)
 
     def test_even_window_rejected(self):
-        pts = [make_point(10, 0.5, 0.5)]
         with pytest.raises(DomainError):
-            smooth(pts, 4)
+            smooth([0.5], 4)
 
 
 class TestStabilityReport:
@@ -189,6 +182,12 @@ class TestStabilityReport:
             stability_report(pts, n_star=15, mad_scope="sideways")
 
 
+def test_curve_point_holds_each_number_once():
+    point = make_point(10, 0.5, 0.625)
+    assert [field.name for field in dataclasses.fields(CurvePoint)] == ["train_size", "breakdown"]
+    assert (point.base_metric, point.adjusted_metric) == (0.5, 0.625)
+
+
 class TestSerialization:
     def test_series_round_trip_is_exact(self, tmp_path):
         ds = make_regression(120, d=2, seed=1)
@@ -220,7 +219,7 @@ class TestSerialization:
             base=1.0, dim_factor_f=1.0, snr_db=math.inf, snr_normalized=0.5,
             snr_factor_g=1.5, imbalance_ratio=1.0, imbalance_factor_h=1.0, normalized=1.0,
         )
-        pts = [CurvePoint(train_size=10, base_metric=1.0, adjusted_metric=1.0, breakdown=breakdown)]
+        pts = [CurvePoint(train_size=10, breakdown=breakdown)]
         text = format_series_csv(pts)
         row = text.splitlines()[1].split(",")
         header = text.splitlines()[0].split(",")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import reference as ref
-from normetric import DegenerateDistributionError, DivergenceError, DomainError, ShapeError
+from normetric import DegenerateDistributionError, DivergenceError, DomainError, ShapeError, TaskKind, make_blobs
 from normetric.learners import (
     LogisticModel,
     _binary_grads,
@@ -216,6 +216,16 @@ def test_logistic_divergence_is_reported(n_classes):
     X[5, 1] = np.nan
     with pytest.raises(DivergenceError):
         fit_logistic(X, y, n_classes, epochs=5)
+
+
+def test_logits_that_overflow_are_a_domain_error():
+    """Weights near 1e307 from a fit that never overflowed, applied to unstandardized rows."""
+    ds = make_blobs(120, d=3, n_classes=2, seed=2, task=TaskKind.BINARY_CLASSIFICATION, spread=0.5)
+    X = ds.features[:90]
+    model = fit_logistic((X - X.mean(axis=0)) / X.std(axis=0), ds.target[:90].astype(int), 2, learning_rate=1e308)
+    assert np.abs(model.weights).max() > 1e307
+    with pytest.raises(DomainError, match="too large to score"):
+        model.predict_proba(ds.features)
 
 
 def test_kmeans_two_obvious_clusters():

@@ -175,11 +175,13 @@ def cmd_curve(args: argparse.Namespace) -> int:
         n_clusters=args.k,
     )
     points = run_curve(ds, sched, task, config, seed=args.seed, d=args.d)
-    report = stability_report(points, d=args.d if args.d is not None else ds.d, n_star=args.n_star)
+    report = None
+    if args.report is not None or args.series is None:  # with no output file, the report goes to stdout
+        report = stability_report(points, d=args.d if args.d is not None else ds.d, n_star=args.n_star)
 
     if args.series is not None:
         _write_or_print(format_series_csv(points, smooth_window=args.smooth_window), args.series)
-    if args.report is not None or args.series is None:  # with no output file, the report goes to stdout
+    if report is not None:
         _write_or_print(format_report_json(report), args.report)
     return EXIT_OK
 

@@ -1,5 +1,10 @@
 """Exception hierarchy shared by all normetric modules."""
 
+__all__ = [
+    "NormetricError", "DomainError", "ShapeError", "DegenerateDistributionError",
+    "ConfigurationError", "DataError", "DivergenceError",
+]
+
 
 class NormetricError(Exception):
     """Base class for all errors raised by this package."""

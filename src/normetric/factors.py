@@ -29,6 +29,7 @@ from .exceptions import (
 from .metrics import accuracy, mape_score, nmi
 
 __all__ = [
+    "SAMPLES_PER_FEATURE",
     "TaskKind",
     "MetricBreakdown",
     "dimensionality_factor",
@@ -132,6 +133,17 @@ def imbalance_adjustment_multiclass(acir: float) -> float:
     return 1.0 + math.log10(1.0 / acir)
 
 
+def _decibels(signal: float, noise: float) -> float:
+    """10 * log10(signal / noise); +inf for zero noise, -inf for zero signal."""
+    if signal == 0.0 and noise == 0.0:
+        raise DomainError("signal and noise are both zero; SNR undefined")
+    if noise == 0.0:
+        return math.inf
+    if signal == 0.0:
+        return -math.inf
+    return 10.0 * math.log10(signal / noise)
+
+
 def snr_regression(y_true: Sequence[float], y_pred: Sequence[float]) -> float:
     """Regression signal-to-noise ratio in dB.
 
@@ -148,9 +160,7 @@ def snr_regression(y_true: Sequence[float], y_pred: Sequence[float]) -> float:
     noise = float(np.sum((yp - yt) ** 2))
     if signal <= 0.0:
         raise DomainError("all-zero y_true leaves the signal term undefined")
-    if noise == 0.0:
-        return math.inf
-    return 10.0 * math.log10(signal / noise)
+    return _decibels(signal, noise)
 
 
 def snr_binary(y_true: Sequence, y_pred: Sequence, y_prob: Sequence[float]) -> float:
@@ -174,13 +184,7 @@ def snr_binary(y_true: Sequence, y_pred: Sequence, y_prob: Sequence[float]) -> f
         raise DomainError("probabilities must lie in [0, 1]")
     signal = float(np.sum(yt == yp))
     noise = float(np.sum((1.0 - prob) ** 2))
-    if signal == 0.0 and noise == 0.0:
-        raise DomainError("signal and noise are both zero; SNR undefined")
-    if noise == 0.0:
-        return math.inf
-    if signal == 0.0:
-        return -math.inf
-    return 10.0 * math.log10(signal / noise)
+    return _decibels(signal, noise)
 
 
 def snr_multiclass(y_true: Sequence[int], prob_matrix: Sequence[Sequence[float]]) -> float:
@@ -216,13 +220,7 @@ def snr_multiclass(y_true: Sequence[int], prob_matrix: Sequence[Sequence[float]]
     one_hot[np.arange(yt.shape[0]), yt] = 1.0
     noise = float(np.sum((probs - one_hot) ** 2))
 
-    if signal == 0.0 and noise == 0.0:
-        raise DomainError("signal and noise are both zero; SNR undefined")
-    if noise == 0.0:
-        return math.inf
-    if signal == 0.0:
-        return -math.inf
-    return 10.0 * math.log10(signal / noise)
+    return _decibels(signal, noise)
 
 
 def normalize_snr(x: float) -> float:
@@ -271,18 +269,6 @@ def compose_normalized_metric(base: float, f: float, g: float, h: float) -> floa
     if h < 1.0:
         raise DomainError(f"imbalance factor h must be >= 1, got {h}")
     return min(1.0, base * f * g / h)
-
-
-def _clusters_to_majority_labels(
-    y_true: np.ndarray, assignments: np.ndarray, n_classes: int
-) -> np.ndarray:
-    """Relabel each cluster as the majority true class among its members."""
-    mapped = np.empty_like(assignments)
-    for cluster in np.unique(assignments):
-        members = assignments == cluster
-        counts = np.bincount(y_true[members], minlength=n_classes)
-        mapped[members] = int(np.argmax(counts))
-    return mapped
 
 
 def evaluate(
@@ -352,21 +338,25 @@ def evaluate(
             raise DomainError("regression values too large to score: an error or a square overflows") from None
         ratio = 1.0
         h = 1.0
-    elif task is TaskKind.CLUSTERING:
-        # class ids are names: number them 0..C-1 in sorted order (majority ties still go low)
+    else:  # TaskKind.CLUSTERING
+        # class and cluster ids are names: number each 0.. in sorted order (majority ties still go low)
         _, y_true_int = np.unique(y_true.astype(int), return_inverse=True)
         n_classes = int(y_true_int.max()) + 1
         if n_classes < 2:
             raise DegenerateDistributionError("clustering evaluation needs at least 2 true classes")
         base = nmi(y_true_int, y_pred)
-        mapped = _clusters_to_majority_labels(y_true_int, y_pred.astype(int), n_classes)
-        one_hot = np.zeros((y_true_int.size, n_classes))
-        one_hot[np.arange(y_true_int.size), mapped] = 1.0
-        snr_db = snr_multiclass(y_true_int, one_hot)
+        _, cluster = np.unique(y_pred.astype(int), return_inverse=True)
+        n_clusters = int(cluster.max()) + 1
+        table = np.bincount(y_true_int * n_clusters + cluster, minlength=n_classes * n_clusters)
+        table = table.reshape(n_classes, n_clusters)
+        # each cluster votes for its majority class; hits[c] counts the rows of class c whose
+        # cluster voted c.  This is snr_multiclass on one-hot votes, bit for bit: the signal is
+        # the squared confusion diagonal, a wrong vote lies at squared distance 2 from its true
+        # one-hot vector and a right one at 0, and every sum is an integer below 2**53, so exact.
+        hits = np.bincount(table.argmax(axis=0), weights=table.max(axis=0), minlength=n_classes)
+        snr_db = _decibels(float(np.sum(hits**2)), 2.0 * (y_true_int.size - float(np.sum(hits))))
         ratio = average_class_imbalance_ratio(class_sizes)
         h = imbalance_adjustment_multiclass(ratio)
-    else:  # pragma: no cover - enum is exhaustive
-        raise ConfigurationError(f"unknown task kind {task!r}")
 
     snr_norm = normalize_snr(snr_db)
     g = snr_adjustment(snr_norm)

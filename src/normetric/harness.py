@@ -17,7 +17,6 @@ __all__ = [
     "LearnerConfig",
     "MetricStats",
     "StabilityReport",
-    "SERIES_COLUMNS",
     "run_curve",
     "smooth",
     "stability_report",
@@ -97,6 +96,8 @@ def _curve_point(
     d: int,
     config: LearnerConfig,
     fit_seed: int,
+    n_classes: Optional[int],
+    pool_sizes: Optional[np.ndarray],
 ) -> CurvePoint:
     X_train, X_test = _standardize(pool.features[:size], test.features)
     y_train = pool.target[:size]
@@ -105,14 +106,11 @@ def _curve_point(
         preds = fit_linear(X_train, y_train).predict(X_test)
         scoring = {}
     elif task is TaskKind.CLUSTERING:
-        k = config.n_clusters
-        if k is None:  # one cluster per true class
-            k = int(max(pool.target.max(), test.target.max())) + 1
+        k = config.n_clusters if config.n_clusters is not None else n_classes  # default: one per true class
         model = fit_kmeans(X_train, k, seed=fit_seed)
         preds = model.predict(X_test)
         scoring = {"class_sizes": np.unique(model.assignments, return_counts=True)[1]}
     else:
-        n_classes = int(max(pool.target.max(), test.target.max())) + 1
         model = fit_logistic(
             X_train,
             y_train.astype(int),
@@ -125,7 +123,7 @@ def _curve_point(
         preds = np.argmax(proba, axis=1)
         scoring = {
             "y_prob": proba[np.arange(preds.size), preds] if task is TaskKind.BINARY_CLASSIFICATION else proba,
-            "class_sizes": np.bincount(pool.target.astype(int), minlength=n_classes),
+            "class_sizes": pool_sizes,
         }
 
     breakdown = evaluate(task, test.target, preds, d, size, **scoring)
@@ -160,8 +158,13 @@ def run_curve(
     order = np.random.default_rng(derive_seed(seed, 0)).permutation(train.n)
     pool = train.take(order)
     d = d if d is not None else ds.d
+    n_classes = pool_sizes = None
+    if task.has_class_targets:  # neither depends on the training size
+        n_classes = int(max(pool.target.max(), test.target.max())) + 1
+        if task is not TaskKind.CLUSTERING:
+            pool_sizes = np.bincount(pool.target.astype(int), minlength=n_classes)
     return [
-        _curve_point(pool, test, size, task, d, config, derive_seed(seed, 1, size))
+        _curve_point(pool, test, size, task, d, config, derive_seed(seed, 1, size), n_classes, pool_sizes)
         for size in sched.sizes
     ]
 

@@ -64,7 +64,8 @@ class LogisticModel:
         if binary:
             p = _sigmoid(z)
             return np.column_stack([1.0 - p, p])
-        return _softmax(z)
+        with np.errstate(over="ignore"):  # a shift past -1.8e308 goes to -inf, which exp sends to 0
+            return _softmax(z)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return np.argmax(self.predict_proba(X), axis=1)

@@ -12,52 +12,48 @@ from .factors import TaskKind
 
 __all__ = ["make_binary_classification", "make_blobs", "make_regression"]
 
+# make_binary_classification: logit standard deviation, logit offset, share of
+# flipped labels, and pairwise feature correlation
+WEIGHT_SCALE = 3.5
+INTERCEPT = -2.0
+LABEL_NOISE = 0.1
+FEATURE_CORRELATION = 0.92
+# make_regression: the level the targets sit at, away from zero
+REGRESSION_OFFSET = 20.0
+
 
 def _feature_names(d: int) -> list[str]:
     return [f"x{i}" for i in range(d)]
 
 
-def make_binary_classification(
-    n: int,
-    d: int = 13,
-    seed: int = 0,
-    *,
-    weight_scale: float = 3.5,
-    intercept: float = -2.0,
-    label_noise: float = 0.1,
-    feature_correlation: float = 0.92,
-) -> Dataset:
+def make_binary_classification(n: int, d: int = 13, seed: int = 0) -> Dataset:
     """Binary labels from a logistic model over correlated Gaussian features.
 
-    Features share a common factor (pairwise correlation feature_correlation)
-    and the true weight vector alternates in sign, so the signal lives in
-    feature contrasts — the low-variance directions of the design.  Every
-    feature is equally informative and the Bayes accuracy is set by
-    weight_scale (the logit standard deviation), but a learner needs many
-    samples per feature to resolve the contrast directions, which makes the
-    learning curve climb slowly instead of saturating immediately.  The
-    intercept skews the class balance, and a label_noise fraction of labels
+    Features share a common factor (pairwise correlation
+    FEATURE_CORRELATION) and the true weight vector alternates in sign, so
+    the signal lives in feature contrasts — the low-variance directions of
+    the design.  Every feature is equally informative and the Bayes accuracy
+    is set by WEIGHT_SCALE (the logit standard deviation), but a learner
+    needs many samples per feature to resolve the contrast directions, which
+    makes the learning curve climb slowly instead of saturating immediately.
+    INTERCEPT skews the class balance, and a LABEL_NOISE fraction of labels
     (in expectation) is flipped afterwards, capping how confident any
     well-calibrated model can be.
     """
     if n < 1 or d < 1:
         raise DomainError(f"n and d must be positive, got n={n}, d={d}")
-    if not 0.0 <= label_noise < 0.5:
-        raise DomainError(f"label_noise must be in [0, 0.5), got {label_noise}")
-    if not 0.0 <= feature_correlation < 1.0:
-        raise DomainError(f"feature_correlation must be in [0, 1), got {feature_correlation}")
     rng = np.random.default_rng(seed)
-    rho = feature_correlation
+    rho = FEATURE_CORRELATION
     common = rng.standard_normal((n, 1))
     X = np.sqrt(rho) * common + np.sqrt(1.0 - rho) * rng.standard_normal((n, d))
     signs = np.where(np.arange(d) % 2 == 0, 1.0, -1.0)
     w = signs - signs.mean() if d > 1 else signs
     # zero-sum weights cancel the common factor, so the logit X.w is a pure
-    # contrast; scale it to standard deviation weight_scale exactly
-    w *= weight_scale / np.sqrt((1.0 - rho) * np.sum(w * w))
-    p = 1.0 / (1.0 + np.exp(-(X @ w + intercept)))
+    # contrast; scale it to standard deviation WEIGHT_SCALE exactly
+    w *= WEIGHT_SCALE / np.sqrt((1.0 - rho) * np.sum(w * w))
+    p = 1.0 / (1.0 + np.exp(-(X @ w + INTERCEPT)))
     y = (rng.random(n) < p).astype(int)
-    flips = rng.random(n) < label_noise
+    flips = rng.random(n) < LABEL_NOISE
     y[flips] = 1 - y[flips]
     return Dataset(
         feature_names=_feature_names(d),
@@ -112,12 +108,12 @@ def make_regression(
     seed: int = 0,
     *,
     noise: float = 1.0,
-    offset: float = 20.0,
 ) -> Dataset:
     """Linear-with-noise regression data with targets bounded away from zero.
 
-    y = offset + 3 * x.w + noise * eps with a unit-length weight vector,
-    so targets sit near the offset and percentage errors stay meaningful.
+    y = REGRESSION_OFFSET + 3 * x.w + noise * eps with a unit-length
+    weight vector, so targets sit near the offset and percentage errors
+    stay meaningful.
     """
     if n < 1 or d < 1:
         raise DomainError(f"n and d must be positive, got n={n}, d={d}")
@@ -125,7 +121,7 @@ def make_regression(
     X = rng.standard_normal((n, d))
     w = rng.standard_normal(d)
     w /= np.linalg.norm(w)
-    y = offset + 3.0 * (X @ w) + noise * rng.standard_normal(n)
+    y = REGRESSION_OFFSET + 3.0 * (X @ w) + noise * rng.standard_normal(n)
     return Dataset(
         feature_names=_feature_names(d),
         features=X,

@@ -96,6 +96,23 @@ def ref_snr_multiclass(y_true, y_pred, prob_rows):
     return 10.0 * math.log10(signal / noise)
 
 
+def ref_majority_votes(y_true, clusters):
+    """Each row's vote: the most common true label in its cluster, ties to the lowest label."""
+    counts = {}
+    for t, c in zip(y_true, clusters):
+        if c not in counts:
+            counts[c] = {}
+        counts[c][t] = counts[c].get(t, 0) + 1
+    vote = {}
+    for c in counts:
+        best = None
+        for t in sorted(counts[c]):
+            if best is None or counts[c][t] > counts[c][best]:
+                best = t
+        vote[c] = best
+    return [vote[c] for c in clusters]
+
+
 def ref_normalize_snr(x):
     if math.isinf(x) and x > 0:
         return 0.5

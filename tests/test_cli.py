@@ -386,6 +386,23 @@ class TestCurve:
             outs.append((series.read_bytes(), report.read_bytes()))
         assert outs[0] == outs[1]
 
+    def test_series_alone_is_not_blocked_by_the_report_threshold(self, blobs_csv, tmp_path, capsys):
+        # every size is at or past n* = 40, so no report can be made; --series alone asks for none
+        argv = [
+            "curve", "--task", "binary", "--data", blobs_csv, "--target-column", "label",
+            "--start", "50", "--stop", "90", "--step", "20", "--epochs", "10",
+        ]
+        series = tmp_path / "s.csv"
+        assert main(argv + ["--series", str(series)]) == 0
+        assert capsys.readouterr().out == ""
+        rows = series.read_text(encoding="utf-8").splitlines()
+        assert [row.split(",")[0] for row in rows[1:]] == ["50", "70", "90"]
+        # asked for, the report still fails, and before any output is written
+        other = tmp_path / "other.csv"
+        assert main(argv + ["--series", str(other), "--report", str(tmp_path / "r.json")]) == 3
+        assert "no curve points before the threshold n* = 40" in capsys.readouterr().err
+        assert not other.exists() and not (tmp_path / "r.json").exists()
+
     def test_missing_target_column_flag_is_usage(self, blobs_csv, capsys):
         code = main([
             "curve", "--task", "binary", "--data", blobs_csv,

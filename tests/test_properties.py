@@ -13,11 +13,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference as ref
 from normetric import (
+    TaskKind,
     average_class_imbalance_ratio,
     class_imbalance_ratio,
     compose_normalized_metric,
     dimensionality_factor,
+    evaluate,
     imbalance_adjustment_binary,
     imbalance_adjustment_multiclass,
     mape_score,
@@ -187,6 +190,29 @@ def test_exhaustive_multiclass_small_instances():
                     assert snr < math.inf
                 norm = normalize_snr(snr)
                 assert 1.0 <= snr_adjustment(norm) <= 1.5
+
+
+@st.composite
+def clusterings(draw):
+    """True labels and cluster ids as arbitrary names: -1, gaps, ties and single clusters."""
+    n = draw(st.integers(min_value=2, max_value=40))
+    classes = draw(st.lists(st.sampled_from([0, 1, 2, 4, 7, 50]), min_size=2, max_size=5, unique=True))
+    ids = draw(st.lists(st.sampled_from([-1, 0, 1, 2, 5, 1000]), min_size=1, max_size=6, unique=True))
+    y_true = draw(st.lists(st.sampled_from(classes), min_size=n, max_size=n).filter(lambda v: len(set(v)) > 1))
+    clusters = draw(st.lists(st.sampled_from(ids), min_size=n, max_size=n))
+    return y_true, clusters
+
+
+@settings(max_examples=600, deadline=None)
+@given(case=clusterings())
+def test_clustering_snr_is_the_multiclass_snr_of_one_hot_majority_votes(case):
+    y_true, clusters = case
+    names = sorted(set(y_true))
+    truth = [names.index(t) for t in y_true]
+    votes = [names.index(v) for v in ref.ref_majority_votes(y_true, clusters)]
+    one_hot = [[1.0 if j == v else 0.0 for j in range(len(names))] for v in votes]
+    got = evaluate(TaskKind.CLUSTERING, y_true, clusters, d=2, n_train=30, class_sizes=[1, 1])
+    assert got.snr_db == ref.ref_snr_multiclass(truth, votes, one_hot)
 
 
 def test_exhaustive_imbalance_small_class_sizes():

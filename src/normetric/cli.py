@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .data import integer_rule, load_csv, read_columns, save_csv, schedule, synthetic_expand
+from .data import Dataset, integer_rule, load_csv, read_columns, save_csv, schedule, synthetic_expand
 from .exceptions import DataError, NormetricError
 from .factors import MetricBreakdown, TaskKind, evaluate
 from .harness import (
@@ -117,7 +117,7 @@ def _read_predictions(path: str, task: TaskKind) -> dict:
         if not prob_names:
             raise DataError(f"predictions file {path} lacks p_0..p_(C-1) columns")
         if [int(name[2:]) for name in prob_names] != list(range(len(prob_names))):
-            raise DataError(f"probability columns must be contiguous p_0..p_(C-1), got {prob_names}")
+            raise DataError(f"probability columns of {path} must be contiguous p_0..p_(C-1), got {prob_names}")
         n_classes = len(prob_names)
         labels = integer_rule(f"integer labels in [0, {n_classes})", 0, n_classes)
     out = {name: column(name, labels).astype(int) for name in ("y_true", "y_pred")}
@@ -162,11 +162,15 @@ def _write_or_print(text: str, path: Optional[str]) -> None:
             fh.write(text)
 
 
-def cmd_curve(args: argparse.Namespace) -> int:
-    task = TaskKind(args.task)
-    ds = load_csv(args.data, args.target_column, task)
+def _load_dataset(args: argparse.Namespace) -> Dataset:
+    ds = load_csv(args.data, args.target_column, TaskKind(args.task))
     if ds.n_dropped:
         print(f"note: dropped {ds.n_dropped} unusable rows from {args.data}", file=sys.stderr)
+    return ds
+
+
+def cmd_curve(args: argparse.Namespace) -> int:
+    ds = _load_dataset(args)
     sched = schedule(args.start, args.stop, args.step)
     config = LearnerConfig(
         test_fraction=args.test_fraction,
@@ -174,7 +178,7 @@ def cmd_curve(args: argparse.Namespace) -> int:
         learning_rate=args.lr,
         n_clusters=args.k,
     )
-    points = run_curve(ds, sched, task, config, seed=args.seed, d=args.d)
+    points = run_curve(ds, sched, ds.task, config, seed=args.seed, d=args.d)
     report = None
     if args.report is not None or args.series is None:  # with no output file, the report goes to stdout
         report = stability_report(points, d=args.d if args.d is not None else ds.d, n_star=args.n_star)
@@ -187,10 +191,7 @@ def cmd_curve(args: argparse.Namespace) -> int:
 
 
 def cmd_expand(args: argparse.Namespace) -> int:
-    task = TaskKind(args.task)
-    ds = load_csv(args.data, args.target_column, task)
-    if ds.n_dropped:
-        print(f"note: dropped {ds.n_dropped} unusable rows from {args.data}", file=sys.stderr)
+    ds = _load_dataset(args)
     expanded = synthetic_expand(ds, args.target_n, args.k_neighbors, args.seed)
     save_csv(expanded, args.out)
     print(f"wrote {expanded.n} rows ({expanded.n - ds.n} synthetic) to {args.out}", file=sys.stderr)
@@ -269,10 +270,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except _UsageError as exc:
         print(f"normetric: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except DataError as exc:
-        print(f"normetric: data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:
+    except (DataError, OSError) as exc:
         print(f"normetric: data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (NormetricError, ValueError, ArithmeticError) as exc:

@@ -26,7 +26,7 @@ from .exceptions import (
     DomainError,
     ShapeError,
 )
-from .metrics import accuracy, mape_score, nmi
+from .metrics import _as_equal_length, _contingency, _nmi_of_table, accuracy, mape_score
 
 __all__ = [
     "SAMPLES_PER_FEATURE",
@@ -304,14 +304,7 @@ def evaluate(
     the fitted model's training assignments for clustering; the `evaluate`
     command counts the predictions file, its y_true (clustering: y_pred).
     """
-    y_true = np.asarray(y_true)
-    y_pred = np.asarray(y_pred)
-    if y_true.shape != y_pred.shape or y_true.ndim != 1:
-        raise ShapeError(f"y_true and y_pred must be 1-D and equal length, got {y_true.shape} vs {y_pred.shape}")
-    if y_true.size == 0:
-        raise DomainError("cannot evaluate an empty prediction set")
-    if d < 1 or n_train < 1:
-        raise DomainError(f"d and n_train must be >= 1, got d={d}, n_train={n_train}")
+    y_true, y_pred = _as_equal_length(y_true, y_pred)
     if class_sizes is None and task.has_class_targets:
         raise ConfigurationError(f"{task.value} evaluation needs class sizes for the imbalance ratio")
     if y_prob is None and task in (TaskKind.BINARY_CLASSIFICATION, TaskKind.MULTICLASS_CLASSIFICATION):
@@ -339,22 +332,18 @@ def evaluate(
         ratio = 1.0
         h = 1.0
     else:  # TaskKind.CLUSTERING
-        # class and cluster ids are names: number each 0.. in sorted order (majority ties still go low)
-        _, y_true_int = np.unique(y_true.astype(int), return_inverse=True)
-        n_classes = int(y_true_int.max()) + 1
+        # class and cluster ids are names, numbered 0.. in sorted order (majority ties still go low)
+        table = _contingency(y_true.astype(int), y_pred.astype(int))
+        n_classes = table.shape[0]
         if n_classes < 2:
             raise DegenerateDistributionError("clustering evaluation needs at least 2 true classes")
-        base = nmi(y_true_int, y_pred)
-        _, cluster = np.unique(y_pred.astype(int), return_inverse=True)
-        n_clusters = int(cluster.max()) + 1
-        table = np.bincount(y_true_int * n_clusters + cluster, minlength=n_classes * n_clusters)
-        table = table.reshape(n_classes, n_clusters)
+        base = _nmi_of_table(table)
         # each cluster votes for its majority class; hits[c] counts the rows of class c whose
         # cluster voted c.  This is snr_multiclass on one-hot votes, bit for bit: the signal is
         # the squared confusion diagonal, a wrong vote lies at squared distance 2 from its true
         # one-hot vector and a right one at 0, and every sum is an integer below 2**53, so exact.
         hits = np.bincount(table.argmax(axis=0), weights=table.max(axis=0), minlength=n_classes)
-        snr_db = _decibels(float(np.sum(hits**2)), 2.0 * (y_true_int.size - float(np.sum(hits))))
+        snr_db = _decibels(float(np.sum(hits**2)), 2.0 * (y_true.size - float(np.sum(hits))))
         ratio = average_class_imbalance_ratio(class_sizes)
         h = imbalance_adjustment_multiclass(ratio)
 

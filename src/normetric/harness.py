@@ -88,48 +88,6 @@ def _standardize(train: np.ndarray, test: np.ndarray) -> tuple[np.ndarray, np.nd
     return (train - mean) / std, (test - mean) / std
 
 
-def _curve_point(
-    pool: Dataset,
-    test: Dataset,
-    size: int,
-    task: TaskKind,
-    d: int,
-    config: LearnerConfig,
-    fit_seed: int,
-    n_classes: Optional[int],
-    pool_sizes: Optional[np.ndarray],
-) -> CurvePoint:
-    X_train, X_test = _standardize(pool.features[:size], test.features)
-    y_train = pool.target[:size]
-
-    if task is TaskKind.REGRESSION:
-        preds = fit_linear(X_train, y_train).predict(X_test)
-        scoring = {}
-    elif task is TaskKind.CLUSTERING:
-        k = config.n_clusters if config.n_clusters is not None else n_classes  # default: one per true class
-        model = fit_kmeans(X_train, k, seed=fit_seed)
-        preds = model.predict(X_test)
-        scoring = {"class_sizes": np.unique(model.assignments, return_counts=True)[1]}
-    else:
-        model = fit_logistic(
-            X_train,
-            y_train.astype(int),
-            n_classes,
-            epochs=config.epochs,
-            learning_rate=config.learning_rate,
-            seed=fit_seed,
-        )
-        proba = model.predict_proba(X_test)
-        preds = np.argmax(proba, axis=1)
-        scoring = {
-            "y_prob": proba[np.arange(preds.size), preds] if task is TaskKind.BINARY_CLASSIFICATION else proba,
-            "class_sizes": pool_sizes,
-        }
-
-    breakdown = evaluate(task, test.target, preds, d, size, **scoring)
-    return CurvePoint(size, breakdown)
-
-
 def run_curve(
     ds: Dataset,
     sched: SampleSchedule,
@@ -163,10 +121,37 @@ def run_curve(
         n_classes = int(max(pool.target.max(), test.target.max())) + 1
         if task is not TaskKind.CLUSTERING:
             pool_sizes = np.bincount(pool.target.astype(int), minlength=n_classes)
-    return [
-        _curve_point(pool, test, size, task, d, config, derive_seed(seed, 1, size), n_classes, pool_sizes)
-        for size in sched.sizes
-    ]
+    k = config.n_clusters if config.n_clusters is not None else n_classes  # default: one per true class
+
+    points = []
+    for size in sched.sizes:
+        X_train, X_test = _standardize(pool.features[:size], test.features)
+        y_train = pool.target[:size]
+        fit_seed = derive_seed(seed, 1, size)
+        if task is TaskKind.REGRESSION:
+            preds = fit_linear(X_train, y_train).predict(X_test)
+            scoring = {}
+        elif task is TaskKind.CLUSTERING:
+            model = fit_kmeans(X_train, k, seed=fit_seed)
+            preds = model.predict(X_test)
+            scoring = {"class_sizes": np.unique(model.assignments, return_counts=True)[1]}
+        else:
+            model = fit_logistic(
+                X_train,
+                y_train.astype(int),
+                n_classes,
+                epochs=config.epochs,
+                learning_rate=config.learning_rate,
+                seed=fit_seed,
+            )
+            proba = model.predict_proba(X_test)
+            preds = np.argmax(proba, axis=1)
+            scoring = {
+                "y_prob": proba.max(axis=1) if task is TaskKind.BINARY_CLASSIFICATION else proba,
+                "class_sizes": pool_sizes,
+            }
+        points.append(CurvePoint(size, evaluate(task, test.target, preds, d, size, **scoring)))
+    return points
 
 
 def smooth(values: Sequence[float], window: int) -> np.ndarray:

@@ -265,8 +265,9 @@ def fit_kmeans(X: np.ndarray, k: int, seed: int = 0) -> KMeansModel:
     """Lloyd's algorithm with seeded initialization.
 
     Initial centroids are k distinct rows drawn with a seeded generator.
-    A cluster that loses all members is reseeded to the point farthest from
-    its stale centroid.  Iteration stops when assignments stop changing or
+    A cluster that loses all members is reseeded to the row farthest from
+    the centroid that row is assigned to, skipping rows already taken for a
+    reseed in the same round.  Iteration stops when assignments stop changing or
     after KMEANS_MAX_ITERS rounds; the result is deterministic given the seed.
     """
     X = _check_2d_features(X)
@@ -286,7 +287,7 @@ def fit_kmeans(X: np.ndarray, k: int, seed: int = 0) -> KMeansModel:
             if members.any():
                 centroids[cluster] = X[members].mean(axis=0)
             else:
-                distances = np.linalg.norm(X - centroids[cluster], axis=1)
+                distances = np.linalg.norm(X - centroids[assignments], axis=1)
                 for idx in np.argsort(-distances, kind="stable"):
                     if int(idx) not in taken:
                         centroids[cluster] = X[idx]

@@ -47,23 +47,18 @@ def _entropy(counts: np.ndarray, n: int) -> float:
     return float(-np.sum(p * np.log(p)))
 
 
-def nmi(labels_a: Sequence[int], labels_b: Sequence[int]) -> float:
-    """Normalized mutual information between two labelings, in [0, 1].
+def _contingency(labels_a: np.ndarray, labels_b: np.ndarray) -> np.ndarray:
+    """Rows per (a, b) label pair, each side numbered 0.. in sorted order; a labels the rows."""
+    _, a_idx = np.unique(labels_a, return_inverse=True)
+    _, b_idx = np.unique(labels_b, return_inverse=True)
+    n_a = int(a_idx.max()) + 1
+    n_b = int(b_idx.max()) + 1
+    return np.bincount(a_idx * n_b + b_idx, minlength=n_a * n_b).reshape(n_a, n_b)
 
-    Mutual information divided by the arithmetic mean of the two marginal
-    entropies; symmetric and invariant under relabeling either side.  Two
-    single-cluster partitions align perfectly (1.0); a single-cluster
-    partition against a split one carries no information (0.0).
-    """
-    la, lb = _as_equal_length(labels_a, labels_b)
-    n = la.size
-    _, a_idx = np.unique(la, return_inverse=True)
-    _, b_idx = np.unique(lb, return_inverse=True)
-    n_a = a_idx.max() + 1
-    n_b = b_idx.max() + 1
 
-    joint = np.zeros((n_a, n_b), dtype=int)
-    np.add.at(joint, (a_idx, b_idx), 1)
+def _nmi_of_table(joint: np.ndarray) -> float:
+    # see nmi; the table's rows and columns are the two labelings
+    n = int(joint.sum())
     row = joint.sum(axis=1)
     col = joint.sum(axis=0)
 
@@ -82,3 +77,14 @@ def nmi(labels_a: Sequence[int], labels_b: Sequence[int]) -> float:
         mutual_info = 0.0
     value = mutual_info / ((h_a + h_b) / 2.0)
     return min(1.0, max(0.0, value))
+
+
+def nmi(labels_a: Sequence[int], labels_b: Sequence[int]) -> float:
+    """Normalized mutual information between two labelings, in [0, 1].
+
+    Mutual information divided by the arithmetic mean of the two marginal
+    entropies; symmetric and invariant under relabeling either side.  Two
+    single-cluster partitions align perfectly (1.0); a single-cluster
+    partition against a split one carries no information (0.0).
+    """
+    return _nmi_of_table(_contingency(*_as_equal_length(labels_a, labels_b)))

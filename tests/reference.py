@@ -113,6 +113,56 @@ def ref_majority_votes(y_true, clusters):
     return [vote[c] for c in clusters]
 
 
+def _ref_distance(row, centroid):
+    return math.sqrt(sum((x - c) * (x - c) for x, c in zip(row, centroid)))
+
+
+def _ref_nearest(rows, centroids):
+    out = []
+    for row in rows:
+        best, best_dist = 0, None
+        for j, centroid in enumerate(centroids):
+            dist = _ref_distance(row, centroid)
+            if best_dist is None or dist < best_dist:
+                best, best_dist = j, dist
+        out.append(best)
+    return out
+
+
+def ref_fit_kmeans(X, k, seed, max_iters=100):
+    """Lloyd's algorithm row by row; an empty cluster is reseeded at the row
+    farthest from its own assigned centroid, never at a row already taken
+    in the same round.  Returns (centroids, assignments) as lists."""
+    rows = [list(map(float, row)) for row in X]
+    start = np.random.default_rng(seed).choice(len(rows), size=k, replace=False)
+    centroids = [list(rows[i]) for i in start]
+    assignments = _ref_nearest(rows, centroids)
+    for _ in range(max_iters):
+        taken = []
+        for cluster in range(k):
+            members = [row for row, a in zip(rows, assignments) if a == cluster]
+            if members:
+                total = [0.0] * len(rows[0])
+                for row in members:
+                    total = [t + x for t, x in zip(total, row)]
+                centroids[cluster] = [t / len(members) for t in total]
+                continue
+            far, far_dist = None, None
+            for i, (row, a) in enumerate(zip(rows, assignments)):
+                if i in taken:
+                    continue
+                dist = _ref_distance(row, centroids[a])
+                if far_dist is None or dist > far_dist:
+                    far, far_dist = i, dist
+            centroids[cluster] = list(rows[far])
+            taken.append(far)
+        new_assignments = _ref_nearest(rows, centroids)
+        if new_assignments == assignments:
+            break
+        assignments = new_assignments
+    return centroids, assignments
+
+
 def ref_normalize_snr(x):
     if math.isinf(x) and x > 0:
         return 0.5

@@ -260,8 +260,11 @@ class TestEvaluate:
          "column 'y_prob' of {path} must hold numbers; data row 3 has 'x'"),
         ("binary", BINARY_ROWS[:2] + ["1,1,0.8,extra", "", "0"] + BINARY_ROWS[4:],
          "data row 3 of {path} ends after field 1; column 'y_pred' is field 2"),
+        ("multiclass", ["y_true,y_pred,p_0,p_2", "0,0,0.9,0.1", "1,1,0.1,0.9"],
+         "probability columns of {path} must be contiguous p_0..p_(C-1), got ['p_0', 'p_2']"),
     ], ids=["not-a-number", "short-row", "label-out-of-range", "probability-above-one", "row-sum",
-            "absent-class", "bad-cell-after-blank-and-long-rows", "short-row-after-long-and-blank-rows"])
+            "absent-class", "bad-cell-after-blank-and-long-rows", "short-row-after-long-and-blank-rows",
+            "probability-columns-not-contiguous"])
     def test_each_input_rule_reads_the_same_through_both_tokenizers(self, tmp_path, capsys, task, rows, message):
         """One mutation of a valid file per documented rule, read plain and through csv.reader.
 
@@ -626,6 +629,135 @@ class TestExpand:
             "--target-n", "10", "--out", str(tmp_path / "o.csv"),
         ])
         assert code == 3
+
+
+def _dataset_lines(tmp_path):
+    path = tmp_path / "clean.csv"
+    save_csv(make_blobs(300, d=2, n_classes=2, seed=0, task=TaskKind.BINARY_CLASSIFICATION), str(path))
+    return path.read_text(encoding="utf-8").splitlines()  # header x0,x1,label, then 300 rows
+
+
+def _run_on_dataset(command, data, out_dir):
+    """Run curve or expand on a binary dataset CSV; returns (exit code, each output file's bytes or None)."""
+    outputs = [out_dir / "series.csv", out_dir / "report.json"] if command == "curve" else [out_dir / "big.csv"]
+    argv = [command, "--task", "binary", "--data", str(data), "--target-column", "label"]
+    if command == "curve":
+        argv += ["--start", "30", "--stop", "60", "--step", "30", "--epochs", "10",
+                 "--series", str(outputs[0]), "--report", str(outputs[1])]
+    else:
+        argv += ["--target-n", "320", "--out", str(outputs[0])]
+    code = main(argv)
+    written = [out.read_bytes() if out.exists() else None for out in outputs]
+    for out in outputs:
+        out.unlink(missing_ok=True)
+    return code, written
+
+
+def _short(row):
+    return row.rsplit(",", 1)[0]
+
+
+def _cell(row, at, text):
+    cells = row.split(",")
+    cells[at] = text
+    return ",".join(cells)
+
+
+# one mutation of a valid dataset per documented rule; "\udcff" is written as the byte 0xff
+DATASET_ERRORS = {
+    "target-column-missing": (lambda lines: ["x0,x1,klass"] + lines[1:],
+                              "target column 'label' not in header ['x0', 'x1', 'klass']"),
+    "empty-file": (lambda lines: [], "{path} is empty (no header row)"),
+    "no-usable-rows": (lambda lines: lines[:1] + [_cell(row, 0, "") for row in lines[1:]],
+                       "{path} has no usable data rows (300 dropped)"),
+    "not-utf-8": (lambda lines: ["x\udcff0,x1,label"] + lines[1:],
+                  "{path} is not a readable UTF-8 CSV file: "
+                  "'utf-8' codec can't decode byte 0xff in position 1: invalid start byte"),
+    "field-over-the-limit": (lambda lines: lines[:4] + [_cell(lines[4], 0, "1" * (csv.field_size_limit() + 1))]
+                             + lines[5:],
+                             "{path} is not a readable UTF-8 CSV file: field larger than field limit (131072)"),
+}
+# (mutation, data rows it makes unusable): each such row is dropped and counted in the note
+DATASET_DROPS = {
+    "clean": (lambda lines: lines, []),
+    "short-row": (lambda lines: lines[:5] + [_short(lines[5])] + lines[6:], [5]),
+    "empty-cell": (lambda lines: lines[:9] + [_cell(lines[9], 1, "")] + lines[10:], [9]),
+    "unparseable-number": (lambda lines: lines[:20] + [_cell(lines[20], 0, "1.5x")] + lines[21:], [20]),
+    "short-row-and-empty-cell": (
+        lambda lines: lines[:5] + [_short(lines[5])] + lines[6:9] + [_cell(lines[9], 1, "")] + lines[10:], [5, 9]),
+}
+
+
+def _write_lines(path, lines, quote_header=False):
+    if quote_header:  # a quoted cell sends the file through csv.reader
+        head, last = lines[0].rsplit(",", 1)
+        lines = [f'{head},"{last}"'] + lines[1:]
+    path.write_bytes("".join(line + "\n" for line in lines).encode("utf-8", "surrogateescape"))
+
+
+def _read_both_ways(command, path, lines, out_dir, capsys):
+    """(code, stderr, outputs) read plain, with csv.reader failing if called, and with a quoted header cell."""
+    runs = []
+    for quoted in (False, True):
+        _write_lines(path, lines, quote_header=quoted)
+        if quoted or any(len(line) > csv.field_size_limit() for line in lines):
+            code, written = _run_on_dataset(command, path, out_dir)
+        else:
+            with mock.patch("normetric.data.csv.reader", side_effect=AssertionError("plain file sent to csv.reader")):
+                code, written = _run_on_dataset(command, path, out_dir)
+        runs.append((code, capsys.readouterr().err, written))
+    return runs
+
+
+@pytest.mark.parametrize("command", ["curve", "expand"])
+@pytest.mark.parametrize("rule", list(DATASET_ERRORS))
+def test_each_dataset_error_reads_the_same_through_both_tokenizers(tmp_path, capsys, command, rule):
+    mutate, message = DATASET_ERRORS[rule]
+    lines = mutate(_dataset_lines(tmp_path))
+    path = tmp_path / "mutated.csv"
+    want = (2, f"normetric: data error: {message.format(path=path)}\n", [None] * (2 if command == "curve" else 1))
+    if not lines:  # zero bytes hold no cell to quote, and csv.reader reads them
+        _write_lines(path, lines)
+        code, written = _run_on_dataset(command, path, tmp_path)
+        assert (code, capsys.readouterr().err, written) == want
+        return
+    plain, quoted = _read_both_ways(command, path, lines, tmp_path, capsys)
+    assert plain == quoted == want
+
+
+@pytest.mark.parametrize("command", ["curve", "expand"])
+@pytest.mark.parametrize("rule", list(DATASET_DROPS))
+def test_each_unusable_row_is_dropped_and_noted_once(tmp_path, capsys, command, rule):
+    """Both readings run as on the file without the unusable rows, plus one note counting them."""
+    clean = _dataset_lines(tmp_path)
+    mutate, dropped = DATASET_DROPS[rule]
+    kept = tmp_path / "kept.csv"
+    _write_lines(kept, [row for at, row in enumerate(clean) if at not in dropped])
+    code, written = _run_on_dataset(command, kept, tmp_path)
+    reference_err = capsys.readouterr().err
+    assert code == 0 and None not in written
+    path = tmp_path / "mutated.csv"
+    note = f"note: dropped {len(dropped)} unusable rows from {path}\n" if dropped else ""
+    plain, quoted = _read_both_ways(command, path, mutate(clean), tmp_path, capsys)
+    assert plain == quoted == (0, note + reference_err, written)
+
+
+@pytest.mark.parametrize("argv", [
+    ["expand", "--task", "binary", "--data", "{data}", "--target-column", "label", "--target-n", "320",
+     "--out", "{missing}"],
+    ["curve", "--task", "binary", "--data", "{data}", "--target-column", "label", "--start", "30", "--stop", "60",
+     "--step", "30", "--epochs", "10", "--series", "{missing}"],
+    ["report", "--series", "{series}", "--d", "2", "--report", "{missing}"],
+], ids=["expand-out", "curve-series", "report-report"])
+def test_output_into_a_missing_directory_is_a_data_error(blobs_csv, tmp_path, capsys, argv):
+    series = tmp_path / "series.csv"
+    series.write_text("\n".join(SERIES_ROWS) + "\n", encoding="utf-8")
+    missing = tmp_path / "no-such-dir" / "out"
+    code = main([arg.format(data=blobs_csv, series=series, missing=missing) for arg in argv])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("normetric: data error: ") and str(missing) in err
+    assert "Traceback" not in err
 
 
 def test_no_subcommand_is_usage_error(capsys):

@@ -269,3 +269,28 @@ def test_kmeans_rejects_bad_k():
         fit_kmeans(X, k=0)
     with pytest.raises(DomainError):
         fit_kmeans(X, k=4)
+
+
+def test_kmeans_reseed_does_not_land_on_another_centroid():
+    # at seed 1 the row farthest from an emptied cluster's stale centroid is
+    # a [0, 0] row, where another centroid already sits: reseeding there
+    # would leave the cluster empty
+    X = np.array([[0.0, 0.0]] * 3 + [[5.0, 5.0]] * 3 + [[9.0, 0.0]])
+    for seed in range(10):
+        model = fit_kmeans(X, k=3, seed=seed)
+        assert np.unique(model.assignments).size == 3, seed
+        assert np.unique(model.centroids, axis=0).shape[0] == 3, seed
+
+
+@pytest.mark.parametrize("case", range(40))
+def test_kmeans_equals_the_row_loop_on_duplicate_rows(case):
+    # quarter-grid coordinates keep every centroid sum exact, so the pairwise
+    # sum of np.mean and the loop's running sum agree and ties break alike
+    rng = np.random.default_rng(case)
+    points = rng.integers(-8, 9, size=(int(rng.integers(2, 7)), int(rng.integers(1, 4)))) / 4.0
+    X = points[rng.integers(0, len(points), int(rng.integers(4, 30)))]
+    k = min(int(rng.integers(2, 6)), X.shape[0])
+    model = fit_kmeans(X, k, seed=case)
+    centroids, assignments = ref.ref_fit_kmeans(X, k, seed=case)
+    assert model.assignments.tolist() == assignments
+    np.testing.assert_allclose(model.centroids, centroids, rtol=0.0, atol=1e-12)

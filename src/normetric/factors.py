@@ -332,17 +332,20 @@ def evaluate(
         ratio = 1.0
         h = 1.0
     else:  # TaskKind.CLUSTERING
-        # class and cluster ids are names, numbered 0.. in sorted order (majority ties still go low)
+        # class and cluster ids are names, numbered 0.. in sorted order
         table = _contingency(y_true.astype(int), y_pred.astype(int))
-        n_classes = table.shape[0]
-        if n_classes < 2:
+        a, b, count, row, _ = table
+        if row.size < 2:
             raise DegenerateDistributionError("clustering evaluation needs at least 2 true classes")
-        base = _nmi_of_table(table)
-        # each cluster votes for its majority class; hits[c] counts the rows of class c whose
-        # cluster voted c.  This is snr_multiclass on one-hot votes, bit for bit: the signal is
-        # the squared confusion diagonal, a wrong vote lies at squared distance 2 from its true
-        # one-hot vector and a right one at 0, and every sum is an integer below 2**53, so exact.
-        hits = np.bincount(table.argmax(axis=0), weights=table.max(axis=0), minlength=n_classes)
+        base = _nmi_of_table(*table)
+        # each cluster votes for its majority class, the first of its pairs by count and then
+        # class, so ties go low; hits[c] counts the rows of class c whose cluster voted c.
+        # This is snr_multiclass on one-hot votes, bit for bit: the signal is the squared
+        # confusion diagonal, a wrong vote lies at squared distance 2 from its true one-hot
+        # vector and a right one at 0, and every sum is an integer below 2**53, so exact.
+        order = np.lexsort((a, -count, b))
+        votes = order[np.diff(b[order], prepend=-1) != 0]
+        hits = np.bincount(a[votes], weights=count[votes], minlength=row.size)
         snr_db = _decibels(float(np.sum(hits**2)), 2.0 * (y_true.size - float(np.sum(hits))))
         ratio = average_class_imbalance_ratio(class_sizes)
         h = imbalance_adjustment_multiclass(ratio)

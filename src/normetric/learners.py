@@ -134,22 +134,40 @@ def _sigmoid(z: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     return np.divide(numerator, denom, out=e)
 
 
+def _row_sum(a: np.ndarray) -> np.ndarray:
+    """a.sum(axis=-1) bit for bit.
+
+    numpy adds fewer than 8 terms left to right from 0.0, so for few
+    classes the columns are added in turn, the first plus 0.0 so that
+    -0.0s sum to 0.0: a few column adds beat one short reduction per
+    row.  From 8 terms up numpy keeps eight running sums, which a fold
+    does not match; a copy of that order over columns was slower than
+    sum itself, so those rows go to sum.
+    """
+    m = a.shape[-1]
+    if m >= 8:
+        return a.sum(axis=-1)
+    total = np.add(a[..., 0], 0.0)
+    for c in range(1, m):
+        total += a[..., c]
+    return total
+
+
 def _softmax(z: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Row-wise softmax of the logits z, written into out (which may be z).
 
     The row max folds np.maximum over the class columns: one call per
     class, not one short reduction per row.  Max is exact in any order,
     and a shift by -0.0 for 0.0 only alters a zero that exp maps to 1, so
-    the bits match z.max(axis=1).  The row sum must stay sum(axis=1):
-    numpy adds a row in its own order, with eight accumulators from
-    eight terms up, and a fold over the columns would round differently.
+    the bits match z.max(axis=1).  The row sum is _row_sum, which keeps
+    the bits of sum(axis=1).
     """
     top = np.maximum(z[:, 0], z[:, -1])
     for c in range(1, z.shape[1] - 1):
         np.maximum(top, z[:, c], out=top)
     ez = np.subtract(z, top[:, np.newaxis], out=out)
     np.exp(ez, out=ez)
-    return np.divide(ez, ez.sum(axis=1, keepdims=True), out=ez)
+    return np.divide(ez, _row_sum(ez)[:, np.newaxis], out=ez)
 
 
 def _binary_grads(w, b, X, y, work=(None, None)):
@@ -177,8 +195,8 @@ def _softmax_grads(W, b, X, y_onehot, work=None):
     z += b
     residual = _softmax(z, out=z)
     residual -= y_onehot
-    # accumulate adds the rows in order, as mean(axis=0) does, in fewer steps
-    return (residual.T @ X) / n, np.add.accumulate(residual, axis=0)[-1] / n
+    # einsum adds the rows in order, as mean(axis=0) does, with no (n, C) temporary
+    return (residual.T @ X) / n, np.einsum("ij->j", residual) / n
 
 
 def fit_logistic(
@@ -201,11 +219,12 @@ def fit_logistic(
     another order rounds differently, and the weights, and so the CLI's
     fixed-seed output, are pinned bit for bit.  The gradients come from
     the BLAS products X.T @ residual and residual.T @ X; the softmax row
-    sum stays sum(axis=1); the sigmoid's bias gradient is the pairwise
-    np.add.reduce that np.mean runs, and the softmax's adds the rows in
-    order, as mean(axis=0) does.  Only the softmax row max, which is
-    exact in any order, is folded over the class columns.  A run that
-    overflows, or ends with non-finite weights, raises DivergenceError.
+    sum is _row_sum, which keeps sum(axis=1)'s bits; the sigmoid's bias
+    gradient is the pairwise np.add.reduce that np.mean runs, and the
+    softmax's is an einsum that adds the rows in order, as mean(axis=0)
+    does.  Only the softmax row max, which is exact in any order, is
+    folded over the class columns.  A run that overflows, or ends with
+    non-finite weights, raises DivergenceError.
     """
     X = _check_2d_features(X)
     y = np.asarray(y, dtype=int)

@@ -47,21 +47,24 @@ def _entropy(counts: np.ndarray, n: int) -> float:
     return float(-np.sum(p * np.log(p)))
 
 
-def _contingency(labels_a: np.ndarray, labels_b: np.ndarray) -> np.ndarray:
-    """Rows per (a, b) label pair, each side numbered 0.. in sorted order; a labels the rows."""
+def _contingency(labels_a: np.ndarray, labels_b: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The contingency table of two labelings, as the (a, b) label pairs that occur.
+
+    Each side is numbered 0.. in sorted order.  Returns (a, b, count, row,
+    col): the pairs in row-major order, the rows holding each pair, and the
+    rows per a label and per b label.  Only the pairs that occur are kept,
+    so memory grows with the rows, not with the product of the label counts.
+    """
     _, a_idx = np.unique(labels_a, return_inverse=True)
     _, b_idx = np.unique(labels_b, return_inverse=True)
-    n_a = int(a_idx.max()) + 1
     n_b = int(b_idx.max()) + 1
-    return np.bincount(a_idx * n_b + b_idx, minlength=n_a * n_b).reshape(n_a, n_b)
+    pairs, count = np.unique(a_idx * n_b + b_idx, return_counts=True)
+    return pairs // n_b, pairs % n_b, count, np.bincount(a_idx), np.bincount(b_idx)
 
 
-def _nmi_of_table(joint: np.ndarray) -> float:
-    # see nmi; the table's rows and columns are the two labelings
-    n = int(joint.sum())
-    row = joint.sum(axis=1)
-    col = joint.sum(axis=0)
-
+def _nmi_of_table(a: np.ndarray, b: np.ndarray, count: np.ndarray, row: np.ndarray, col: np.ndarray) -> float:
+    # see nmi; the arguments are _contingency's table
+    n = int(count.sum())
     h_a = _entropy(row, n)
     h_b = _entropy(col, n)
     if h_a == 0.0 and h_b == 0.0:
@@ -69,9 +72,8 @@ def _nmi_of_table(joint: np.ndarray) -> float:
     if h_a == 0.0 or h_b == 0.0:
         return 0.0
 
-    nz = joint > 0
-    p_joint = joint[nz] / n
-    outer = np.outer(row, col)[nz] / (n * n)
+    p_joint = count / n
+    outer = row[a] * col[b] / (n * n)
     mutual_info = float(np.sum(p_joint * np.log(p_joint / outer)))
     if mutual_info < 0.0:  # floating-point dust on independent labelings
         mutual_info = 0.0
@@ -87,4 +89,4 @@ def nmi(labels_a: Sequence[int], labels_b: Sequence[int]) -> float:
     single-cluster partitions align perfectly (1.0); a single-cluster
     partition against a split one carries no information (0.0).
     """
-    return _nmi_of_table(_contingency(*_as_equal_length(labels_a, labels_b)))
+    return _nmi_of_table(*_contingency(*_as_equal_length(labels_a, labels_b)))

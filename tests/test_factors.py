@@ -1,6 +1,7 @@
 """Unit tests for the adjustment factors and the evaluation dispatcher."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -264,6 +265,20 @@ class TestEvaluateDispatcher:
     def test_clustering_single_true_class_rejected(self):
         with pytest.raises(DegenerateDistributionError):
             evaluate(TaskKind.CLUSTERING, [0, 0, 0], [0, 1, 1], d=2, n_train=10, class_sizes=[2, 1])
+
+    def test_clustering_memory_grows_with_the_rows_not_the_id_pairs(self):
+        # 5000 distinct ids on each side: a dense class x cluster table would hold 25M counts
+        rng = np.random.default_rng(0)
+        y_true = np.arange(5000)
+        y_pred = rng.permutation(5000)
+        tracemalloc.start()
+        try:
+            got = evaluate(TaskKind.CLUSTERING, y_true, y_pred, d=2, n_train=40, class_sizes=np.ones(5000))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
+        assert got.base == 1.0 and got.snr_db == math.inf
 
     def test_missing_probabilities_is_a_configuration_error(self):
         with pytest.raises(ConfigurationError):

@@ -8,6 +8,7 @@ from normetric import DegenerateDistributionError, DivergenceError, DomainError,
 from normetric.learners import (
     LogisticModel,
     _binary_grads,
+    _row_sum,
     _sigmoid,
     _softmax,
     _softmax_grads,
@@ -131,6 +132,8 @@ BIT_IDENTITY_CASES = [
     (1500, 13, 4, 1.0, 1.0, 60),
     (2100, 9, 12, 0.3, 50.0, 40),
     (1300, 7, 2, 2.0, 300.0, 60),
+    # past 128 terms numpy's row sum splits each row into two pairwise halves
+    (260, 5, 130, 0.5, 1.0, 30),
 ]
 
 
@@ -147,7 +150,7 @@ def test_fit_logistic_equals_loss_evaluating_loop_bitwise(case):
     assert np.array_equal(model.intercepts, intercepts)
 
 
-@pytest.mark.parametrize("n_classes", [3, 4, 8, 12])
+@pytest.mark.parametrize("n_classes", [3, 4, 8, 12, 129])
 def test_softmax_equals_the_row_max_reduction_bitwise(n_classes):
     """The column-fold row max gives the bits of z.max(axis=1), extremes and ties included."""
     rng = np.random.default_rng(n_classes)
@@ -165,6 +168,21 @@ def test_softmax_equals_the_row_max_reduction_bitwise(n_classes):
         assert np.array_equal(proba, ref.ref_softmax(logits @ model.weights.T + model.intercepts))
         assert _softmax(in_place, out=in_place) is in_place
         assert np.array_equal(in_place, ref.ref_softmax(logits))
+
+
+@pytest.mark.parametrize("m", list(range(1, 41)) + [127, 128, 129, 136, 200, 300])
+def test_row_sum_equals_numpy_sum_bitwise(m):
+    """_row_sum gives the bits of sum(axis=-1) on both sides of its 8-term switch, on 2-D and 3-D input."""
+    rng = np.random.default_rng(m)
+    n = int(rng.integers(1, 600))
+    flat = rng.normal(size=(n, m)) * 10.0 ** rng.integers(-8, 9, size=(n, m))
+    flat[0] = -0.0  # numpy's sum of -0.0s is 0.0
+    flat[-1, : m // 2] = 0.0
+    stacked = rng.normal(size=(int(rng.integers(1, 5)), int(rng.integers(1, 40)), m))
+    for a in (flat, stacked):
+        got, want = _row_sum(a), a.sum(axis=-1)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_logistic_separable_blobs_reach_perfect_training_accuracy():

@@ -17,9 +17,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .data import Dataset, integer_rule, load_csv, read_columns, save_csv, schedule, synthetic_expand
+from .data import Dataset, load_csv, read_columns, save_csv, schedule, synthetic_expand
 from .exceptions import DataError, NormetricError
-from .factors import MetricBreakdown, TaskKind, evaluate
+from .factors import MetricBreakdown, TaskKind, evaluate, input_rules
 from .harness import (
     LearnerConfig,
     format_report_json,
@@ -77,39 +77,23 @@ def _breakdown_json(breakdown: MetricBreakdown) -> str:
     return json.dumps({key: jsonable(value) for key, value in fields.items()}, indent=2)
 
 
-_PROBABILITIES = ("probabilities in [0, 1]", lambda v: (v >= 0.0) & (v <= 1.0))
-
-
 def _read_predictions(path: str, task: TaskKind) -> dict:
     """Load a predictions CSV into `evaluate`'s keyword arguments.
 
     Expected columns: y_true and y_pred always; y_prob (probability of the
     predicted class) for binary; p_0..p_{C-1} probability vectors for
     multiclass.  Clustering files carry cluster ids, any integers, in
-    y_pred.  Binary labels must be 0 or 1; multiclass labels must be
-    integers in [0, C); clustering y_true must hold non-negative integers.
-    Probabilities must be finite and lie in [0, 1], and each row of
-    p_0..p_{C-1} must sum to 1 within 1e-6.  A breach is a DataError naming
-    the first bad data row.
+    y_pred.  Each column must hold its rule in factors.input_rules (binary
+    labels 0 or 1, say), and each row of p_0..p_{C-1} must sum to 1 within
+    1e-6.  A breach is a DataError naming the first bad data row.
 
     The class sizes for h are counted from this file: y_true per class
     0..C-1 for classification, where each class must occur, and y_pred per
     cluster id for clustering.
     """
     header, column = read_columns(path, "predictions file")
-
-    if task is TaskKind.REGRESSION:
-        return {name: column(name, ("finite numbers", np.isfinite)) for name in ("y_true", "y_pred")}
-    if task is TaskKind.CLUSTERING:
-        y_true = column("y_true", integer_rule("non-negative integer labels", 0)).astype(int)
-        y_pred = column("y_pred", integer_rule("integer cluster ids")).astype(int)
-        # ids are arbitrary names (DBSCAN noise is -1): count the rows of each one present
-        return {"y_true": y_true, "y_pred": y_pred, "class_sizes": np.unique(y_pred, return_counts=True)[1]}
-
-    if task is TaskKind.BINARY_CLASSIFICATION:
-        n_classes = 2
-        labels = integer_rule("labels 0 or 1", 0, 2)
-    else:
+    n_classes = 2
+    if task is TaskKind.MULTICLASS_CLASSIFICATION:
         prob_names = sorted(
             (name for name in header if name.startswith("p_") and name[2:].isdigit()),
             key=lambda name: int(name[2:]),
@@ -119,12 +103,18 @@ def _read_predictions(path: str, task: TaskKind) -> dict:
         if [int(name[2:]) for name in prob_names] != list(range(len(prob_names))):
             raise DataError(f"probability columns of {path} must be contiguous p_0..p_(C-1), got {prob_names}")
         n_classes = len(prob_names)
-        labels = integer_rule(f"integer labels in [0, {n_classes})", 0, n_classes)
-    out = {name: column(name, labels).astype(int) for name in ("y_true", "y_pred")}
+    rules = input_rules(task, n_classes)  # the rules evaluate holds its arguments to
+
+    if task is TaskKind.REGRESSION:
+        return {name: column(name, rule) for name, rule in rules.items()}
+    out = {name: column(name, rules[name]).astype(int) for name in ("y_true", "y_pred")}
+    if task is TaskKind.CLUSTERING:
+        # ids are arbitrary names (DBSCAN noise is -1): count the rows of each one present
+        return {**out, "class_sizes": np.unique(out["y_pred"], return_counts=True)[1]}
     if task is TaskKind.BINARY_CLASSIFICATION:
-        out["y_prob"] = column("y_prob", _PROBABILITIES)
+        out["y_prob"] = column("y_prob", rules["y_prob"])
     else:
-        probs = np.column_stack([column(name, _PROBABILITIES) for name in prob_names])
+        probs = np.column_stack([column(name, rules["y_prob"]) for name in prob_names])
         sums = probs.sum(axis=1)
         summed_to_one = np.abs(sums - 1.0) <= 1e-6  # the tolerance snr_multiclass enforces
         if not summed_to_one.all():

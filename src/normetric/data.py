@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import io
 import itertools
 import math
 import os
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -74,56 +76,68 @@ def schedule(start: int, stop: int, step: int) -> SampleSchedule:
     return SampleSchedule(sizes=tuple(range(start, stop + 1, step)))
 
 
-def read_csv(path: str) -> tuple[list[str], list[Sequence[str]], list[tuple[int, list[str]]]]:
-    """The header and the data rows of a UTF-8 CSV file, as csv.reader reads them.
+# data rows per block of a CSV file read or written: a block's cells are parsed before the next is split
+_BLOCK_ROWS = 4096
 
-    columns[j] lists cell j of each row as wide as the header, in order; others
-    lists (position from 0, cells) for every other row, blank lines as [].  A plain
-    file (no '"', '\\r' or NUL, no line over csv.field_size_limit()) is split at
-    '\\n' and ',' a block of lines at a time, with no list per row: the same cells.
+
+def read_blocks(path: str) -> Iterator:
+    """Yield the header of a UTF-8 CSV file, then its data rows (as csv.reader reads them) in blocks.
+
+    A block (columns, others) holds at most _BLOCK_ROWS rows: columns[j] lists
+    cell j of each row as wide as the header, in order; others lists (position
+    in the block from 0, cells) for every other row, blank lines as [].  Lines
+    are split at '\\n' and ',' until a block holds '"', '\\r', NUL or a line
+    over csv.field_size_limit(); from there csv.reader reads the rest.
     """
     if not os.path.isfile(path):
         raise DataError(f"no such file: {path}")
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            text = fh.read()
-            lines = text.split("\n") if text and not any(c in text for c in '"\r\0') else None
-            del text
-            if lines is None or max(map(len, lines)) > csv.field_size_limit():
-                fh.seek(0)
-                lines, rows = None, list(csv.reader(fh))
-    except (UnicodeDecodeError, csv.Error) as exc:
-        raise DataError(f"{path} is not a readable UTF-8 CSV file: {exc}") from None
-    if lines is None:
-        if not rows:
-            raise DataError(f"{path} is empty (no header row)")
-        header, width = rows[0], len(rows[0])
-        others = [(at, row) for at, row in enumerate(rows[1:]) if not row or len(row) != width]
-        full = [row for row in rows[1:] if row and len(row) == width]
-        return header, list(zip(*full)) if full else [()] * width, others
-    header = lines[0].split(",") if lines[0] else []
-    width, lines = len(header), lines[1:len(lines) - (not lines[-1])]  # a final newline starts no row
-    odd = np.fromiter(map(str.count, lines, itertools.repeat(",")), np.intp, len(lines)) != width - 1
-    odd |= ~_nonempty(lines)
-    others = [(at, lines[at].split(",") if lines[at] else []) for at in np.flatnonzero(odd).tolist()]
-    lines = list(itertools.compress(lines, (~odd).tolist()))
-    columns: list[list[str]] = [[] for _ in range(width)]
-    while lines:  # lines are freed as they are split, so they and the cells never all coexist
-        cells = ",".join(lines[:4096]).split(",")
-        del lines[:4096]
-        for j, column in enumerate(columns):
-            column += cells[j::width]
-    return header, columns, others
+    if not os.path.getsize(path):
+        raise DataError(f"{path} is empty (no header row)")
+    with open(path, "rb") as fh:
+        try:
+            raws = iter(lambda: b"".join(itertools.islice(fh, _BLOCK_ROWS)), b"")  # each ends at a newline
+            texts, width = map(bytes.decode, raws), None
+            for text in texts:
+                lines = text.removesuffix("\n").split("\n")  # the newline that ends a block starts no row
+                if any(c in text for c in '"\r\0') or max(map(len, lines)) > csv.field_size_limit():
+                    # each line so far was one row, so csv.reader can take over here and read the rest
+                    lines = (line for t in itertools.chain([text], texts) for line in io.StringIO(t, newline=""))
+                    rows = csv.reader(lines)
+                    if width is None:
+                        yield (header := next(rows))
+                        width = len(header)
+                    while block := list(itertools.islice(rows, _BLOCK_ROWS)):
+                        full = [row for row in block if row and len(row) == width]
+                        others = [(at, row) for at, row in enumerate(block) if not row or len(row) != width]
+                        yield list(zip(*full)) if full else [()] * width, others
+                    return
+                del text  # only the cells of a block are held while it is parsed
+                if width is None:
+                    header = lines[0].split(",") if lines[0] else []
+                    width, lines = len(header), lines[1:]
+                    yield header
+                # a row per line: odd rows are split alone, and the full ones all at once with no list per row
+                odd = np.fromiter(map(str.count, lines, itertools.repeat(",")), np.intp, len(lines)) != width - 1
+                odd |= ~np.fromiter(map(bool, lines), bool, len(lines))
+                others = [(at, lines[at].split(",") if lines[at] else []) for at in np.flatnonzero(odd).tolist()]
+                cells = ",".join(itertools.compress(lines, (~odd).tolist())).split(",") if not odd.all() else []
+                block = [cells[j::width] for j in range(width)], others
+                del lines, cells
+                yield block
+        except (UnicodeDecodeError, csv.Error) as exc:
+            if isinstance(exc, UnicodeDecodeError):  # count the position from the file's start, not the block's
+                at = fh.tell() - len(exc.object)
+                exc = UnicodeDecodeError("utf-8", bytes(at) + exc.object, at + exc.start, at + exc.end, exc.reason)
+            raise DataError(f"{path} is not a readable UTF-8 CSV file: {exc}") from None
 
 
 def parse_column(cells: Sequence[str]) -> tuple[np.ndarray, Optional[int]]:
     """Floats from CSV cells, each read as Python's float() reads it.
 
-    numpy parses the whole column in one call (it converts a str through
-    float() too); only a column holding a cell that does not parse falls
-    back to parsing each distinct cell once.  Returns the values, NaN where
-    a cell does not parse, and the index of the first such cell (None if
-    every cell parses).
+    numpy parses the cells (a block of a column) in one call, as float()
+    does; only cells among which one does not parse fall back to parsing
+    each distinct cell once.  Returns the values, NaN where a cell does not
+    parse, and the index of the first such cell (None if every cell parses).
     """
     try:
         return np.array(cells, dtype=float), None
@@ -141,14 +155,6 @@ def parse_column(cells: Sequence[str]) -> tuple[np.ndarray, Optional[int]]:
     return np.fromiter(map(parsed.__getitem__, cells), dtype=float, count=len(cells)), first_bad
 
 
-def integer_rule(requirement: str, low: float = -(2.0**63), high: float = 2.0**63) -> tuple:
-    """A column rule for read_columns: integers in [low, high), and its vectorized test (NaN fails).
-
-    The default range is int64's, so converting the column to int is exact.
-    """
-    return requirement, lambda v: np.isfinite(v) & (v == np.trunc(v)) & (v >= low) & (v < high)
-
-
 def read_columns(path: str, kind: str) -> tuple[list[str], Callable[..., np.ndarray]]:
     """The header of a CSV file, and a reader of its columns by name.
 
@@ -159,56 +165,70 @@ def read_columns(path: str, kind: str) -> tuple[list[str], Callable[..., np.ndar
     DataError names the file (a `kind`, such as "series file") and the
     column when it is absent, and else the first bad data row: one whose
     cell is not a number or fails the rule, or one that ends before the
-    column.
+    column.  Columns are parsed a block at a time: no cell text is kept.
     """
-    header, columns, others = read_csv(path)
-    blanks_so_far = itertools.accumulate(not row for _, row in others)
-    odd = [(at - blanks, row) for (at, row), blanks in zip(others, blanks_so_far) if row]
-    if not odd and not (columns and columns[0]):
+    blocks = read_blocks(path)
+    header = next(blocks)
+    parts: list = [[] for _ in header]  # each column's values, a block at a time
+    bad: list = [None] * len(header)  # the message on its first cell that is not a number
+    short: list = [None] * len(header)  # and on the first data row that ends before it
+
+    def must_hold(j: int, requirement: str, row: int, cell: str) -> str:
+        return f"column {header[j]!r} of {path} must hold {requirement}; data row {row + 1} has {cell!r}"
+
+    n_rows = 0
+    for columns, others in blocks:
+        for j in range(len(header)):
+            if bad[j] is None and short[j] is None:  # a column is read up to its first fault
+                cells, ends = _spliced(columns[j], others, j)
+                values, at = parse_column(cells)
+                parts[j].append(values)
+                bad[j] = None if at is None else must_hold(j, "numbers", n_rows + at, cells[at])
+                if ends is not None:
+                    short[j] = (f"data row {n_rows + ends[0] + 1} of {path} ends after field {ends[1]}; "
+                                f"column {header[j]!r} is field {j + 1}")
+        n_rows += (len(columns[0]) if columns else 0) + sum(1 for _, row in others if row)
+    if not n_rows:
         raise DataError(f"{kind} {path} has no data rows")
+    for j, values in enumerate(parts):
+        parts[j] = np.concatenate(values)
 
     def column(name: str, rule: Optional[tuple] = None) -> np.ndarray:
         if name not in header:
             raise DataError(f"{kind} {path} lacks a {name!r} column")
-        index = header.index(name)
-        full, cells, short = columns[index], [], None
-        for spliced, (at, row) in enumerate(odd):  # splice the odd rows in among the full ones
-            used = len(cells) - spliced
-            cells += full[used:used + at - len(cells)]
-            if len(row) <= index:
-                short = (at, len(row))
-                break
-            cells.append(row[index])
-        else:
-            cells += full[len(cells) - len(odd):]
-        values, bad = parse_column(cells)
-        requirement = "numbers"
-        if bad is None and rule is not None:
-            requirement, holds = rule
-            failed = np.flatnonzero(~holds(values))
-            bad = int(failed[0]) if failed.size else None
-        if bad is not None:
-            raise DataError(
-                f"column {name!r} of {path} must hold {requirement}; data row {bad + 1} has {cells[bad]!r}"
-            )
-        if short is not None:
-            raise DataError(
-                f"data row {short[0] + 1} of {path} ends after field {short[1]}; "
-                f"column {name!r} is field {index + 1}"
-            )
-        return values
+        j = header.index(name)
+        if bad[j] is None and rule is not None and not (holds := rule[1](parts[j])).all():
+            at = int(np.argmin(holds))
+            with contextlib.closing(read_blocks(path)) as blocks:  # read again for the cell's text
+                next(blocks)
+                cells = itertools.chain.from_iterable(_spliced(c[j], o, j)[0] for c, o in blocks)
+                raise DataError(must_hold(j, rule[0], at, next(itertools.islice(cells, at, None))))
+        if bad[j] or short[j]:
+            raise DataError(bad[j] or short[j])
+        return parts[j]
 
     return header, column
 
 
-def _nonempty(cells: Sequence[str]) -> np.ndarray:
-    return np.fromiter(map(bool, cells), dtype=bool, count=len(cells))
+def _spliced(full: Sequence[str], others: list, j: int) -> tuple[list[str], Optional[tuple]]:
+    """Cell j of a block's data rows in order, up to the first one without it: cells, (at, fields) or None."""
+    cells: list[str] = []
+    taken = 0  # rows of full used
+    for k, (at, row) in enumerate(others):
+        cells += full[taken:at - k]
+        taken = at - k
+        if row and len(row) <= j:
+            return cells, (len(cells), len(row))
+        cells += row[j:j + 1]  # a blank line adds no cell
+    cells += full[taken:]
+    return cells, None
 
 
-def _first_appearance_codes(cells: list[str]) -> np.ndarray:
-    """Integer codes numbering distinct cells 0, 1, ... in order of first appearance."""
-    codes = {cell: code for code, cell in enumerate(dict.fromkeys(cells))}
-    return np.fromiter(map(codes.__getitem__, cells), dtype=int, count=len(cells))
+def _codes(seen: dict, cells: Sequence[str]) -> np.ndarray:
+    """Codes of cells, numbering distinct cells in order of first appearance after those in seen (cell: code)."""
+    for cell in dict.fromkeys(cells):
+        seen.setdefault(cell, len(seen))
+    return np.fromiter(map(seen.__getitem__, cells), dtype=np.intp, count=len(cells))
 
 
 def load_csv(path: str, target_column: str, task: TaskKind) -> Dataset:
@@ -222,54 +242,62 @@ def load_csv(path: str, target_column: str, task: TaskKind) -> Dataset:
     n_dropped.  Classification and clustering targets are re-indexed to
     0..C-1 in first-appearance order over the kept rows; regression targets
     must parse.  If the target name occurs twice in the header, the last
-    such column is the target.  Files are read as csv.reader reads them
-    (see read_csv), and columns parsed as parse_column parses them.
+    such column is the target.  Each block is parsed as parse_column parses
+    it, or coded where it does not parse, before the next is split.
     """
-    header, columns, others = read_csv(path)
+    blocks = read_blocks(path)
+    header = next(blocks)
     if target_column not in header:
+        for _ in blocks:  # a file that cannot be read says so first
+            pass
         raise DataError(f"target column {target_column!r} not in header {header}")
     target_idx = len(header) - 1 - header[::-1].index(target_column)
-    n_columns = len(header)
+    categorical = [target_idx] if task.has_class_targets else []
 
-    n_read = len(columns[0]) + len(others)
-    if not columns[0]:
+    parts: list = [[] for _ in header]  # each column's floats, a block at a time
+    codes: list = [[] for _ in header]  # and its cells' codes, None for a block that parsed whole
+    seen: list[dict] = [{} for _ in header]  # the cells coded so far, with their codes
+    n_read = n_full = 0
+    for columns, others in blocks:
+        n_full += len(columns[0])
+        n_read += len(columns[0]) + len(others)
+        for col, cells in enumerate(columns):
+            values, bad = (None, 0) if col in categorical else parse_column(cells)
+            parts[col].append(values)
+            codes[col].append(None if bad is None else _codes(seen[col], cells))
+    if not n_full:
         raise DataError(f"{path} has no usable data rows ({n_read} dropped)")
 
-    class_targets = task.has_class_targets
-    usable = np.ones(len(columns[0]), dtype=bool)
-    numbers: dict[int, np.ndarray] = {}  # parsed numeric columns, the regression target included
-    for col, cells in enumerate(columns):
-        if col == target_idx and class_targets:
-            usable &= _nonempty(cells)
-            continue
-        values, _ = parse_column(cells)
-        finite = np.isfinite(values)
-        if col == target_idx or 2 * np.count_nonzero(finite) > len(cells):
-            numbers[col] = values
+    usable = np.ones(n_full, dtype=bool)
+    for col in [col for col in range(len(header)) if col not in categorical]:
+        parts[col] = np.concatenate(parts[col])
+        finite = np.isfinite(parts[col])
+        if col == target_idx or 2 * np.count_nonzero(finite) > n_full:
             usable &= finite
         else:
-            usable &= _nonempty(cells)
+            categorical.append(col)
+    for col in categorical:
+        if any(block is None for block in codes[col]):  # a block that parsed kept no codes: read them again
+            seen[col], blocks = {}, itertools.islice(read_blocks(path), 1, None)
+            codes[col] = [_codes(seen[col], columns[col]) for columns, _ in blocks]
+        codes[col] = np.concatenate(codes[col])
+        usable &= codes[col] != seen[col].get("", -1)
     keep = np.flatnonzero(usable)
     dropped = n_read - keep.size
     if not keep.size:
         raise DataError(f"{path} has no usable data rows ({dropped} dropped)")
 
-    kept = keep.tolist()
+    def kept(col: int) -> np.ndarray:
+        return _codes({}, codes[col][keep].tolist()) if col in categorical else parts[col][keep]  # renumbered
 
-    def kept_codes(col: int) -> np.ndarray:
-        cells = columns[col]
-        return _first_appearance_codes([cells[i] for i in kept])
-
-    feature_cols = [c for c in range(n_columns) if c != target_idx]
+    feature_cols = [c for c in range(len(header)) if c != target_idx]
     features = np.empty((keep.size, len(feature_cols)))
     for out_col, col in enumerate(feature_cols):
-        features[:, out_col] = numbers[col][keep] if col in numbers else kept_codes(col)
-    target = kept_codes(target_idx) if class_targets else numbers[target_idx][keep]
-
+        features[:, out_col] = kept(col)
     return Dataset(
         feature_names=[header[c] for c in feature_cols],
         features=features,
-        target=target,
+        target=kept(target_idx),
         task=task,
         target_name=header[target_idx],
         n_dropped=dropped,
@@ -281,16 +309,18 @@ def save_csv(ds: Dataset, path: str) -> None:
 
     Features and regression targets are written as Python's repr of the
     float, the shortest text that reads back to the same bits; class
-    targets as integers (a NaN class target raises ValueError).
+    targets as integers (a NaN class target raises ValueError before the
+    file is opened).  Rows are turned into text a block at a time.
     """
-    to_label = int if ds.task.has_class_targets else float
-    rows = ds.features.tolist()
-    for row, label in zip(rows, ds.target.tolist()):
-        row.append(to_label(label))
+    labels = list(map(int if ds.task.has_class_targets else float, ds.target.tolist()))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         # only the names may need csv's quoting: a float's or int's repr never does
         csv.writer(fh, lineterminator="\n").writerow(ds.feature_names + [ds.target_name])
-        fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
+        for start in range(0, ds.n, _BLOCK_ROWS):
+            rows = ds.features[start:start + _BLOCK_ROWS].tolist()
+            for row, label in zip(rows, labels[start:start + _BLOCK_ROWS]):
+                row.append(label)
+            fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
 
 
 def split(ds: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Dataset]:

@@ -43,6 +43,7 @@ __all__ = [
     "normalize_snr",
     "snr_adjustment",
     "compose_normalized_metric",
+    "input_rules",
     "evaluate",
 ]
 
@@ -82,6 +83,36 @@ class MetricBreakdown:
     imbalance_ratio: float
     imbalance_factor_h: float
     normalized: float
+
+
+def integer_rule(requirement: str, low: float = -(2.0**63), high: float = 2.0**63) -> tuple:
+    """A rule of integers in [low, high), by default int64's so that int() of one is exact (NaN fails)."""
+    return requirement, lambda v: np.isfinite(v) & (v == np.trunc(v)) & (v >= low) & (v < high)
+
+
+_PROBABILITIES = ("probabilities in [0, 1]", lambda v: (v >= 0.0) & (v <= 1.0))
+
+
+def input_rules(task: TaskKind, n_classes: int = 2) -> dict[str, tuple]:
+    """Each evaluate input's rule, which the predictions file's column must hold too: (requirement, test)."""
+    if task is TaskKind.REGRESSION:
+        return dict.fromkeys(["y_true", "y_pred"], ("finite numbers", np.isfinite))
+    if task is TaskKind.CLUSTERING:
+        true_ids = integer_rule("non-negative integer labels", 0)
+        return {"y_true": true_ids, "y_pred": integer_rule("integer cluster ids")}
+    if task is TaskKind.BINARY_CLASSIFICATION:
+        labels = integer_rule("labels 0 or 1", 0, 2)
+    else:
+        labels = integer_rule(f"integer labels in [0, {n_classes})", 0, n_classes)
+    return {"y_true": labels, "y_pred": labels, "y_prob": _PROBABILITIES}
+
+
+def _check(name: str, values, rule: tuple) -> None:
+    """Raise a DomainError naming the argument and its first value (row, of a matrix) that breaks the rule."""
+    values = np.atleast_1d(np.asarray(values, dtype=float))
+    if not (holds := rule[1](values)).all():
+        at = int(np.argmin(holds.reshape(len(values), -1).all(axis=1)))
+        raise DomainError(f"{name} must hold {rule[0]}; {name}[{at}] is {values[at].tolist()!r}")
 
 
 def dimensionality_factor(d: int, n: int) -> float:
@@ -180,8 +211,7 @@ def snr_binary(y_true: Sequence, y_pred: Sequence, y_prob: Sequence[float]) -> f
         )
     if yt.size == 0:
         raise DomainError("cannot compute SNR of empty sequences")
-    if prob.min() < 0.0 or prob.max() > 1.0:
-        raise DomainError("probabilities must lie in [0, 1]")
+    _check("y_prob", prob, _PROBABILITIES)
     signal = float(np.sum(yt == yp))
     noise = float(np.sum((1.0 - prob) ** 2))
     return _decibels(signal, noise)
@@ -205,12 +235,10 @@ def snr_multiclass(y_true: Sequence[int], prob_matrix: Sequence[Sequence[float]]
     if yt.size == 0:
         raise DomainError("cannot compute SNR of empty sequences")
     n_classes = probs.shape[1]
-    if probs.min() < 0.0:
-        raise DomainError("probabilities must be nonnegative")
+    _check("prob_matrix", probs, _PROBABILITIES)
     if not np.allclose(probs.sum(axis=1), 1.0, atol=1e-6, rtol=0.0):
         raise DomainError("every probability vector must sum to 1 within 1e-6")
-    if yt.min() < 0 or yt.max() >= n_classes:
-        raise DomainError(f"labels must lie in [0, {n_classes}), got range [{yt.min()}, {yt.max()}]")
+    _check("y_true", yt, input_rules(TaskKind.MULTICLASS_CLASSIFICATION, n_classes)["y_true"])
 
     predictions = np.argmax(probs, axis=1)
     diagonal_counts = np.bincount(yt[predictions == yt], minlength=n_classes)
@@ -309,6 +337,10 @@ def evaluate(
         raise ConfigurationError(f"{task.value} evaluation needs class sizes for the imbalance ratio")
     if y_prob is None and task in (TaskKind.BINARY_CLASSIFICATION, TaskKind.MULTICLASS_CLASSIFICATION):
         raise ConfigurationError(f"{task.value} evaluation needs per-sample predicted probabilities")
+    n_classes = np.shape(y_prob)[-1] if task is TaskKind.MULTICLASS_CLASSIFICATION else 2
+    inputs = {"y_true": y_true, "y_pred": y_pred, "y_prob": y_prob}
+    for name, rule in input_rules(task, n_classes).items():
+        _check(name, inputs[name], rule)
 
     f = dimensionality_factor(d, n_train)
 

@@ -7,9 +7,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .data import Dataset, SampleSchedule, integer_rule, read_columns, split
+from .data import Dataset, SampleSchedule, read_columns, split
 from .exceptions import ConfigurationError, DataError, DomainError
-from .factors import SAMPLES_PER_FEATURE, MetricBreakdown, TaskKind, evaluate
+from .factors import SAMPLES_PER_FEATURE, MetricBreakdown, TaskKind, evaluate, integer_rule
 from .learners import fit_kmeans, fit_linear, fit_logistic
 
 __all__ = [

@@ -448,6 +448,54 @@ def ref_load_csv(path, target_column, task):
     )
 
 
+def ref_read_columns(path, kind):
+    """read_columns as a row loop over every row csv.reader reads from the whole file."""
+    if not os.path.isfile(path):
+        raise DataError(f"no such file: {path}")
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"{path} is not a readable UTF-8 CSV file: {exc}") from None
+    if not rows:
+        raise DataError(f"{path} is empty (no header row)")
+    header, data = rows[0], [row for row in rows[1:] if row]
+    if not data:
+        raise DataError(f"{kind} {path} has no data rows")
+
+    def column(name, rule=None):
+        if name not in header:
+            raise DataError(f"{kind} {path} lacks a {name!r} column")
+        index = header.index(name)
+        cells, short = [], None
+        for number, row in enumerate(data, 1):
+            if len(row) <= index:
+                short = (number, len(row))
+                break
+            cells.append(row[index])
+        values = []
+        for number, cell in enumerate(cells, 1):
+            try:
+                values.append(float(cell))
+            except ValueError:
+                raise DataError(f"column {name!r} of {path} must hold numbers; data row {number} has {cell!r}")
+        values = np.array(values, dtype=float)
+        if rule is not None:
+            requirement, holds = rule
+            for number, (cell, holds_here) in enumerate(zip(cells, holds(values).tolist()), 1):
+                if not holds_here:
+                    raise DataError(
+                        f"column {name!r} of {path} must hold {requirement}; data row {number} has {cell!r}"
+                    )
+        if short is not None:
+            raise DataError(
+                f"data row {short[0]} of {path} ends after field {short[1]}; column {name!r} is field {index + 1}"
+            )
+        return values
+
+    return header, column
+
+
 def ref_save_csv(ds, path):
     """save_csv as a per-row loop of str() calls."""
     with open(path, "w", newline="", encoding="utf-8") as fh:

@@ -6,7 +6,7 @@ loops live on in tests/reference.py; these property tests feed both the
 kinds of input where column parsing, label encoding and tie-breaking could
 drift: wrong-width rows, cells Python's float() treats specially, columns
 at the half-numeric threshold, heavy distance ties and tiny classes.
-read_csv splits a plain file (no quotes, no carriage returns) itself and
+read_blocks splits a plain file (no quotes, no carriage returns) itself and
 sends any other through csv.reader, so both kinds of file are generated.
 """
 
@@ -21,7 +21,7 @@ from hypothesis import assume, given, settings, strategies as st
 import reference as ref
 from normetric import DataError, Dataset, TaskKind, load_csv, save_csv
 from normetric import data
-from normetric.data import _neighbor_lists, read_csv
+from normetric.data import _neighbor_lists, read_blocks
 
 CLASS_TASKS = [TaskKind.BINARY_CLASSIFICATION, TaskKind.MULTICLASS_CLASSIFICATION, TaskKind.CLUSTERING]
 
@@ -74,7 +74,7 @@ PLAIN_CELLS = [cell for cell in PARSING + FAILING if '"' not in cell and "," not
 
 @st.composite
 def plain_csv_texts(draw):
-    """A dataset CSV written line by line with no quoting, as read_csv splits it itself.
+    """A dataset CSV written line by line with no quoting, as read_blocks splits it itself.
 
     Blank lines, rows a field short or over, one-column files, an empty
     header line and a missing final newline all occur.
@@ -135,34 +135,42 @@ def test_load_csv_matches_row_loop_on_plain_files(tmp_path_factory, text, task):
     assert_loads_as_row_loop(path, task)
 
 
-def rows_of(columns, others):
-    """The data rows in file order, rebuilt from what read_csv returns."""
-    full = zip(*columns)
-    odd = dict(others)
-    n_rows = (len(columns[0]) if columns else 0) + len(odd)
-    return [list(odd[at]) if at in odd else list(next(full)) for at in range(n_rows)]
+def rows_of(blocks):
+    """The data rows in file order, rebuilt block by block from what read_blocks yields."""
+    rows = []
+    for columns, others in blocks:
+        full = zip(*columns)
+        odd = dict(others)
+        n_rows = (len(columns[0]) if columns else 0) + len(odd)
+        rows += [list(odd[at]) if at in odd else list(next(full)) for at in range(n_rows)]
+    return rows
 
 
 def read_as_csv_reader_does(path, text):
-    """read_csv's header and rows, asserting that a plain file never reaches csv.reader."""
+    """read_blocks's header and blocks, asserting that a plain file never reaches csv.reader."""
+    def read():
+        blocks = read_blocks(str(path))
+        return next(blocks), list(blocks)
+
     if '"' in text or "\r" in text:
-        return read_csv(str(path))
+        return read()
     with mock.patch.object(data.csv, "reader", side_effect=AssertionError("plain file sent to csv.reader")):
-        return read_csv(str(path))
+        return read()
 
 
 @settings(max_examples=400, deadline=None)
 @given(text=st.one_of(plain_csv_texts(), csv_texts()))
-def test_read_csv_gives_the_rows_of_csv_reader(tmp_path_factory, text):
+def test_read_blocks_gives_the_rows_of_csv_reader(tmp_path_factory, text):
     assume(text)  # an empty file has no header: a DataError, tested with load_csv
     path = tmp_path_factory.mktemp("read") / "data.csv"
     path.write_text(text, encoding="utf-8", newline="")
     expected = list(csv.reader(io.StringIO(text, newline="")))
-    header, columns, others = read_as_csv_reader_does(path, text)
+    header, blocks = read_as_csv_reader_does(path, text)
     assert header == expected[0]
-    assert len(columns) == len(header)
-    assert all(not row or len(row) != len(header) for _, row in others)
-    assert rows_of(columns, others) == expected[1:]
+    for columns, others in blocks:
+        assert len(columns) == len(header)
+        assert all(not row or len(row) != len(header) for _, row in others)
+    assert rows_of(blocks) == expected[1:]
 
 
 @pytest.mark.parametrize("text", [
@@ -175,9 +183,9 @@ def test_read_csv_gives_the_rows_of_csv_reader(tmp_path_factory, text):
 def test_plain_edge_cases_read_as_csv_reader_reads_them(tmp_path, text):
     path = tmp_path / "edge.csv"
     path.write_text(text, encoding="utf-8", newline="")
-    header, columns, others = read_as_csv_reader_does(path, text)
+    header, blocks = read_as_csv_reader_does(path, text)
     expected = list(csv.reader(io.StringIO(text, newline="")))
-    assert [header] + rows_of(columns, others) == expected
+    assert [header] + rows_of(blocks) == expected
     for task in TaskKind:
         assert_loads_as_row_loop(path, task)
 
@@ -213,8 +221,8 @@ def test_plain_tokenizer_spans_several_blocks(tmp_path):
     text = "\n".join(lines) + "\n"
     path = tmp_path / "blocks.csv"
     path.write_text(text, encoding="utf-8", newline="")
-    header, columns, others = read_as_csv_reader_does(path, text)
-    assert [header] + rows_of(columns, others) == list(csv.reader(io.StringIO(text, newline="")))
+    header, blocks = read_as_csv_reader_does(path, text)
+    assert [header] + rows_of(blocks) == list(csv.reader(io.StringIO(text, newline="")))
     assert_loads_as_row_loop(path, TaskKind.REGRESSION)
 
 

@@ -316,3 +316,47 @@ class TestEvaluateDispatcher:
             1.0, got.base * got.dim_factor_f * got.snr_factor_g / got.imbalance_factor_h
         )
         assert got.normalized == pytest.approx(recomposed, abs=1e-15)
+
+
+BINARY, MULTICLASS = TaskKind.BINARY_CLASSIFICATION, TaskKind.MULTICLASS_CLASSIFICATION
+REGRESSION, CLUSTERING = TaskKind.REGRESSION, TaskKind.CLUSTERING
+GOOD_ROWS = [[0.7, 0.2, 0.1], [0.1, 0.8, 0.1], [0.2, 0.2, 0.6]]
+
+
+class TestInputRules:
+    """evaluate holds each argument to the rule the predictions file's column is held to."""
+
+    @pytest.mark.parametrize("task, arguments, message", [
+        (BINARY, {"y_true": [0, 2], "y_pred": [0, 2], "y_prob": [0.9, 0.8]},
+         "y_true must hold labels 0 or 1; y_true[1] is 2.0"),
+        (BINARY, {"y_true": [0, 1], "y_pred": [0, np.nan], "y_prob": [0.9, 0.8]},
+         "y_pred must hold labels 0 or 1; y_pred[1] is nan"),
+        (BINARY, {"y_true": [0, 1], "y_pred": [0, 1], "y_prob": [np.nan, 0.8]},
+         "y_prob must hold probabilities in [0, 1]; y_prob[0] is nan"),
+        (BINARY, {"y_true": [0, 1], "y_pred": [0, 1], "y_prob": [0.9, 1.5]},
+         "y_prob must hold probabilities in [0, 1]; y_prob[1] is 1.5"),
+        (MULTICLASS, {"y_true": [0, 1, 3], "y_pred": [0, 1, 2], "y_prob": GOOD_ROWS},
+         "y_true must hold integer labels in [0, 3); y_true[2] is 3.0"),
+        (MULTICLASS, {"y_true": [0, 1, 2], "y_pred": [0, 1.5, 2], "y_prob": GOOD_ROWS},
+         "y_pred must hold integer labels in [0, 3); y_pred[1] is 1.5"),
+        (MULTICLASS, {"y_true": [0, 1, 2], "y_pred": [0, 1, 2], "y_prob": GOOD_ROWS[:2] + [[1.1, -0.1, 0.0]]},
+         "y_prob must hold probabilities in [0, 1]; y_prob[2] is [1.1, -0.1, 0.0]"),
+        (REGRESSION, {"y_true": [1.0, np.inf], "y_pred": [1.0, 2.0]},
+         "y_true must hold finite numbers; y_true[1] is inf"),
+        (REGRESSION, {"y_true": [1.0, 2.0], "y_pred": [np.nan, 2.0]},
+         "y_pred must hold finite numbers; y_pred[0] is nan"),
+        (CLUSTERING, {"y_true": [0, -1], "y_pred": [0, 1]},
+         "y_true must hold non-negative integer labels; y_true[1] is -1.0"),
+        (CLUSTERING, {"y_true": [0, 1], "y_pred": [0, 0.5]},
+         "y_pred must hold integer cluster ids; y_pred[1] is 0.5"),
+    ], ids=["binary-label-2", "binary-nan-label", "binary-nan-probability", "binary-probability-over-1",
+            "multiclass-label-out-of-range", "multiclass-fractional-label", "multiclass-negative-probability",
+            "regression-inf-truth", "regression-nan-prediction", "clustering-negative-truth",
+            "clustering-fractional-id"])
+    def test_a_breach_names_the_argument_and_its_first_bad_index(self, task, arguments, message):
+        arguments = dict(arguments, class_sizes=[1] * (3 if task is MULTICLASS else 2))
+        if task is REGRESSION:
+            del arguments["class_sizes"]
+        with pytest.raises(DomainError) as raised:
+            evaluate(task, d=2, n_train=30, **arguments)
+        assert str(raised.value) == message

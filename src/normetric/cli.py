@@ -19,7 +19,7 @@ import numpy as np
 
 from .data import Dataset, load_csv, read_columns, save_csv, schedule, synthetic_expand
 from .exceptions import DataError, NormetricError
-from .factors import MetricBreakdown, TaskKind, evaluate, input_rules
+from .factors import _ROW_SUMS, MetricBreakdown, TaskKind, evaluate, input_rules
 from .harness import (
     LearnerConfig,
     format_report_json,
@@ -116,20 +116,19 @@ def _read_predictions(path: str, task: TaskKind) -> dict:
     else:
         probs = np.column_stack([column(name, rules["y_prob"]) for name in prob_names])
         sums = probs.sum(axis=1)
-        summed_to_one = np.abs(sums - 1.0) <= 1e-6  # the tolerance snr_multiclass enforces
-        if not summed_to_one.all():
+        if not (summed_to_one := _ROW_SUMS[1](sums)).all():
             bad = int(np.argmin(summed_to_one))
             raise DataError(
-                f"probabilities {prob_names[0]}..{prob_names[-1]} of {path} must sum to 1 within 1e-6; "
+                f"probabilities {prob_names[0]}..{prob_names[-1]} of {path} must {_ROW_SUMS[0]}; "
                 f"data row {bad + 1} sums to {float(sums[bad])!r}"
             )
         out["y_prob"] = probs
 
     class_sizes = np.bincount(out["y_true"], minlength=n_classes)
-    if not class_sizes.all():
-        present = np.flatnonzero(class_sizes).tolist()
+    if not (counted := rules["class_sizes"][1](class_sizes)).all():
+        present = np.flatnonzero(counted).tolist()
         raise DataError(
-            f"'y_true' of {path} has no row of class {int(np.argmin(class_sizes))} "
+            f"'y_true' of {path} has no row of class {int(np.argmin(counted))} "
             f"(it holds only class{'es' if len(present) > 1 else ''} {', '.join(map(str, present))}); "
             f"each class 0..{n_classes - 1} needs one for the imbalance factor h"
         )

@@ -91,20 +91,26 @@ def integer_rule(requirement: str, low: float = -(2.0**63), high: float = 2.0**6
 
 
 _PROBABILITIES = ("probabilities in [0, 1]", lambda v: (v >= 0.0) & (v <= 1.0))
+_ROW_SUMS = ("sum to 1 within 1e-6", lambda sums: np.abs(sums - 1.0) <= 1e-6)
+_CLASS_SIZES = integer_rule("integer counts >= 1", 1)
 
 
 def input_rules(task: TaskKind, n_classes: int = 2) -> dict[str, tuple]:
-    """Each evaluate input's rule, which the predictions file's column must hold too: (requirement, test)."""
+    """Each array argument evaluate takes for the task, mapped to its rule: (requirement, test).
+
+    The predictions file's columns hold the same rules.  An evaluate call applies each once, where it is
+    read: y_true and y_pred in evaluate, y_prob (rows: _ROW_SUMS) in the SNRs, class_sizes in the imbalances.
+    """
     if task is TaskKind.REGRESSION:
         return dict.fromkeys(["y_true", "y_pred"], ("finite numbers", np.isfinite))
     if task is TaskKind.CLUSTERING:
         true_ids = integer_rule("non-negative integer labels", 0)
-        return {"y_true": true_ids, "y_pred": integer_rule("integer cluster ids")}
+        return {"y_true": true_ids, "y_pred": integer_rule("integer cluster ids"), "class_sizes": _CLASS_SIZES}
     if task is TaskKind.BINARY_CLASSIFICATION:
         labels = integer_rule("labels 0 or 1", 0, 2)
     else:
         labels = integer_rule(f"integer labels in [0, {n_classes})", 0, n_classes)
-    return {"y_true": labels, "y_pred": labels, "y_prob": _PROBABILITIES}
+    return {"y_true": labels, "y_pred": labels, "y_prob": _PROBABILITIES, "class_sizes": _CLASS_SIZES}
 
 
 def _check(name: str, values, rule: tuple) -> None:
@@ -123,11 +129,18 @@ def dimensionality_factor(d: int, n: int) -> float:
     at or below that point the factor is exactly 1 (no boost, no penalty),
     above it the factor grows toward, but never reaches, 1.5.
     """
-    if d <= 0 or n <= 0:
-        raise DomainError(f"d and n must be positive, got d={d}, n={n}")
+    if not (0 < d < math.inf and 0 < n < math.inf):
+        raise DomainError(f"d and n must be finite and positive, got d={d}, n={n}")
     ratio = d / (0.05 * n)
     centered = 1.0 / (1.0 + math.exp(-(ratio - 1.0))) - 0.5
     return 1.0 + max(0.0, centered)
+
+
+def _check_class_sizes(sizes: Sequence[int], shown) -> None:
+    """Hold class sizes to their rule; an empty class, `shown` as given, is degenerate rather than malformed."""
+    if np.any(np.equal(sizes, 0)):
+        raise DegenerateDistributionError(f"every class needs at least one sample, got {shown}")
+    _check("class_sizes", sizes, _CLASS_SIZES)
 
 
 def class_imbalance_ratio(class_sizes: Sequence[int]) -> float:
@@ -135,8 +148,7 @@ def class_imbalance_ratio(class_sizes: Sequence[int]) -> float:
     sizes = list(class_sizes)
     if len(sizes) != 2:
         raise DomainError(f"binary imbalance ratio needs exactly 2 class sizes, got {len(sizes)}")
-    if min(sizes) < 1:
-        raise DegenerateDistributionError(f"every class needs at least one sample, got {sizes}")
+    _check_class_sizes(sizes, sizes)
     return max(sizes) / min(sizes)
 
 
@@ -152,8 +164,7 @@ def average_class_imbalance_ratio(class_sizes: Sequence[int]) -> float:
     sizes = np.asarray(list(class_sizes), dtype=float)
     if sizes.size < 2:
         raise DomainError(f"ACIR needs at least 2 classes, got {sizes.size}")
-    if sizes.min() <= 0:
-        raise DegenerateDistributionError(f"every class needs at least one sample, got {class_sizes}")
+    _check_class_sizes(sizes, class_sizes)
     return float(np.mean(sizes / sizes.max()))
 
 
@@ -217,8 +228,8 @@ def snr_binary(y_true: Sequence, y_pred: Sequence, y_prob: Sequence[float]) -> f
     return _decibels(signal, noise)
 
 
-def snr_multiclass(y_true: Sequence[int], prob_matrix: Sequence[Sequence[float]]) -> float:
-    """Multiclass signal-to-noise ratio in dB from probability vectors.
+def snr_multiclass(y_true: Sequence[int], y_prob: Sequence[Sequence[float]]) -> float:
+    """Multiclass signal-to-noise ratio in dB from y_prob's probability vectors, each summing to 1 within 1e-6.
 
     Predictions are the argmax of each probability vector (ties go to the
     lowest class index).  Signal is the sum of squared diagonal entries of
@@ -226,19 +237,20 @@ def snr_multiclass(y_true: Sequence[int], prob_matrix: Sequence[Sequence[float]]
     the total squared distance between each probability vector and the
     one-hot vector of its true class.  Returns +inf when noise is zero.
     """
-    yt = np.asarray(y_true, dtype=int)
-    probs = np.asarray(prob_matrix, dtype=float)
+    yt = np.asarray(y_true, dtype=float)
+    probs = np.asarray(y_prob, dtype=float)
     if probs.ndim != 2:
-        raise ShapeError(f"prob_matrix must be 2-D (samples x classes), got ndim={probs.ndim}")
+        raise ShapeError(f"y_prob must be 2-D (samples x classes), got ndim={probs.ndim}")
     if yt.shape[0] != probs.shape[0]:
-        raise ShapeError(f"y_true has {yt.shape[0]} samples but prob_matrix has {probs.shape[0]}")
+        raise ShapeError(f"y_true has {yt.shape[0]} samples but y_prob has {probs.shape[0]}")
     if yt.size == 0:
         raise DomainError("cannot compute SNR of empty sequences")
     n_classes = probs.shape[1]
-    _check("prob_matrix", probs, _PROBABILITIES)
-    if not np.allclose(probs.sum(axis=1), 1.0, atol=1e-6, rtol=0.0):
-        raise DomainError("every probability vector must sum to 1 within 1e-6")
+    _check("y_prob", probs, _PROBABILITIES)
+    if not _ROW_SUMS[1](probs.sum(axis=1)).all():
+        raise DomainError(f"every probability vector must {_ROW_SUMS[0]}")
     _check("y_true", yt, input_rules(TaskKind.MULTICLASS_CLASSIFICATION, n_classes)["y_true"])
+    yt = yt.astype(int)
 
     predictions = np.argmax(probs, axis=1)
     diagonal_counts = np.bincount(yt[predictions == yt], minlength=n_classes)
@@ -254,8 +266,8 @@ def snr_multiclass(y_true: Sequence[int], prob_matrix: Sequence[Sequence[float]]
 def normalize_snr(x: float) -> float:
     """Map an SNR in dB onto the [0, 0.5] quality scale.
 
-    Piecewise-linear over the quality bands (<10 dB no signal, 10-15 very
-    low, 15-25 low, 25-40 very good, >40 excellent):
+    Piecewise-linear over the paper's quality bands (<10 dB no signal,
+    10-15 very low, 15-25 low, 25-40 very good, >40 excellent):
 
         0.125 + 0.125 * (x - 0) / 10   for  0 <= x < 10
         0.25  + 0.125 * (x - 10) / 5   for 10 <= x < 15
@@ -263,26 +275,20 @@ def normalize_snr(x: float) -> float:
         0.5   + 0.125 * (x - 25) / 15  for 25 <= x < 40
         0.5                            for x >= 40
 
-    Negative inputs (and -inf) map to 0; the result is clamped to [0, 0.5]
-    because the fourth band as written would exceed 0.5.
+    Every x >= 25 (+inf included) maps to 0.5, as the fourth band clamps to
+    the 0.5 cap; negative inputs (and -inf) map to 0.
     """
     if math.isnan(x):
         raise DomainError("SNR is NaN")
     if x < 0.0:
         return 0.0
-    if x == math.inf:
-        return 0.5
     if x < 10.0:
-        value = 0.125 + 0.125 * (x - 0.0) / 10.0
-    elif x < 15.0:
-        value = 0.25 + 0.125 * (x - 10.0) / 5.0
-    elif x < 25.0:
-        value = 0.375 + 0.125 * (x - 15.0) / 10.0
-    elif x < 40.0:
-        value = 0.5 + 0.125 * (x - 25.0) / 15.0
-    else:
-        value = 0.5
-    return min(0.5, max(0.0, value))
+        return 0.125 + 0.125 * x / 10.0
+    if x < 15.0:
+        return 0.25 + 0.125 * (x - 10.0) / 5.0
+    if x < 25.0:
+        return 0.375 + 0.125 * (x - 15.0) / 10.0
+    return 0.5
 
 
 def snr_adjustment(snr_normalized: float) -> float:
@@ -327,10 +333,11 @@ def evaluate(
     training-set size.
 
     class_sizes are the per-class (clustering: per-cluster) counts h is
-    computed from; every task but regression needs them, and the caller
-    chooses their source.  `run_curve` counts the whole training pool, or
-    the fitted model's training assignments for clustering; the `evaluate`
-    command counts the predictions file, its y_true (clustering: y_pred).
+    computed from, one per probability column for multiclass; every task
+    but regression needs them, and the caller chooses their source.
+    `run_curve` counts the whole training pool (clustering: the fitted
+    model's training assignments); the `evaluate` command counts the
+    predictions file's y_true (clustering: y_pred).
     """
     y_true, y_pred = _as_equal_length(y_true, y_pred)
     if class_sizes is None and task.has_class_targets:
@@ -338,9 +345,9 @@ def evaluate(
     if y_prob is None and task in (TaskKind.BINARY_CLASSIFICATION, TaskKind.MULTICLASS_CLASSIFICATION):
         raise ConfigurationError(f"{task.value} evaluation needs per-sample predicted probabilities")
     n_classes = np.shape(y_prob)[-1] if task is TaskKind.MULTICLASS_CLASSIFICATION else 2
-    inputs = {"y_true": y_true, "y_pred": y_pred, "y_prob": y_prob}
-    for name, rule in input_rules(task, n_classes).items():
-        _check(name, inputs[name], rule)
+    rules = input_rules(task, n_classes)  # y_prob's and class_sizes' are applied by the code that reads them
+    _check("y_true", y_true, rules["y_true"])
+    _check("y_pred", y_pred, rules["y_pred"])
 
     f = dimensionality_factor(d, n_train)
 
@@ -352,6 +359,8 @@ def evaluate(
     elif task is TaskKind.MULTICLASS_CLASSIFICATION:
         base = accuracy(y_true, y_pred)
         snr_db = snr_multiclass(y_true, y_prob)
+        if np.size(class_sizes) != n_classes:
+            raise ShapeError(f"class_sizes has {np.size(class_sizes)} sizes but y_prob has {n_classes} columns")
         ratio = average_class_imbalance_ratio(class_sizes)
         h = imbalance_adjustment_multiclass(ratio)
     elif task is TaskKind.REGRESSION:

@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .data import Dataset, SampleSchedule, read_columns, split
 from .exceptions import ConfigurationError, DataError, DomainError
-from .factors import SAMPLES_PER_FEATURE, MetricBreakdown, TaskKind, evaluate, integer_rule
+from .factors import _PROBABILITIES, SAMPLES_PER_FEATURE, MetricBreakdown, TaskKind, evaluate, integer_rule
 from .learners import fit_kmeans, fit_linear, fit_logistic
 
 __all__ = [
@@ -246,7 +246,7 @@ def format_series_csv(points: Sequence[CurvePoint], smooth_window: int = 5) -> s
     return "\n".join(lines) + "\n"
 
 
-_UNIT_INTERVAL = ("numbers in [0, 1]", lambda v: (v >= 0.0) & (v <= 1.0))
+_UNIT_INTERVAL = ("numbers in [0, 1]", _PROBABILITIES[1])
 
 
 def parse_series_csv(path: str) -> list[CurvePoint]:
@@ -275,25 +275,16 @@ def parse_series_csv(path: str) -> list[CurvePoint]:
     ]
 
 
-def _stats_lines(name: str, stats: MetricStats, last: bool) -> list[str]:
-    return [
-        f'  "{name}": {{',
-        f'    "overall_avg": {stats.overall_avg:.6f},',
-        f'    "avg_before": {stats.avg_before:.6f},',
-        f'    "avg_after": {stats.avg_after:.6f},',
-        f'    "mad_from_target": {stats.mad_from_target:.6f}',
-        "  }" if last else "  },",
-    ]
-
-
 def format_report_json(report: StabilityReport) -> str:
     """Render a stability report as JSON with fixed 6-decimal reals.
 
-    Hand-formatted so identical reports are byte-identical regardless of
-    platform float repr quirks.
+    Hand-formatted, each stats block MetricStats' fields in order, so identical
+    reports are byte-identical regardless of platform float repr quirks.
     """
-    lines = ["{", f'  "threshold_n_star": {report.threshold_n_star},']
-    lines += _stats_lines("initial", report.initial, last=False)
-    lines += _stats_lines("adjusted", report.adjusted, last=True)
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    blocks = [
+        f'  "{name}": {{\n'
+        + ",\n".join(f'    "{field}": {value:.6f}' for field, value in asdict(stats).items())
+        + "\n  }"
+        for name, stats in (("initial", report.initial), ("adjusted", report.adjusted))
+    ]
+    return "{\n" + f'  "threshold_n_star": {report.threshold_n_star},\n' + ",\n".join(blocks) + "\n}\n"

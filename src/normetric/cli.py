@@ -95,7 +95,7 @@ def _read_predictions(path: str, task: TaskKind) -> dict:
     n_classes = 2
     if task is TaskKind.MULTICLASS_CLASSIFICATION:
         prob_names = sorted(
-            (name for name in header if name.startswith("p_") and name[2:].isdigit()),
+            (name for name in header if name.startswith("p_") and name[2:].isdecimal()),
             key=lambda name: int(name[2:]),
         )
         if not prob_names:

@@ -432,7 +432,11 @@ def synthetic_expand(ds: Dataset, target_n: int, k_neighbors: int, seed: int) ->
     if not 1 <= k_neighbors < ds.n:
         raise DomainError(f"k_neighbors must be in [1, {ds.n - 1}], got {k_neighbors}")
 
-    neighbor_lists = _neighbor_lists(ds, k_neighbors)
+    try:
+        with np.errstate(over="raise"):  # an infinite distance would tie with every other, ranked by position
+            neighbor_lists = _neighbor_lists(ds, k_neighbors)
+    except FloatingPointError:
+        raise DomainError("features too large to compare: the distance between two rows overflows") from None
     rng = np.random.default_rng(seed)
     new_features = np.empty((target_n - ds.n, ds.d))
     new_targets = np.empty(target_n - ds.n, dtype=ds.target.dtype)

@@ -86,10 +86,11 @@ class MetricBreakdown:
 
 
 def integer_rule(requirement: str, low: float = -(2.0**63), high: float = 2.0**63) -> tuple:
-    """A rule of integers in [low, high), by default int64's so that int() of one is exact (NaN fails)."""
-    return requirement, lambda v: np.isfinite(v) & (v == np.trunc(v)) & (v >= low) & (v < high)
+    """A rule of integers in [low, high), by default int64's so that int() of one is exact (NaN and ±inf fail)."""
+    return requirement, lambda v: (v == np.trunc(v)) & (v >= low) & (v < high)
 
 
+_FINITE = ("finite numbers", np.isfinite)
 _PROBABILITIES = ("probabilities in [0, 1]", lambda v: (v >= 0.0) & (v <= 1.0))
 _ROW_SUMS = ("sum to 1 within 1e-6", lambda sums: np.abs(sums - 1.0) <= 1e-6)
 _CLASS_SIZES = integer_rule("integer counts >= 1", 1)
@@ -102,7 +103,7 @@ def input_rules(task: TaskKind, n_classes: int = 2) -> dict[str, tuple]:
     read: y_true and y_pred in evaluate, y_prob (rows: _ROW_SUMS) in the SNRs, class_sizes in the imbalances.
     """
     if task is TaskKind.REGRESSION:
-        return dict.fromkeys(["y_true", "y_pred"], ("finite numbers", np.isfinite))
+        return dict.fromkeys(["y_true", "y_pred"], _FINITE)
     if task is TaskKind.CLUSTERING:
         true_ids = integer_rule("non-negative integer labels", 0)
         return {"y_true": true_ids, "y_pred": integer_rule("integer cluster ids"), "class_sizes": _CLASS_SIZES}
@@ -124,14 +125,14 @@ def _check(name: str, values, rule: tuple) -> None:
 def dimensionality_factor(d: int, n: int) -> float:
     """Boost factor for feature dimensionality relative to sample count.
 
-    Computes 1 + max(0, sigmoid(d / (0.05 * n) - 1) - 0.5).  The ratio
-    d / (0.05 * n) equals 1 when there are exactly 20 samples per feature;
-    at or below that point the factor is exactly 1 (no boost, no penalty),
-    above it the factor grows toward, but never reaches, 1.5.
+    Computes 1 + max(0, sigmoid(d / ((1 / SAMPLES_PER_FEATURE) * n) - 1) - 0.5).
+    The ratio equals 1 when there are exactly SAMPLES_PER_FEATURE samples
+    per feature; at or below that point the factor is exactly 1 (no boost,
+    no penalty), above it the factor grows toward, but never reaches, 1.5.
     """
     if not (0 < d < math.inf and 0 < n < math.inf):
         raise DomainError(f"d and n must be finite and positive, got d={d}, n={n}")
-    ratio = d / (0.05 * n)
+    ratio = d / ((1 / SAMPLES_PER_FEATURE) * n)
     centered = 1.0 / (1.0 + math.exp(-(ratio - 1.0))) - 0.5
     return 1.0 + max(0.0, centered)
 

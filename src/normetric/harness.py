@@ -80,12 +80,17 @@ def derive_seed(master_seed: int, *tags: int) -> int:
     return int(np.random.SeedSequence((master_seed, *tags)).generate_state(1)[0])
 
 
-def _standardize(train: np.ndarray, test: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # z-score both sides with the training subsample's own statistics
-    mean = train.mean(axis=0)
-    std = train.std(axis=0)
-    std = np.where(std == 0.0, 1.0, std)
-    return (train - mean) / std, (test - mean) / std
+def _standardize(train: np.ndarray, test: np.ndarray, names: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    # z-score both sides with the training subsample's own statistics.  A finite std bounds every scaled
+    # training value by sqrt(rows), so an overflow shows as a non-finite std or scaled test value.
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = train.mean(axis=0)
+        std = train.std(axis=0)
+        std = np.where(std == 0.0, 1.0, std)
+        scaled = (train - mean) / std, (test - mean) / std
+    if not (fits := np.isfinite(std) & np.isfinite(scaled[1]).all(axis=0)).all():
+        raise DomainError(f"feature column {names[int(np.argmin(fits))]!r} is too large to standardize")
+    return scaled
 
 
 def run_curve(
@@ -125,7 +130,7 @@ def run_curve(
 
     points = []
     for size in sched.sizes:
-        X_train, X_test = _standardize(pool.features[:size], test.features)
+        X_train, X_test = _standardize(pool.features[:size], test.features, ds.feature_names)
         y_train = pool.target[:size]
         fit_seed = derive_seed(seed, 1, size)
         if task is TaskKind.REGRESSION:

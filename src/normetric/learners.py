@@ -14,6 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .exceptions import DegenerateDistributionError, DivergenceError, DomainError, ShapeError
+from .factors import _FINITE, _check
 
 __all__ = [
     "LinearModel",
@@ -82,11 +83,17 @@ class KMeansModel:
         return _nearest_centroid(np.asarray(X, dtype=float), self.centroids)
 
 
-def _check_2d_features(X) -> np.ndarray:
+def _fit_inputs(X, y=None, y_dtype=float) -> tuple:
+    """X as a non-empty 2-D float matrix of finite numbers, and y, if given, as one value per row."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise ShapeError(f"feature matrix must be 2-D, got ndim={X.ndim}")
-    return X
+    if X.shape[0] == 0:
+        raise DomainError("cannot fit on an empty dataset")
+    if y is not None and (y := np.asarray(y, dtype=y_dtype)).shape != (X.shape[0],):
+        raise ShapeError(f"y must have one value per row, got {y.shape} for {X.shape[0]} rows")
+    _check("X", X, _FINITE)
+    return X, y
 
 
 def fit_linear(X: np.ndarray, y: np.ndarray) -> LinearModel:
@@ -97,12 +104,7 @@ def fit_linear(X: np.ndarray, y: np.ndarray) -> LinearModel:
     which keeps coefficients finite while leaving predictions on clean data
     effectively unchanged.
     """
-    X = _check_2d_features(X)
-    y = np.asarray(y, dtype=float)
-    if X.shape[0] == 0:
-        raise DomainError("cannot fit on an empty dataset")
-    if y.shape != (X.shape[0],):
-        raise ShapeError(f"y must have one value per row, got {y.shape} for {X.shape[0]} rows")
+    X, y = _fit_inputs(X, y)
 
     augmented = np.column_stack([X, np.ones(X.shape[0])])
     gram = augmented.T @ augmented
@@ -226,12 +228,7 @@ def fit_logistic(
     folded over the class columns.  A run that overflows, or ends with
     non-finite weights, raises DivergenceError.
     """
-    X = _check_2d_features(X)
-    y = np.asarray(y, dtype=int)
-    if X.shape[0] == 0:
-        raise DomainError("cannot fit on an empty dataset")
-    if y.shape != (X.shape[0],):
-        raise ShapeError(f"y must have one label per row, got {y.shape} for {X.shape[0]} rows")
+    X, y = _fit_inputs(X, y, int)
     if epochs < 1:
         raise DomainError(f"epochs must be >= 1, got {epochs}")
     if learning_rate <= 0:
@@ -245,34 +242,26 @@ def fit_logistic(
 
     rng = np.random.default_rng(seed)
     d = X.shape[1]
+    if n_classes == 2:
+        W, b, targets = 0.01 * rng.standard_normal(d), 0.0, y.astype(float)
+        grads, work = _binary_grads, (np.empty(y.size), np.empty(y.size))
+    else:
+        W, b = 0.01 * rng.standard_normal((n_classes, d)), np.zeros(n_classes)
+        targets = np.zeros((y.size, n_classes))
+        targets[np.arange(y.size), y] = 1.0
+        grads, work = _softmax_grads, np.empty((y.size, n_classes))
     try:
         with np.errstate(all="raise", under="ignore"):
-            if n_classes == 2:
-                w = 0.01 * rng.standard_normal(d)
-                b = 0.0
-                yf = y.astype(float)
-                work = (np.empty(y.size), np.empty(y.size))
-                for _ in range(epochs):
-                    grad_w, grad_b = _binary_grads(w, b, X, yf, work)
-                    w = w - learning_rate * grad_w
-                    b = b - learning_rate * grad_b
-                model = LogisticModel(weights=w[np.newaxis, :], intercepts=np.array([b]), n_classes=2)
-            else:
-                W = 0.01 * rng.standard_normal((n_classes, d))
-                b = np.zeros(n_classes)
-                onehot = np.zeros((y.size, n_classes))
-                onehot[np.arange(y.size), y] = 1.0
-                work = np.empty((y.size, n_classes))
-                for _ in range(epochs):
-                    grad_W, grad_b = _softmax_grads(W, b, X, onehot, work)
-                    W = W - learning_rate * grad_W
-                    b = b - learning_rate * grad_b
-                model = LogisticModel(weights=W, intercepts=b, n_classes=n_classes)
+            for _ in range(epochs):
+                grad_W, grad_b = grads(W, b, X, targets, work)
+                W = W - learning_rate * grad_W
+                b = b - learning_rate * grad_b
+        finite = np.isfinite(W).all() and np.isfinite(b).all()
     except FloatingPointError:
-        model = None
-    if model is None or not (np.isfinite(model.weights).all() and np.isfinite(model.intercepts).all()):
+        finite = False
+    if not finite:
         raise DivergenceError(f"fit diverged at training size {y.size}, learning rate {learning_rate!r}")
-    return model
+    return LogisticModel(weights=np.atleast_2d(W), intercepts=np.atleast_1d(b), n_classes=n_classes)
 
 
 def _nearest_centroid(X: np.ndarray, centroids: np.ndarray) -> np.ndarray:
@@ -289,7 +278,7 @@ def fit_kmeans(X: np.ndarray, k: int, seed: int = 0) -> KMeansModel:
     reseed in the same round.  Iteration stops when assignments stop changing or
     after KMEANS_MAX_ITERS rounds; the result is deterministic given the seed.
     """
-    X = _check_2d_features(X)
+    X, _ = _fit_inputs(X)
     n = X.shape[0]
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")

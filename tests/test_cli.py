@@ -32,6 +32,18 @@ def blobs_csv(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def huge_csv(tmp_path):
+    """200 rows whose x0 is drawn from -1.5e308, 1.5e308 and 1.7e308, so a sum of two of them can overflow."""
+    rng = np.random.default_rng(0)
+    x0 = rng.choice([-1.5e308, 1.5e308, 1.7e308], size=200).tolist()
+    x1 = rng.standard_normal(200).tolist()
+    path = tmp_path / "huge.csv"
+    path.write_text("x0,x1,label\n" + "".join(f"{a!r},{b!r},{i % 2}\n" for i, (a, b) in enumerate(zip(x0, x1))),
+                    encoding="utf-8")
+    return str(path)
+
+
 BINARY_ROWS = ["y_true,y_pred,y_prob", "0,0,0.9", "1,1,0.8", "0,1,0.6", "1,0,0.7"]
 SERIES_ROWS = [
     "train_size,base_metric,adjusted_metric,f,g,h,snr_db,snr_normalized,imbalance_ratio,base_smoothed,adjusted_smoothed",
@@ -339,6 +351,18 @@ class TestEvaluate:
         assert code == 1
         assert "usage" in capsys.readouterr().err
 
+    def test_probability_column_named_with_a_non_ascii_digit_is_ignored(self, tmp_path, capsys):
+        """p_² passes str.isdigit but not int(): like p_x, it is not a probability column."""
+        outputs = []
+        for name in ("p_x", "p_²"):
+            path = tmp_path / "mc.csv"
+            rows = [MULTICLASS_ROWS[0] + f",{name}"] + [row + ",7" for row in MULTICLASS_ROWS[1:]]
+            path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+            code = main(["evaluate", "--task", "multiclass", "--predictions", str(path), "--d", "2", "--n", "10"])
+            outputs.append((code, capsys.readouterr()))
+        assert outputs[0][0] == 0
+        assert outputs[1] == outputs[0]
+
     def test_unknown_task_is_a_usage_error(self, binary_preds, capsys):
         code = main([
             "evaluate", "--task", "ordinal", "--predictions", binary_preds,
@@ -439,6 +463,20 @@ class TestCurve:
         assert code == 3
         assert "fit diverged at training size 30, learning rate 1e+308" in err
         assert "Warning" not in err and not caught
+
+    @pytest.mark.parametrize("task", ["binary", "regression", "clustering"])
+    def test_features_too_large_to_standardize_exit_3_naming_the_column(self, huge_csv, capsys, task):
+        """Not an overflow warning followed by a divergence, a NaN prediction or a one-cluster fit."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([
+                "curve", "--task", task, "--data", huge_csv, "--target-column", "label",
+                "--start", "30", "--stop", "90", "--step", "30", "--epochs", "5",
+            ])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err == "normetric: error: feature column 'x0' is too large to standardize\n"
+        assert not caught
 
     def test_even_smooth_window_is_domain_error(self, blobs_csv, tmp_path, capsys):
         code = main([
@@ -629,6 +667,21 @@ class TestExpand:
             "--target-n", "10", "--out", str(tmp_path / "o.csv"),
         ])
         assert code == 3
+
+    def test_features_whose_distances_overflow_exit_3(self, huge_csv, tmp_path, capsys):
+        """Not overflow warnings followed by infinite-distance ties ranked by position and exit 0."""
+        out = tmp_path / "big.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([
+                "expand", "--task", "binary", "--data", huge_csv, "--target-column", "label",
+                "--target-n", "300", "--out", str(out),
+            ])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "normetric: error: features too large to compare: the distance between two rows overflows\n"
+        )
+        assert not caught and not out.exists()
 
 
 def _dataset_lines(tmp_path):

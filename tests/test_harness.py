@@ -27,6 +27,7 @@ from normetric import (
     smooth,
     stability_report,
 )
+from normetric.harness import _standardize
 
 
 def make_point(size, base, adjusted):
@@ -273,3 +274,15 @@ def test_derive_seed_is_stable_and_tag_sensitive():
     assert derive_seed(42, 1, 80) == derive_seed(42, 1, 80)
     assert derive_seed(42, 1, 80) != derive_seed(42, 1, 100)
     assert derive_seed(42, 0) != derive_seed(43, 0)
+
+
+@pytest.mark.parametrize("train, test", [
+    ([1.5e308, 1.7e308], [0.0]),  # the training sum overflows, so mean and std do
+    ([1e200, -1e200], [0.0]),  # the mean is 0, but the squares overflow the std
+    ([-0.9e308, -0.8e308], [1.7e308]),  # finite statistics, but 1.7e308 - (-0.85e308) overflows
+], ids=["training-mean", "training-std", "test-side"])
+def test_a_column_too_large_to_standardize_is_named(train, test):
+    """Column 1 holds the values; column 0 is ordinary, so the message must point past it."""
+    train, test = np.column_stack([[0.0, 1.0], train]), np.column_stack([[0.5] * len(test), test])
+    with pytest.raises(DomainError, match=r"^feature column 'big' is too large to standardize$"):
+        _standardize(train, test, ["small", "big"])

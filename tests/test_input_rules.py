@@ -71,16 +71,35 @@ def test_each_rule_is_applied_once_per_evaluate_call(task, monkeypatch):
     (BINARY, [math.nan, 2], DomainError, "class_sizes must hold integer counts >= 1; class_sizes[0] is nan"),
     (BINARY, [2, math.nan], DomainError, "class_sizes must hold integer counts >= 1; class_sizes[1] is nan"),
     (BINARY, [math.inf, 2], DomainError, "class_sizes must hold integer counts >= 1; class_sizes[0] is inf"),
+    (BINARY, [2, -math.inf], DomainError, "class_sizes must hold integer counts >= 1; class_sizes[1] is -inf"),
+    (CLUSTERING, [3, math.nan], DomainError, "class_sizes must hold integer counts >= 1; class_sizes[1] is nan"),
+    (CLUSTERING, [-math.inf, 1], DomainError, "class_sizes must hold integer counts >= 1; class_sizes[0] is -inf"),
     (BINARY, [2.5, 1.5], DomainError, "class_sizes must hold integer counts >= 1; class_sizes[0] is 2.5"),
     (MULTICLASS, [1, 1, math.inf], DomainError, "class_sizes must hold integer counts >= 1; class_sizes[2] is inf"),
     (MULTICLASS, [1, 1, 1, 50], ShapeError, "class_sizes has 4 sizes but y_prob has 3 columns"),
-], ids=["binary-nan-first", "binary-nan-second", "binary-inf", "binary-fractional", "multiclass-inf",
-        "multiclass-extra-class"])
+], ids=["binary-nan-first", "binary-nan-second", "binary-inf", "binary-minus-inf", "clustering-nan",
+        "clustering-minus-inf", "binary-fractional", "multiclass-inf", "multiclass-extra-class"])
 def test_class_sizes_outside_their_rule_raise(task, class_sizes, error, message):
     arguments = dict(VALID[task], class_sizes=class_sizes)
     with pytest.raises(error) as raised:
         evaluate(task, d=2, n_train=30, **arguments)  # a RuntimeWarning would fail this too
     assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("value", [-math.inf, math.inf, math.nan], ids=["-inf", "+inf", "nan"])
+@pytest.mark.parametrize("task, name, requirement", [
+    (BINARY, "y_true", "labels 0 or 1"),
+    (MULTICLASS, "y_pred", "integer labels in [0, 3)"),
+    (CLUSTERING, "y_true", "non-negative integer labels"),
+    (CLUSTERING, "y_pred", "integer cluster ids"),
+], ids=["binary-labels", "multiclass-labels", "clustering-labels", "cluster-ids"])
+def test_integer_rules_refuse_every_non_finite_value(task, name, requirement, value):
+    """NaN fails the integer test, +inf the upper bound and -inf the lower one."""
+    arguments = dict(VALID[task])
+    arguments[name] = [arguments[name][0], value] + list(arguments[name][2:])
+    with pytest.raises(DomainError) as raised:
+        evaluate(task, d=2, n_train=30, **arguments)
+    assert str(raised.value) == f"{name} must hold {requirement}; {name}[1] is {value!r}"
 
 
 @pytest.mark.parametrize("y_true, y_prob, message", [

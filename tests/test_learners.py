@@ -226,14 +226,14 @@ def test_logistic_rejects_degenerate_labels():
 
 @pytest.mark.parametrize("n_classes", [2, 3])
 def test_logistic_divergence_is_reported(n_classes):
-    """An overflowing run, or one fed a NaN feature, raises instead of returning junk weights."""
+    """An overflowing run raises instead of returning junk weights; a NaN feature is refused before it runs."""
     rng = np.random.default_rng(4)
     X = 1e10 * rng.standard_normal((40, 3))  # the first step, about 1e300 * 1e10, overflows
     y = np.arange(40) % n_classes
     with pytest.raises(DivergenceError, match="training size 40, learning rate 1e\\+300"):
         fit_logistic(X, y, n_classes, epochs=50, learning_rate=1e300)
     X[5, 1] = np.nan
-    with pytest.raises(DivergenceError):
+    with pytest.raises(DomainError, match=r"^X must hold finite numbers; X\[5\] is "):
         fit_logistic(X, y, n_classes, epochs=5)
 
 
@@ -245,6 +245,40 @@ def test_logits_that_overflow_are_a_domain_error():
     assert np.abs(model.weights).max() > 1e307
     with pytest.raises(DomainError, match="too large to score"):
         model.predict_proba(ds.features)
+
+
+# each learner fitted on a feature matrix, with labels or a k that suit any row count
+FITS = {
+    "linear": lambda X: fit_linear(X, np.arange(len(X), dtype=float)),
+    "sigmoid": lambda X: fit_logistic(X, np.arange(len(X)) % 2, 2, epochs=5),
+    "softmax": lambda X: fit_logistic(X, np.arange(len(X)) % 3, 3, epochs=5),
+    "kmeans": lambda X: fit_kmeans(X, 2),
+}
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+@pytest.mark.parametrize("fit", FITS.values(), ids=FITS.keys())
+def test_non_finite_features_are_a_domain_error_naming_the_first_bad_row(fit, value):
+    """Not NaN weights, a NaN centroid or a reported divergence, but the row at fault."""
+    X = np.random.default_rng(3).standard_normal((12, 3))
+    X[7, 0] = X[5, 2] = value
+    with pytest.raises(DomainError) as raised:
+        fit(X)
+    assert str(raised.value) == f"X must hold finite numbers; X[5] is {X[5].tolist()!r}"
+
+
+@pytest.mark.parametrize("fit", FITS.values(), ids=FITS.keys())
+def test_every_fit_refuses_an_empty_or_one_dimensional_feature_matrix_alike(fit):
+    with pytest.raises(DomainError, match="^cannot fit on an empty dataset$"):
+        fit(np.empty((0, 3)))
+    with pytest.raises(ShapeError, match="^feature matrix must be 2-D, got ndim=1$"):
+        fit(np.zeros(6))
+
+
+def test_labels_and_targets_need_one_value_per_row():
+    for fit in (fit_linear, lambda X, y: fit_logistic(X, y, 2)):
+        with pytest.raises(ShapeError, match=r"^y must have one value per row, got \(3,\) for 4 rows$"):
+            fit(np.zeros((4, 2)), np.array([0, 1, 0]))
 
 
 def test_kmeans_two_obvious_clusters():

@@ -82,10 +82,12 @@ def _read_predictions(path: str, task: TaskKind) -> dict:
 
     Expected columns: y_true and y_pred always; y_prob (probability of the
     predicted class) for binary; p_0..p_{C-1} probability vectors for
-    multiclass.  Clustering files carry cluster ids, any integers, in
-    y_pred.  Each column must hold its rule in factors.input_rules (binary
-    labels 0 or 1, say), and each row of p_0..p_{C-1} must sum to 1 within
-    1e-6.  A breach is a DataError naming the first bad data row.
+    multiclass, each class number in ASCII digits with no leading zero
+    (a p_02 column is a DataError).  Clustering files carry cluster ids,
+    any integers, in y_pred.  Each column must hold its rule in
+    factors.input_rules (binary labels 0 or 1, say), and each row of
+    p_0..p_{C-1} must sum to 1 within 1e-6.  A breach is a DataError
+    naming the first bad data row.
 
     The class sizes for h are counted from this file: y_true per class
     0..C-1 for classification, where each class must occur, and y_pred per
@@ -98,6 +100,9 @@ def _read_predictions(path: str, task: TaskKind) -> dict:
             (name for name in header if name.startswith("p_") and name[2:].isdecimal()),
             key=lambda name: int(name[2:]),
         )
+        for name in prob_names:  # p_02 or p_٢ would pass for p_2
+            if name[2:] != str(int(name[2:])):
+                raise DataError(f"probability column {name!r} of {path} must be named p_{int(name[2:])}")
         if not prob_names:
             raise DataError(f"predictions file {path} lacks p_0..p_(C-1) columns")
         if [int(name[2:]) for name in prob_names] != list(range(len(prob_names))):

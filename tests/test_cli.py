@@ -3,6 +3,8 @@
 import csv
 import io
 import json
+import multiprocessing
+import os
 import warnings
 from unittest import mock
 
@@ -274,9 +276,14 @@ class TestEvaluate:
          "data row 3 of {path} ends after field 1; column 'y_pred' is field 2"),
         ("multiclass", ["y_true,y_pred,p_0,p_2", "0,0,0.9,0.1", "1,1,0.1,0.9"],
          "probability columns of {path} must be contiguous p_0..p_(C-1), got ['p_0', 'p_2']"),
+        ("multiclass", [MULTICLASS_ROWS[0].replace("p_2", "p_02")] + MULTICLASS_ROWS[1:],
+         "probability column 'p_02' of {path} must be named p_2"),
+        ("multiclass", [MULTICLASS_ROWS[0].replace("p_2", "p_\u0662")] + MULTICLASS_ROWS[1:],  # Arabic-Indic two
+         "probability column 'p_\u0662' of {path} must be named p_2"),
     ], ids=["not-a-number", "short-row", "label-out-of-range", "probability-above-one", "row-sum",
             "absent-class", "bad-cell-after-blank-and-long-rows", "short-row-after-long-and-blank-rows",
-            "probability-columns-not-contiguous"])
+            "probability-columns-not-contiguous", "probability-column-with-a-leading-zero",
+            "probability-column-in-arabic-indic-digits"])
     def test_each_input_rule_reads_the_same_through_both_tokenizers(self, tmp_path, capsys, task, rows, message):
         """One mutation of a valid file per documented rule, read plain and through csv.reader.
 
@@ -463,6 +470,21 @@ class TestCurve:
         assert code == 3
         assert "fit diverged at training size 30, learning rate 1e+308" in err
         assert "Warning" not in err and not caught
+
+    def test_a_divergence_in_a_worker_reads_as_in_the_serial_loop(self, tmp_path, capsys, monkeypatch):
+        """Workers fit the largest size first, yet the error names the first size of the schedule."""
+        path = tmp_path / "data.csv"
+        save_csv(make_binary_classification(300, d=3, seed=0), str(path))
+        argv = ["curve", "--task", "binary", "--data", str(path), "--target-column", "label",
+                "--start", "30", "--stop", "150", "--step", "30", "--epochs", "50", "--lr", "1e308"]
+        outcomes = []
+        for cores in ({0, 1, 2}, {0}):  # three workers, then the serial loop
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cores=cores: cores)
+            outcomes.append((main(argv), capsys.readouterr()))
+            assert multiprocessing.active_children() == []
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] == 3
+        assert outcomes[0][1].err == "normetric: error: fit diverged at training size 30, learning rate 1e+308\n"
 
     @pytest.mark.parametrize("task", ["binary", "regression", "clustering"])
     def test_features_too_large_to_standardize_exit_3_naming_the_column(self, huge_csv, capsys, task):

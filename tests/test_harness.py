@@ -1,7 +1,13 @@
 """Unit tests for the learning-curve harness and the stability report."""
 
+import concurrent.futures
 import dataclasses
 import math
+import multiprocessing
+import os
+import pickle
+import signal
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -12,6 +18,7 @@ from normetric import (
     ConfigurationError,
     CurvePoint,
     DataError,
+    Dataset,
     DomainError,
     LearnerConfig,
     MetricBreakdown,
@@ -19,6 +26,8 @@ from normetric import (
     derive_seed,
     format_report_json,
     format_series_csv,
+    harness,
+    make_binary_classification,
     make_blobs,
     make_regression,
     parse_series_csv,
@@ -98,6 +107,94 @@ class TestRunCurve:
         ds = make_blobs(200, d=2, n_classes=3, seed=12, task=TaskKind.CLUSTERING)
         with pytest.raises(DomainError):
             run_curve(ds, schedule(60, 120, 30), TaskKind.CLUSTERING, LearnerConfig(n_clusters=0), seed=3)
+
+
+def _usable_cores(monkeypatch, cores):
+    """run_curve starts one worker per usable core, up to one per size; {0} means the serial loop."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cores))
+
+
+def _raise_timeout(signum, frame):
+    raise TimeoutError("run_curve still waiting after 60 s")
+
+
+class TestForkedCurve:
+    CURVES = {
+        TaskKind.BINARY_CLASSIFICATION: (
+            make_binary_classification(300, d=3, seed=1), schedule(30, 150, 30), LearnerConfig(epochs=60)),
+        TaskKind.MULTICLASS_CLASSIFICATION: (
+            make_blobs(300, d=3, n_classes=3, seed=2), schedule(30, 150, 30), LearnerConfig(epochs=60)),
+        TaskKind.REGRESSION: (make_regression(200, d=3, seed=3), schedule(20, 100, 20), LearnerConfig()),
+        TaskKind.CLUSTERING: (
+            make_blobs(300, d=2, n_classes=3, seed=4, task=TaskKind.CLUSTERING), schedule(60, 180, 30),
+            LearnerConfig(n_clusters=3)),
+    }
+
+    @pytest.mark.parametrize("task", list(CURVES), ids=lambda task: task.value)
+    def test_workers_give_the_serial_points_bit_for_bit(self, monkeypatch, task):
+        """Three workers (more than this host may have cores) against the serial loop in this process."""
+        ds, sched, config = self.CURVES[task]
+        pools = []
+
+        class Recorded(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers, *args):
+                pools.append(max_workers)
+                super().__init__(max_workers, *args)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorded)
+        _usable_cores(monkeypatch, {0, 1, 2})
+        forked = run_curve(ds, sched, task, config, seed=5)
+        assert multiprocessing.active_children() == []
+        _usable_cores(monkeypatch, {0})
+        serial = run_curve(ds, sched, task, config, seed=5)
+        assert pools == [3]
+        assert [p.train_size for p in forked] == list(sched.sizes)
+        assert pickle.dumps(forked) == pickle.dumps(serial)
+        assert format_series_csv(forked) == format_series_csv(serial)
+
+    def test_a_pool_worker_runs_the_serial_loop(self, monkeypatch):
+        """A multiprocessing.Pool worker is daemonic, and a daemonic process may not start workers."""
+        ds, sched, config = self.CURVES[TaskKind.REGRESSION]
+        _usable_cores(monkeypatch, {0, 1})
+        pool = multiprocessing.get_context("fork").Pool(1)
+        try:
+            inside = pool.apply_async(run_curve, (ds, sched, TaskKind.REGRESSION, config, 5)).get(timeout=60)
+        finally:
+            pool.terminate()
+            pool.join()
+        assert pickle.dumps(inside) == pickle.dumps(run_curve(ds, sched, TaskKind.REGRESSION, config, seed=5))
+        assert multiprocessing.active_children() == []
+
+    def test_a_column_too_large_to_standardize_is_named_from_a_worker(self, monkeypatch):
+        rng = np.random.default_rng(0)
+        ds = Dataset(["x0", "x1"], np.column_stack([rng.choice([-1.5e308, 1.5e308, 1.7e308], size=200),
+                                                    rng.standard_normal(200)]),
+                     np.arange(200, dtype=float), TaskKind.REGRESSION)
+        _usable_cores(monkeypatch, {0, 1})
+        with pytest.raises(DomainError, match=r"^feature column 'x0' is too large to standardize$"):
+            run_curve(ds, schedule(40, 160, 40), TaskKind.REGRESSION, seed=0)
+        assert multiprocessing.active_children() == []
+
+    def test_a_killed_worker_ends_the_curve_with_an_error(self, monkeypatch):
+        ds, sched, config = self.CURVES[TaskKind.BINARY_CLASSIFICATION]
+        parent, fit = os.getpid(), harness.fit_logistic
+
+        def killed_at_90_rows(X, *args, **kwargs):
+            if os.getpid() != parent and len(X) == 90:  # never this process
+                os.kill(os.getpid(), signal.SIGKILL)
+            return fit(X, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "fit_logistic", killed_at_90_rows)
+        _usable_cores(monkeypatch, {0, 1})
+        previous = signal.signal(signal.SIGALRM, _raise_timeout)
+        signal.alarm(60)
+        try:
+            with pytest.raises(BrokenProcessPool):
+                run_curve(ds, sched, TaskKind.BINARY_CLASSIFICATION, config, seed=5)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert multiprocessing.active_children() == []
 
 
 class TestSmooth:

@@ -1,7 +1,9 @@
 """Command-line front end: evaluate, curve, expand, and report subcommands.
 
 Exit codes: 0 success, 1 usage error (a numeric flag outside its own domain
-included), 2 data error (bad or missing files), 3 numeric or domain error.
+included), 2 data error (bad or missing files), 3 numeric or domain error,
+4 a worker process died (killed, or out of memory) during `curve`'s fits
+or `expand`'s neighbour scan.
 Diagnostics go to stderr; results go to stdout or to the requested output
 files.
 """
@@ -18,7 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .data import Dataset, load_csv, read_columns, save_csv, schedule, synthetic_expand
-from .exceptions import DataError, NormetricError
+from .exceptions import DataError, NormetricError, WorkerError
 from .factors import _ROW_SUMS, MetricBreakdown, TaskKind, evaluate, input_rules
 from .harness import (
     LearnerConfig,
@@ -33,6 +35,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
+EXIT_WORKER = 4
 
 
 class _UsageError(Exception):
@@ -269,7 +272,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_DATA
     except (NormetricError, ValueError, ArithmeticError) as exc:
         print(f"normetric: error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        return EXIT_WORKER if isinstance(exc, WorkerError) else EXIT_NUMERIC
 
 
 if __name__ == "__main__":

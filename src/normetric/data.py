@@ -13,6 +13,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
+from ._fork import map_on_cores
 from .exceptions import DataError, DomainError
 from .factors import TaskKind
 
@@ -364,49 +365,71 @@ def split(ds: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Datase
 
 # float temporaries per block of the neighbour scan (512 KB each, whatever the pool size)
 _SCAN_BLOCK_FLOATS = 2**16
+# a scan of fewer blocks runs in this process: starting the workers costs 15-80 ms, a block about 0.5 ms
+_FORK_BLOCKS = 192
+_JOB_BLOCKS = 32  # blocks per job of a forked scan
 
 
-def _pool_neighbors(features: np.ndarray, k: int) -> np.ndarray:
-    """Row i lists the positions of the k rows nearest to row i, itself excluded.
+def _block_rows(m: int, d: int) -> int:  # anchor rows per block of a scan over m rows of d features
+    return max(1, _SCAN_BLOCK_FLOATS // max(1, m * d))
 
-    Neighbours are ordered by (Euclidean distance, position), the order a
-    stable sort of the distances gives, so ties go to the lower position.
-    A pool of one row lists that row itself; a pool of m <= k rows lists
-    the other m - 1.
+
+def _pool_neighbors(shared: tuple, job: tuple[int, int, int]) -> np.ndarray:
+    """Rows lo..hi-1 of a pool's neighbour table; shared is (features, pools, k) and job (pool, lo, hi).
+
+    Row i - lo lists the positions of the k pool rows nearest to row i, itself excluded, ordered by
+    (Euclidean distance, position), as a stable sort of the distances orders them, so ties go to the lower
+    position.  A pool of one row lists that row itself; a pool of m <= k rows lists the other m - 1.  A
+    distance that overflows raises FloatingPointError.
     """
+    features, pools, k = shared
+    at, lo, hi = job
+    features = features[pools[at]]
     m, d = features.shape
     if m == 1:
         return np.zeros((1, 1), dtype=np.intp)
     k = min(k, m - 1)
-    step = max(1, _SCAN_BLOCK_FLOATS // max(1, m * d))
-    table = np.empty((m, k), dtype=np.intp)
-    for start in range(0, m, step):
-        block = features[start:start + step]
-        b = block.shape[0]
-        diff = features - block[:, np.newaxis, :]
-        # the very sum np.linalg.norm takes, so distances match it bit for bit
-        distances = np.sqrt(np.add.reduce(np.square(diff, out=diff), axis=-1))
-        # the k nearest others lie within the (k+1)-th smallest distance, self included
-        cutoff = np.partition(distances, k, axis=1)[:, k:k + 1]
-        candidate = (distances <= cutoff) | np.isnan(cutoff)
-        candidate[np.arange(b), np.arange(start, start + b)] = False
-        rows, cols = np.nonzero(candidate)
-        order = np.lexsort((cols, distances[rows, cols], rows))
-        counts = np.bincount(rows, minlength=b)
-        rank = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
-        table[start:start + b] = cols[order][rank < k].reshape(b, k)
+    step = _block_rows(m, d)
+    table = np.empty((hi - lo, k), dtype=np.intp)
+    with np.errstate(over="raise"):  # an infinite distance would tie with every other, ranked by position
+        for start in range(lo, hi, step):
+            block = features[start:min(start + step, hi)]
+            b = block.shape[0]
+            diff = features - block[:, np.newaxis, :]
+            # the very sum np.linalg.norm takes, so distances match it bit for bit
+            distances = np.sqrt(np.add.reduce(np.square(diff, out=diff), axis=-1))
+            # the k nearest others lie within the (k+1)-th smallest distance, self included
+            cutoff = np.partition(distances, k, axis=1)[:, k:k + 1]
+            candidate = (distances <= cutoff) | np.isnan(cutoff)
+            candidate[np.arange(b), np.arange(start, start + b)] = False
+            rows, cols = np.nonzero(candidate)
+            order = np.lexsort((cols, distances[rows, cols], rows))
+            counts = np.bincount(rows, minlength=b)
+            rank = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
+            table[start - lo:start - lo + b] = cols[order][rank < k].reshape(b, k)
     return table
 
 
 def _neighbor_lists(ds: Dataset, k: int) -> list[np.ndarray]:
-    """Each row's k nearest rows, by index, within its class (or all rows)."""
+    """Each row's k nearest rows, by index, within its class (or all rows).
+
+    A scan of _FORK_BLOCKS blocks or more is cut into jobs of whole blocks for the usable cores: an
+    anchor's neighbours depend on its own row of distances alone, so any cut gives the same bits.
+    """
     if ds.task.has_class_targets:
         pools = [np.flatnonzero(ds.target == label) for label in np.unique(ds.target)]
     else:
         pools = [np.arange(ds.n)]
+    fork = sum(-(-pool.size // _block_rows(pool.size, ds.d)) for pool in pools) >= _FORK_BLOCKS
+    jobs = []
+    for at, pool in enumerate(pools):
+        span = _block_rows(pool.size, ds.d) * _JOB_BLOCKS if fork else pool.size
+        jobs += [(at, lo, min(lo + span, pool.size)) for lo in range(0, pool.size, span)]
+    costs = [(hi - lo) * pools[at].size for at, lo, hi in jobs]
+    tables = map_on_cores(_pool_neighbors, (ds.features, pools, k), jobs, costs, "the neighbour scan ended", fork)
     neighbor_lists: list[np.ndarray] = [np.empty(0, dtype=np.intp)] * ds.n
-    for pool in pools:
-        for i, nearest in zip(pool.tolist(), pool[_pool_neighbors(ds.features[pool], k)]):
+    for (at, lo, hi), table in zip(jobs, tables):
+        for i, nearest in zip(pools[at][lo:hi].tolist(), pools[at][table]):
             neighbor_lists[i] = nearest
     return neighbor_lists
 
@@ -425,7 +448,9 @@ def synthetic_expand(ds: Dataset, target_n: int, k_neighbors: int, seed: int) ->
     The scan is exact and so quadratic in the class size m: each class's
     anchors are processed in blocks of about 2**16 // (m * d) rows, which
     caps each float temporary at 2**16 elements (512 KB) however large
-    the class.
+    the class.  A scan of 192 blocks or more (three classes of 700 rows at
+    d = 8, say) runs on every usable core in forked workers, with the same
+    bits; a smaller one runs here.  A worker that dies raises WorkerError.
     """
     if target_n <= ds.n:
         raise DomainError(f"target_n must exceed the current {ds.n} rows, got {target_n}")
@@ -433,8 +458,7 @@ def synthetic_expand(ds: Dataset, target_n: int, k_neighbors: int, seed: int) ->
         raise DomainError(f"k_neighbors must be in [1, {ds.n - 1}], got {k_neighbors}")
 
     try:
-        with np.errstate(over="raise"):  # an infinite distance would tie with every other, ranked by position
-            neighbor_lists = _neighbor_lists(ds, k_neighbors)
+        neighbor_lists = _neighbor_lists(ds, k_neighbors)
     except FloatingPointError:
         raise DomainError("features too large to compare: the distance between two rows overflows") from None
     rng = np.random.default_rng(seed)

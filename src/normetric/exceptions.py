@@ -2,7 +2,7 @@
 
 __all__ = [
     "NormetricError", "DomainError", "ShapeError", "DegenerateDistributionError",
-    "ConfigurationError", "DataError", "DivergenceError",
+    "ConfigurationError", "DataError", "DivergenceError", "WorkerError",
 ]
 
 
@@ -32,3 +32,7 @@ class DataError(NormetricError, ValueError):
 
 class DivergenceError(NormetricError, ArithmeticError):
     """Gradient descent overflowed or ended with non-finite weights (e.g. a learning rate far too large)."""
+
+
+class WorkerError(NormetricError):
+    """A worker process died before it returned its result (killed, or out of memory)."""

@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-import os
 from dataclasses import asdict, dataclass
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from ._fork import map_on_cores
 from .data import Dataset, SampleSchedule, read_columns, split
 from .exceptions import ConfigurationError, DataError, DomainError
 from .factors import _PROBABILITIES, SAMPLES_PER_FEATURE, MetricBreakdown, TaskKind, evaluate, integer_rule
@@ -139,18 +139,6 @@ def _curve_point(job: _CurveJob, size: int) -> CurvePoint:
     return CurvePoint(size, evaluate(task, test.target, preds, d, size, **scoring))
 
 
-_worker_job: Optional[_CurveJob] = None  # in a curve's worker process, the curve it fits points of
-
-
-def _start_worker(job: _CurveJob) -> None:
-    global _worker_job
-    _worker_job = job
-
-
-def _worker_point(size: int) -> CurvePoint:
-    return _curve_point(_worker_job, size)
-
-
 def run_curve(
     ds: Dataset,
     sched: SampleSchedule,
@@ -174,7 +162,8 @@ def run_curve(
     (os.sched_getaffinity), largest first.  With one usable core, or in a
     daemonic process, they are fitted in this process, in order.  Either
     way the points are the same bits, and a failure raises the error of
-    the first failing size in schedule order.
+    the first failing size in schedule order; a worker that dies raises
+    WorkerError.
     """
     config = config if config is not None else LearnerConfig()
     train, test = split(ds, config.test_fraction, seed)
@@ -192,24 +181,9 @@ def run_curve(
             pool_sizes = np.bincount(pool.target.astype(int), minlength=n_classes)
     k = config.n_clusters if config.n_clusters is not None else n_classes  # default: one per true class
 
-    # imported here: evaluate, expand and report would pay some 30 ms to import them at start-up
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
     job = _CurveJob(pool, test, task, config, seed, d, n_classes, pool_sizes, k)
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    # a daemonic process, such as a multiprocessing.Pool worker, may not start processes
-    workers = 1 if multiprocessing.current_process().daemon else min(cores, len(sched.sizes))
-    if workers <= 1:
-        return [_curve_point(job, size) for size in sched.sizes]
-    # Forked workers inherit the job, so only a size goes out and a CurvePoint comes back.  Each
-    # point's fit is seeded by its size alone, so the points equal the serial loop's bit for bit.
-    executor = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"), _start_worker, (job,))
-    try:
-        futures = {size: executor.submit(_worker_point, size) for size in sorted(sched.sizes, reverse=True)}
-        return [futures[size].result() for size in sched.sizes]  # raises the first failing size's error
-    finally:
-        executor.shutdown(cancel_futures=True)
+    # each point's fit is seeded by its size alone, so forked workers give the serial loop's points bit for bit
+    return map_on_cores(_curve_point, job, sched.sizes, sched.sizes, "training size {} was fitted")
 
 
 def smooth(values: Sequence[float], window: int) -> np.ndarray:

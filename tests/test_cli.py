@@ -5,6 +5,7 @@ import io
 import json
 import multiprocessing
 import os
+import signal
 import warnings
 from unittest import mock
 
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from normetric import TaskKind, load_csv, make_binary_classification, make_blobs, make_regression, save_csv
+from normetric import TaskKind, data, load_csv, make_binary_classification, make_blobs, make_regression, save_csv
 from normetric.cli import main
 
 
@@ -704,6 +705,58 @@ class TestExpand:
             "normetric: error: features too large to compare: the distance between two rows overflows\n"
         )
         assert not caught and not out.exists()
+
+    def test_distances_that_overflow_in_three_workers_exit_3(self, huge_csv, tmp_path, capsys, monkeypatch):
+        """Each worker raises on overflow itself, whatever the errstate it was forked with."""
+        monkeypatch.setattr(data, "_FORK_BLOCKS", 1)  # the 200-row scan has 2 blocks
+        monkeypatch.setattr(data, "_JOB_BLOCKS", 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        out = tmp_path / "big.csv"
+        with warnings.catch_warnings(record=True) as caught, np.errstate(over="ignore"):
+            warnings.simplefilter("always")
+            code = main([
+                "expand", "--task", "binary", "--data", huge_csv, "--target-column", "label",
+                "--target-n", "300", "--out", str(out),
+            ])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "normetric: error: features too large to compare: the distance between two rows overflows\n"
+        )
+        assert not caught and not out.exists()
+        assert multiprocessing.active_children() == []
+
+    def test_a_killed_scan_worker_exits_4(self, blobs_csv, tmp_path, capsys, monkeypatch):
+        parent, scan = os.getpid(), data._pool_neighbors
+
+        def killed(shared, job):
+            if os.getpid() != parent:  # never this process
+                os.kill(os.getpid(), signal.SIGKILL)
+            return scan(shared, job)
+
+        monkeypatch.setattr(data, "_pool_neighbors", killed)
+        monkeypatch.setattr(data, "_FORK_BLOCKS", 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        out = tmp_path / "big.csv"
+        previous = signal.signal(signal.SIGALRM, _raise_timeout)
+        signal.alarm(60)
+        try:
+            code = main([
+                "expand", "--task", "binary", "--data", blobs_csv, "--target-column", "label",
+                "--target-n", "400", "--out", str(out),
+            ])
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert code == 4
+        assert capsys.readouterr().err == (
+            "normetric: error: a worker process died before the neighbour scan ended (killed, or out of memory)\n"
+        )
+        assert not out.exists()
+        assert multiprocessing.active_children() == []
+
+
+def _raise_timeout(signum, frame):
+    raise TimeoutError("expand still waiting after 60 s")
 
 
 def _dataset_lines(tmp_path):

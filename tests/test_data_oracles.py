@@ -1,17 +1,21 @@
 """The array-code data layer against its former row loops, bit for bit.
 
 load_csv, save_csv and the neighbour scan inside synthetic_expand were
-rewritten as array code under the promise of identical output.  The old
-loops live on in tests/reference.py; these property tests feed both the
-kinds of input where column parsing, label encoding and tie-breaking could
-drift: wrong-width rows, cells Python's float() treats specially, columns
-at the half-numeric threshold, heavy distance ties and tiny classes.
+rewritten as array code under the promise of identical output, and the
+scan was then forked across cores under the same promise.  The old loops
+live on in tests/reference.py; these property tests feed both the kinds of
+input where column parsing, label encoding and tie-breaking could drift:
+wrong-width rows, cells Python's float() treats specially, columns at the
+half-numeric threshold, heavy distance ties and tiny classes.
 read_blocks splits a plain file (no quotes, no carriage returns) itself and
 sends any other through csv.reader, so both kinds of file are generated.
 """
 
+import concurrent.futures
 import csv
 import io
+import multiprocessing
+import os
 from unittest import mock
 
 import numpy as np
@@ -19,8 +23,10 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import reference as ref
-from normetric import DataError, Dataset, TaskKind, load_csv, save_csv
+from normetric import (DataError, Dataset, TaskKind, load_csv, make_binary_classification, make_blobs, make_regression,
+                       save_csv)
 from normetric import data
+from normetric.cli import main
 from normetric.data import _neighbor_lists, read_blocks
 
 CLASS_TASKS = [TaskKind.BINARY_CLASSIFICATION, TaskKind.MULTICLASS_CLASSIFICATION, TaskKind.CLUSTERING]
@@ -308,11 +314,103 @@ def test_neighbour_scan_matches_row_loop(case):
         assert bits(row_got) == bits(row_expected)
 
 
-def test_neighbour_scan_spans_several_blocks():
-    """A class too large for one block, with ties, against the row loop."""
+def _several_blocks():
+    """Two classes too large for one block each, with ties."""
     rng = np.random.default_rng(11)
     features = np.round(rng.standard_normal((700, 3)), 1)
     target = rng.integers(0, 2, 700)
-    ds = Dataset(["a", "b", "c"], features, target, TaskKind.BINARY_CLASSIFICATION)
+    return Dataset(["a", "b", "c"], features, target, TaskKind.BINARY_CLASSIFICATION)
+
+
+def test_neighbour_scan_spans_several_blocks():
+    """A class too large for one block, with ties, against the row loop."""
+    ds = _several_blocks()
     for got, expected in zip(_neighbor_lists(ds, 6), ref.ref_neighbor_lists(ds, 6)):
         assert bits(got) == bits(expected)
+
+
+def _usable_cores(monkeypatch, cores):
+    """The scan starts one worker per usable core; {0} means this process scans."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cores))
+
+
+def _recorded_pools(monkeypatch):
+    """The worker count of every process pool started from here on."""
+    pools = []
+
+    class Recorded(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, *args):
+            pools.append(max_workers)
+            super().__init__(max_workers, *args)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorded)
+    return pools
+
+
+def _scan_blocks(ds):
+    sizes = np.unique(ds.target, return_counts=True)[1] if ds.task.has_class_targets else [ds.n]
+    return sum(-(-int(m) // data._block_rows(int(m), ds.d)) for m in sizes)
+
+
+class TestForkedExpand:
+    # each just over the 192 scan blocks from which the scan forks; regression is one pool
+    DATASETS = {
+        TaskKind.BINARY_CLASSIFICATION: make_binary_classification(1800, d=8, seed=1),
+        TaskKind.MULTICLASS_CLASSIFICATION: make_blobs(2100, d=8, n_classes=3, seed=2),
+        TaskKind.REGRESSION: make_regression(1300, d=8, seed=3),
+        TaskKind.CLUSTERING: make_blobs(2100, d=8, n_classes=3, seed=4, task=TaskKind.CLUSTERING),
+    }
+
+    @pytest.mark.parametrize("task", list(DATASETS), ids=lambda task: task.value)
+    def test_workers_write_the_serial_file_byte_for_byte(self, tmp_path, monkeypatch, task):
+        """Three workers (more than this host may have cores) against the scan in this process."""
+        ds = self.DATASETS[task]
+        assert _scan_blocks(ds) >= data._FORK_BLOCKS
+        save_csv(ds, str(tmp_path / "in.csv"))
+        pools = _recorded_pools(monkeypatch)
+        written = []
+        for cores in ({0, 1, 2}, {0}):
+            _usable_cores(monkeypatch, cores)
+            out = tmp_path / f"out{len(cores)}.csv"
+            assert main(["expand", "--task", task.value, "--data", str(tmp_path / "in.csv"), "--target-column",
+                         ds.target_name, "--target-n", str(ds.n + 500), "--out", str(out), "--seed", "3"]) == 0
+            assert multiprocessing.active_children() == []
+            written.append(out.read_bytes())
+        assert pools == [3]
+        assert written[0] == written[1]
+
+    def test_a_scan_under_the_threshold_stays_in_this_process(self, monkeypatch):
+        ds = make_regression(1150, d=8, seed=3)
+        assert _scan_blocks(ds) < data._FORK_BLOCKS
+        pools = _recorded_pools(monkeypatch)
+        _usable_cores(monkeypatch, {0, 1, 2})
+        _neighbor_lists(ds, 5)
+        assert pools == []
+
+    def test_scan_spans_several_blocks_and_jobs_on_three_workers(self, monkeypatch):
+        """test_neighbour_scan_spans_several_blocks again, forked, with a job per block."""
+        ds = _several_blocks()
+        monkeypatch.setattr(data, "_FORK_BLOCKS", 1)
+        monkeypatch.setattr(data, "_JOB_BLOCKS", 1)
+        pools = _recorded_pools(monkeypatch)
+        _usable_cores(monkeypatch, {0, 1, 2})
+        got = _neighbor_lists(ds, 6)
+        assert pools == [3]
+        assert multiprocessing.active_children() == []
+        assert len(got) == ds.n
+        for row_got, expected in zip(got, ref.ref_neighbor_lists(ds, 6)):
+            assert bits(row_got) == bits(expected)
+
+    def test_a_pool_worker_scans_in_its_own_process(self, monkeypatch):
+        """A multiprocessing.Pool worker is daemonic, and a daemonic process may not start workers."""
+        ds = self.DATASETS[TaskKind.MULTICLASS_CLASSIFICATION]
+        _usable_cores(monkeypatch, {0, 1})
+        pool = multiprocessing.get_context("fork").Pool(1)
+        try:
+            inside = pool.apply_async(_neighbor_lists, (ds, 5)).get(timeout=60)
+        finally:
+            pool.terminate()
+            pool.join()
+        _usable_cores(monkeypatch, {0})
+        assert [bits(row) for row in inside] == [bits(row) for row in _neighbor_lists(ds, 5)]
+        assert multiprocessing.active_children() == []

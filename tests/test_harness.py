@@ -23,6 +23,7 @@ from normetric import (
     LearnerConfig,
     MetricBreakdown,
     TaskKind,
+    WorkerError,
     derive_seed,
     format_report_json,
     format_series_csv,
@@ -189,11 +190,13 @@ class TestForkedCurve:
         previous = signal.signal(signal.SIGALRM, _raise_timeout)
         signal.alarm(60)
         try:
-            with pytest.raises(BrokenProcessPool):
+            with pytest.raises(WorkerError, match=r"^a worker process died before training size \d+ was fitted "
+                                                  r"\(killed, or out of memory\)$") as caught:
                 run_curve(ds, sched, TaskKind.BINARY_CLASSIFICATION, config, seed=5)
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
+        assert isinstance(caught.value.__cause__, BrokenProcessPool)
         assert multiprocessing.active_children() == []
 
 

@@ -1,4 +1,8 @@
-"""The package's export list: each module's __all__, joined once."""
+"""The package's export list, each module's __all__ joined once, and what importing the package costs."""
+
+import os
+import subprocess
+import sys
 
 import normetric
 from normetric import data, exceptions, factors, harness, learners, metrics, synthetic
@@ -14,3 +18,20 @@ def test_exports_are_the_module_lists_joined():
     for module in modules:
         for name in module.__all__:
             assert getattr(normetric, name) is getattr(module, name)
+
+
+def test_import_starts_no_process_and_leaves_the_process_pool_modules_out():
+    """multiprocessing and concurrent.futures (some 30 ms) are imported only when a stage forks."""
+    script = """
+import _posixsubprocess, os, sys
+def started(*args, **kwargs):
+    raise AssertionError("a process was started")
+for module, name in [(os, "fork"), (os, "forkpty"), (os, "posix_spawn"), (os, "posix_spawnp"), (os, "system"),
+                     (_posixsubprocess, "fork_exec")]:
+    setattr(module, name, started)
+import normetric, normetric.cli
+print(sorted(name for name in sys.modules if name.split(".")[0] in ("multiprocessing", "concurrent")))
+"""
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(normetric.__file__))}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert (done.returncode, done.stderr, done.stdout) == (0, "", "[]\n")

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import os
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 from .exceptions import WorkerError
 
@@ -19,13 +19,16 @@ def _run_job(job: Any) -> Any:
     return _worker[0](_worker[1], job)
 
 
-def map_on_cores(work: Callable, shared, jobs: Sequence, costs: Sequence, lost: str, fork: bool = True) -> list:
-    """[work(shared, job) for job in jobs], on one forked worker per usable core (os.sched_getaffinity).
+def map_on_cores(work: Callable, shared, jobs: Sequence, costs: Sequence, lost: Callable[[Any], str],
+                 fork: bool = True) -> Iterator:
+    """Yield work(shared, job) for each job in order, computed by one forked worker per usable core.
 
-    Workers inherit shared, so only a job goes out and its result comes back.  The costliest jobs go first
-    and results are read in job order, so a failure raises the first failing job's error.  The jobs run
-    here, in order, if fork is false, with one usable core or job, or in a daemonic process (which may not
-    start processes).  A worker that dies raises WorkerError, lost formatted by the first job left undone.
+    The curve's fits, expand's neighbour scan and save_csv's blocks run here.  Workers inherit shared, so
+    only a job goes out and its result comes back; each result is dropped here once it is yielded.  The
+    costliest jobs go out first and results are yielded in job order, so a failure raises the first failing
+    job's error.  The jobs run here, in order, if fork is false, with one usable core (os.sched_getaffinity)
+    or job, or in a daemonic process (which may not start processes).  A worker that dies raises
+    WorkerError, worded by lost(the first job left undone).  Closing the generator shuts the workers down.
     """
     workers = min(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1, len(jobs))
     if fork and workers > 1:
@@ -33,20 +36,19 @@ def map_on_cores(work: Callable, shared, jobs: Sequence, costs: Sequence, lost: 
 
         fork = not multiprocessing.current_process().daemon
     if not fork or workers <= 1:
-        return [work(shared, job) for job in jobs]
+        yield from (work(shared, job) for job in jobs)
+        return
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
     executor = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"), _start_worker, (work, shared))
-    results: list = []
+    at = 0
     try:
         order = sorted(range(len(jobs)), key=costs.__getitem__, reverse=True)
-        futures = {at: executor.submit(_run_job, jobs[at]) for at in order}
+        futures = {i: executor.submit(_run_job, jobs[i]) for i in order}
         for at in range(len(jobs)):
-            results.append(futures[at].result())
-        return results
+            yield futures.pop(at).result()
     except BrokenProcessPool as exc:
-        message = f"a worker process died before {lost.format(jobs[len(results)])} (killed, or out of memory)"
-        raise WorkerError(message) from exc
+        raise WorkerError(f"a worker process died before {lost(jobs[at])} (killed, or out of memory)") from exc
     finally:
         executor.shutdown(cancel_futures=True)

@@ -183,7 +183,7 @@ def run_curve(
 
     job = _CurveJob(pool, test, task, config, seed, d, n_classes, pool_sizes, k)
     # each point's fit is seeded by its size alone, so forked workers give the serial loop's points bit for bit
-    return map_on_cores(_curve_point, job, sched.sizes, sched.sizes, "training size {} was fitted")
+    return list(map_on_cores(_curve_point, job, sched.sizes, sched.sizes, "training size {} was fitted".format))
 
 
 def smooth(values: Sequence[float], window: int) -> np.ndarray:

@@ -754,6 +754,38 @@ class TestExpand:
         assert not out.exists()
         assert multiprocessing.active_children() == []
 
+    def test_a_killed_save_worker_exits_4_and_leaves_no_file(self, blobs_csv, tmp_path, capsys, monkeypatch):
+        """A file cut short at a row boundary would read back as a valid, smaller dataset."""
+        parent, text_rows = os.getpid(), data._text_rows
+
+        def killed(shared, start):
+            if os.getpid() != parent and start == 0:  # the first block, so no row can have been written
+                os.kill(os.getpid(), signal.SIGKILL)
+            return text_rows(shared, start)
+
+        monkeypatch.setattr(data, "_text_rows", killed)
+        monkeypatch.setattr(data, "_BLOCK_ROWS", 100)
+        monkeypatch.setattr(data, "_FORK_SAVE_CELLS", 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        out = tmp_path / "big.csv"
+        previous = signal.signal(signal.SIGALRM, _raise_timeout)
+        signal.alarm(60)
+        try:
+            code = main([
+                "expand", "--task", "binary", "--data", blobs_csv, "--target-column", "label",
+                "--target-n", "400", "--out", str(out),
+            ])
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert code == 4
+        assert capsys.readouterr().err == (
+            f"normetric: error: a worker process died before data row 1 of {out} was written "
+            "(killed, or out of memory)\n"
+        )
+        assert not out.exists()
+        assert multiprocessing.active_children() == []
+
 
 def _raise_timeout(signum, frame):
     raise TimeoutError("expand still waiting after 60 s")

@@ -2,17 +2,19 @@
 
 load_csv, save_csv and the neighbour scan inside synthetic_expand were
 rewritten as array code under the promise of identical output, and the
-scan was then forked across cores under the same promise.  The old loops
-live on in tests/reference.py; these property tests feed both the kinds of
-input where column parsing, label encoding and tie-breaking could drift:
-wrong-width rows, cells Python's float() treats specially, columns at the
-half-numeric threshold, heavy distance ties and tiny classes.
+scan and save_csv were then forked across cores under the same promise.
+The old loops live on in tests/reference.py; these property tests feed
+both the kinds of input where column parsing, label encoding and
+tie-breaking could drift: wrong-width rows, cells Python's float() treats
+specially, columns at the half-numeric threshold, heavy distance ties and
+tiny classes.
 read_blocks splits a plain file (no quotes, no carriage returns) itself and
 sends any other through csv.reader, so both kinds of file are generated.
 """
 
 import concurrent.futures
 import csv
+import errno
 import io
 import multiprocessing
 import os
@@ -20,7 +22,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import reference as ref
 from normetric import (DataError, Dataset, TaskKind, load_csv, make_binary_classification, make_blobs, make_regression,
@@ -260,21 +262,36 @@ def saveable_datasets(draw):
     return Dataset(names, features, target, task, target_name=draw(st.sampled_from(["y", "a,y"])))
 
 
+@pytest.mark.parametrize("cores", [1, 3])
 @settings(max_examples=300, deadline=None)
 @given(ds=saveable_datasets())
-def test_save_csv_matches_row_loop(tmp_path_factory, ds):
+@example(ds=Dataset(["a"], np.ones((4, 1)), np.array([-0.0, 5e-324, 1.7976931348623157e308, 0.1]),
+                    TaskKind.REGRESSION))
+def test_save_csv_matches_row_loop(tmp_path_factory, cores, ds):
+    """Blocks of three rows, so most files span several; on three cores every one of those forks."""
     folder = tmp_path_factory.mktemp("save")
     ref.ref_save_csv(ds, str(folder / "expected.csv"))
-    save_csv(ds, str(folder / "got.csv"))
+    with mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cores))), \
+            mock.patch.object(data, "_BLOCK_ROWS", 3), mock.patch.object(data, "_FORK_SAVE_CELLS", 1):
+        save_csv(ds, str(folder / "got.csv"))
     assert (folder / "got.csv").read_bytes() == (folder / "expected.csv").read_bytes()
+    assert multiprocessing.active_children() == []
 
 
-def test_save_csv_rejects_a_nan_class_target(tmp_path):
+@pytest.mark.parametrize("cores", [1, 3])
+def test_save_csv_rejects_a_nan_class_target(tmp_path, monkeypatch, cores):
+    """Before the file is opened, and before any worker starts."""
     ds = Dataset(["a"], np.zeros((2, 1)), np.array([0.0, np.nan]), TaskKind.BINARY_CLASSIFICATION)
     with pytest.raises(ValueError):
         ref.ref_save_csv(ds, str(tmp_path / "expected.csv"))
+    _usable_cores(monkeypatch, set(range(cores)))
+    monkeypatch.setattr(data, "_BLOCK_ROWS", 1)
+    monkeypatch.setattr(data, "_FORK_SAVE_CELLS", 1)
+    pools = _recorded_pools(monkeypatch)
     with pytest.raises(ValueError):
         save_csv(ds, str(tmp_path / "got.csv"))
+    assert not (tmp_path / "got.csv").exists()
+    assert pools == []
 
 
 @st.composite
@@ -414,3 +431,45 @@ class TestForkedExpand:
         _usable_cores(monkeypatch, {0})
         assert [bits(row) for row in inside] == [bits(row) for row in _neighbor_lists(ds, 5)]
         assert multiprocessing.active_children() == []
+
+
+class TestForkedSave:
+    def test_a_pool_worker_saves_in_its_own_process(self, tmp_path, monkeypatch):
+        """A daemonic process may not start workers, so a save of several blocks runs where it is called."""
+        ds = make_blobs(20_000, d=8, n_classes=3, seed=5)
+        assert ds.n * (ds.d + 1) >= data._FORK_SAVE_CELLS and ds.n > data._BLOCK_ROWS
+        _usable_cores(monkeypatch, {0, 1})
+        pool = multiprocessing.get_context("fork").Pool(1)
+        try:
+            pool.apply_async(save_csv, (ds, str(tmp_path / "inside.csv"))).get(timeout=60)
+        finally:
+            pool.terminate()
+            pool.join()
+        _usable_cores(monkeypatch, {0})
+        save_csv(ds, str(tmp_path / "here.csv"))
+        assert (tmp_path / "inside.csv").read_bytes() == (tmp_path / "here.csv").read_bytes()
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("n, d, threshold", [(4000, 8, 1), (10_000, 1, None)],
+                             ids=["one block", "under the cell threshold"])
+    def test_a_small_save_stays_in_this_process(self, tmp_path, monkeypatch, n, d, threshold):
+        """One block is one job; three blocks of two cells a row cost less than starting the workers."""
+        if threshold is not None:
+            monkeypatch.setattr(data, "_FORK_SAVE_CELLS", threshold)
+        ds = make_regression(n, d=d, seed=6)
+        pools = _recorded_pools(monkeypatch)
+        _usable_cores(monkeypatch, {0, 1, 2})
+        save_csv(ds, str(tmp_path / "got.csv"))
+        ref.ref_save_csv(ds, str(tmp_path / "expected.csv"))
+        assert pools == []
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full, a device whose writes fail")
+    def test_a_failed_write_stops_the_workers_before_save_csv_raises(self, monkeypatch):
+        """The disk filling up mid-file: the workers are joined before the OSError leaves save_csv."""
+        monkeypatch.setattr(data, "_FORK_SAVE_CELLS", 1)
+        _usable_cores(monkeypatch, {0, 1})
+        with pytest.raises(OSError) as caught:  # holding the error keeps save_csv's frame alive
+            save_csv(make_regression(30_000, d=2, seed=7), "/dev/full")
+        assert multiprocessing.active_children() == []
+        assert caught.value.errno == errno.ENOSPC

@@ -35,3 +35,27 @@ print(sorted(name for name in sys.modules if name.split(".")[0] in ("multiproces
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(normetric.__file__))}
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
     assert (done.returncode, done.stderr, done.stdout) == (0, "", "[]\n")
+
+
+def test_the_forked_stages_run_without_a_warning_under_dev_mode(tmp_path):
+    """Python 3.12+ warns when a process with live threads forks; -W error turns any warning into a failure."""
+    script = f"""
+import concurrent.futures, os
+from normetric import TaskKind, data, make_blobs, run_curve, schedule, synthetic_expand
+os.sched_getaffinity = lambda pid: {{0, 1}}
+data._FORK_BLOCKS, data._FORK_SAVE_CELLS, data._BLOCK_ROWS = 1, 1, 100
+pools = []
+class Recorded(concurrent.futures.ProcessPoolExecutor):
+    def __init__(self, *args):
+        pools.append(args[0])
+        super().__init__(*args)
+concurrent.futures.ProcessPoolExecutor = Recorded
+ds = make_blobs(300, d=3, n_classes=2, seed=0, task=TaskKind.BINARY_CLASSIFICATION)
+run_curve(ds, schedule(40, 80, 40), TaskKind.BINARY_CLASSIFICATION, seed=1)
+data.save_csv(synthetic_expand(ds, 400, 5, seed=2), {str(tmp_path / "big.csv")!r})
+print(pools)
+"""
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(normetric.__file__))}
+    command = [sys.executable, "-X", "dev", "-W", "error", "-c", script]
+    done = subprocess.run(command, capture_output=True, text=True, env=env, timeout=120)
+    assert (done.returncode, done.stderr, done.stdout) == (0, "", "[2, 2, 2]\n")

@@ -7,28 +7,27 @@ from typing import Any, Callable, Iterator, Sequence
 
 from .exceptions import WorkerError
 
-_worker: tuple = ()  # in a worker process: (the function each job runs, what the jobs share)
+_work: Callable  # in a worker process: the function each job runs
 
 
-def _start_worker(*worker) -> None:
-    global _worker
-    _worker = worker
+def _start_worker(work: Callable) -> None:
+    global _work
+    _work = work
 
 
 def _run_job(job: Any) -> Any:
-    return _worker[0](_worker[1], job)
+    return _work(job)
 
 
-def map_on_cores(work: Callable, shared, jobs: Sequence, costs: Sequence, lost: Callable[[Any], str],
-                 fork: bool = True) -> Iterator:
-    """Yield work(shared, job) for each job in order, computed by one forked worker per usable core.
+def map_on_cores(work: Callable, jobs: Sequence, lost: Callable[[Any], str], fork: bool = True) -> Iterator:
+    """Yield work(job) for each job in order, computed by one forked worker per usable core.
 
-    The curve's fits, expand's neighbour scan and save_csv's blocks run here.  Workers inherit shared, so
-    only a job goes out and its result comes back; each result is dropped here once it is yielded.  The
-    costliest jobs go out first and results are yielded in job order, so a failure raises the first failing
-    job's error.  The jobs run here, in order, if fork is false, with one usable core (os.sched_getaffinity)
-    or job, or in a daemonic process (which may not start processes).  A worker that dies raises
-    WorkerError, worded by lost(the first job left undone).  Closing the generator shuts the workers down.
+    The curve's fits, expand's neighbour scan and save_csv's blocks run here.  Workers inherit work by fork,
+    never pickled, so only a job goes out and its result comes back, dropped here once it is yielded.  Jobs go
+    out and results are yielded in job order, so a failure raises the first failing job's error.  The jobs run
+    here if fork is false, with one usable core (os.sched_getaffinity) or job, or in a daemonic process (which
+    may not start processes).  A worker that dies raises WorkerError, worded by lost(the first job left
+    undone).  Closing the generator shuts the workers down.
     """
     workers = min(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1, len(jobs))
     if fork and workers > 1:
@@ -36,16 +35,15 @@ def map_on_cores(work: Callable, shared, jobs: Sequence, costs: Sequence, lost: 
 
         fork = not multiprocessing.current_process().daemon
     if not fork or workers <= 1:
-        yield from (work(shared, job) for job in jobs)
+        yield from map(work, jobs)
         return
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
-    executor = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"), _start_worker, (work, shared))
+    executor = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"), _start_worker, (work,))
     at = 0
     try:
-        order = sorted(range(len(jobs)), key=costs.__getitem__, reverse=True)
-        futures = {i: executor.submit(_run_job, jobs[i]) for i in order}
+        futures = {i: executor.submit(_run_job, job) for i, job in enumerate(jobs)}
         for at in range(len(jobs)):
             yield futures.pop(at).result()
     except BrokenProcessPool as exc:

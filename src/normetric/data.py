@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import io
 import itertools
 import math
@@ -307,9 +308,8 @@ def load_csv(path: str, target_column: str, task: TaskKind) -> Dataset:
     )
 
 
-def _text_rows(shared: tuple, start: int) -> str:
-    """The text save_csv writes for the block of data rows from start; shared is (features, labels)."""
-    features, labels = shared
+def _text_rows(features: np.ndarray, labels: list, start: int) -> str:
+    """The text save_csv writes for the block of data rows from start."""
     rows = features[start:start + _BLOCK_ROWS].tolist()
     for at, label in enumerate(labels[start:start + _BLOCK_ROWS]):
         rows[at].append(label)
@@ -331,10 +331,8 @@ def save_csv(ds: Dataset, path: str) -> None:
     removed.
     """
     labels = list(map(int if ds.task.has_class_targets else float, ds.target.tolist()))
-    starts = range(0, ds.n, _BLOCK_ROWS)
-    costs = [-start for start in starts]  # the blocks go out in file order, to be written as they come back
     fork = ds.n * (ds.d + 1) >= _FORK_SAVE_CELLS
-    blocks = map_on_cores(_text_rows, (ds.features, labels), starts, costs,
+    blocks = map_on_cores(functools.partial(_text_rows, ds.features, labels), range(0, ds.n, _BLOCK_ROWS),
                           lambda start: f"data row {start + 1} of {path} was written", fork)
     try:
         with open(path, "w", newline="", encoding="utf-8") as fh, contextlib.closing(blocks):
@@ -389,22 +387,21 @@ def split(ds: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Datase
 _SCAN_BLOCK_FLOATS = 2**16
 # a scan of fewer blocks runs in this process: starting the workers costs 15-80 ms, a block about 0.5 ms
 _FORK_BLOCKS = 192
-_JOB_BLOCKS = 32  # blocks per job of a forked scan
+_JOB_BLOCKS = 32  # blocks per job of a scan
 
 
 def _block_rows(m: int, d: int) -> int:  # anchor rows per block of a scan over m rows of d features
     return max(1, _SCAN_BLOCK_FLOATS // max(1, m * d))
 
 
-def _pool_neighbors(shared: tuple, job: tuple[int, int, int]) -> np.ndarray:
-    """Rows lo..hi-1 of a pool's neighbour table; shared is (features, pools, k) and job (pool, lo, hi).
+def _pool_neighbors(features: np.ndarray, pools: list, k: int, job: tuple[int, int, int]) -> np.ndarray:
+    """Rows lo..hi-1 of the neighbour table of pools[at], for job (at, lo, hi).
 
     Row i - lo lists the positions of the k pool rows nearest to row i, itself excluded, ordered by
     (Euclidean distance, position), as a stable sort of the distances orders them, so ties go to the lower
     position.  A pool of one row lists that row itself; a pool of m <= k rows lists the other m - 1.  A
     distance that overflows raises FloatingPointError.
     """
-    features, pools, k = shared
     at, lo, hi = job
     features = features[pools[at]]
     m, d = features.shape
@@ -435,8 +432,8 @@ def _pool_neighbors(shared: tuple, job: tuple[int, int, int]) -> np.ndarray:
 def _neighbor_lists(ds: Dataset, k: int) -> list[np.ndarray]:
     """Each row's k nearest rows, by index, within its class (or all rows).
 
-    A scan of _FORK_BLOCKS blocks or more is cut into jobs of whole blocks for the usable cores: an
-    anchor's neighbours depend on its own row of distances alone, so any cut gives the same bits.
+    Each pool is cut into jobs of _JOB_BLOCKS blocks, run in order, forked for a scan of _FORK_BLOCKS blocks or
+    more: an anchor's neighbours depend on its own row of distances alone, so any cut gives the same bits.
     """
     if ds.task.has_class_targets:
         pools = [np.flatnonzero(ds.target == label) for label in np.unique(ds.target)]
@@ -445,11 +442,10 @@ def _neighbor_lists(ds: Dataset, k: int) -> list[np.ndarray]:
     fork = sum(-(-pool.size // _block_rows(pool.size, ds.d)) for pool in pools) >= _FORK_BLOCKS
     jobs = []
     for at, pool in enumerate(pools):
-        span = _block_rows(pool.size, ds.d) * _JOB_BLOCKS if fork else pool.size
+        span = _block_rows(pool.size, ds.d) * _JOB_BLOCKS
         jobs += [(at, lo, min(lo + span, pool.size)) for lo in range(0, pool.size, span)]
-    costs = [(hi - lo) * pools[at].size for at, lo, hi in jobs]
-    lost = "the neighbour scan ended".format
-    tables = list(map_on_cores(_pool_neighbors, (ds.features, pools, k), jobs, costs, lost, fork))
+    scan = functools.partial(_pool_neighbors, ds.features, pools, k)
+    tables = list(map_on_cores(scan, jobs, "the neighbour scan ended".format, fork))
     neighbor_lists: list[np.ndarray] = [np.empty(0, dtype=np.intp)] * ds.n
     for (at, lo, hi), table in zip(jobs, tables):
         for i, nearest in zip(pools[at][lo:hi].tolist(), pools[at][table]):

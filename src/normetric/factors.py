@@ -99,8 +99,9 @@ _CLASS_SIZES = integer_rule("integer counts >= 1", 1)
 def input_rules(task: TaskKind, n_classes: int = 2) -> dict[str, tuple]:
     """Each array argument evaluate takes for the task, mapped to its rule: (requirement, test).
 
-    The predictions file's columns hold the same rules.  An evaluate call applies each once, where it is
-    read: y_true and y_pred in evaluate, y_prob (rows: _ROW_SUMS) in the SNRs, class_sizes in the imbalances.
+    The predictions file's columns hold the same rules.  An evaluate call applies each where it is read:
+    y_true and y_pred in evaluate, y_prob (rows: _ROW_SUMS) in the SNRs, class_sizes in the imbalances; a
+    multiclass call applies y_true's again in snr_multiclass, which may be called on its own.
     """
     if task is TaskKind.REGRESSION:
         return dict.fromkeys(["y_true", "y_pred"], _FINITE)

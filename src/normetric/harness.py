@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import asdict, dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -94,23 +95,10 @@ def _standardize(train: np.ndarray, test: np.ndarray, names: Sequence[str]) -> t
     return scaled
 
 
-class _CurveJob(NamedTuple):  # not a dataclass: that class took ~1.8 ms to build at every import, this ~0.14
-    """What every point of one curve shares: the shuffled training pool, the test split and the fit settings."""
-
-    pool: Dataset
-    test: Dataset
-    task: TaskKind
-    config: LearnerConfig
-    seed: int
-    d: int
-    n_classes: Optional[int]
-    pool_sizes: Optional[np.ndarray]
-    k: Optional[int]
-
-
-def _curve_point(job: _CurveJob, size: int) -> CurvePoint:
-    """Fit on the pool's first `size` rows and score the fit on the test split."""
-    pool, test, task, config, seed, d, n_classes, pool_sizes, k = job
+def _curve_point(pool: Dataset, test: Dataset, task: TaskKind, config: LearnerConfig, seed: int, d: int,
+                 n_classes: Optional[int], pool_sizes: Optional[np.ndarray], k: Optional[int],
+                 size: int) -> CurvePoint:
+    """Fit on the shuffled pool's first `size` rows and score the fit on the test split."""
     X_train, X_test = _standardize(pool.features[:size], test.features, pool.feature_names)
     y_train = pool.target[:size]
     fit_seed = derive_seed(seed, 1, size)
@@ -159,11 +147,10 @@ def run_curve(
     Deterministic given the seed.
 
     The sizes are fitted in forked worker processes, one per usable core
-    (os.sched_getaffinity), largest first.  With one usable core, or in a
-    daemonic process, they are fitted in this process, in order.  Either
-    way the points are the same bits, and a failure raises the error of
-    the first failing size in schedule order; a worker that dies raises
-    WorkerError.
+    (os.sched_getaffinity), in order.  With one usable core, or in a
+    daemonic process, they are fitted in this process.  Either way the
+    points are the same bits, and a failure raises the error of the first
+    failing size in schedule order; a worker that dies raises WorkerError.
     """
     config = config if config is not None else LearnerConfig()
     train, test = split(ds, config.test_fraction, seed)
@@ -181,9 +168,9 @@ def run_curve(
             pool_sizes = np.bincount(pool.target.astype(int), minlength=n_classes)
     k = config.n_clusters if config.n_clusters is not None else n_classes  # default: one per true class
 
-    job = _CurveJob(pool, test, task, config, seed, d, n_classes, pool_sizes, k)
+    point = functools.partial(_curve_point, pool, test, task, config, seed, d, n_classes, pool_sizes, k)
     # each point's fit is seeded by its size alone, so forked workers give the serial loop's points bit for bit
-    return list(map_on_cores(_curve_point, job, sched.sizes, sched.sizes, "training size {} was fitted".format))
+    return list(map_on_cores(point, sched.sizes, "training size {} was fitted".format))
 
 
 def smooth(values: Sequence[float], window: int) -> np.ndarray:

@@ -728,10 +728,10 @@ class TestExpand:
     def test_a_killed_scan_worker_exits_4(self, blobs_csv, tmp_path, capsys, monkeypatch):
         parent, scan = os.getpid(), data._pool_neighbors
 
-        def killed(shared, job):
+        def killed(features, pools, k, job):
             if os.getpid() != parent:  # never this process
                 os.kill(os.getpid(), signal.SIGKILL)
-            return scan(shared, job)
+            return scan(features, pools, k, job)
 
         monkeypatch.setattr(data, "_pool_neighbors", killed)
         monkeypatch.setattr(data, "_FORK_BLOCKS", 1)
@@ -758,10 +758,10 @@ class TestExpand:
         """A file cut short at a row boundary would read back as a valid, smaller dataset."""
         parent, text_rows = os.getpid(), data._text_rows
 
-        def killed(shared, start):
+        def killed(features, labels, start):
             if os.getpid() != parent and start == 0:  # the first block, so no row can have been written
                 os.kill(os.getpid(), signal.SIGKILL)
-            return text_rows(shared, start)
+            return text_rows(features, labels, start)
 
         monkeypatch.setattr(data, "_text_rows", killed)
         monkeypatch.setattr(data, "_BLOCK_ROWS", 100)

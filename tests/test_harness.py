@@ -7,6 +7,7 @@ import multiprocessing
 import os
 import pickle
 import signal
+import time
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
@@ -115,6 +116,19 @@ def _usable_cores(monkeypatch, cores):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cores))
 
 
+def _recorded_pools(monkeypatch):
+    """The worker count of every process pool started from here on."""
+    pools = []
+
+    class Recorded(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, *args):
+            pools.append(max_workers)
+            super().__init__(max_workers, *args)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorded)
+    return pools
+
+
 def _raise_timeout(signum, frame):
     raise TimeoutError("run_curve still waiting after 60 s")
 
@@ -197,6 +211,46 @@ class TestForkedCurve:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
         assert isinstance(caught.value.__cause__, BrokenProcessPool)
+        assert multiprocessing.active_children() == []
+
+    def test_points_keep_schedule_order_when_the_smallest_size_finishes_last(self, monkeypatch):
+        ds, sched, config = self.CURVES[TaskKind.BINARY_CLASSIFICATION]
+        parent, fit = os.getpid(), harness.fit_logistic
+
+        def slow_at_30_rows(X, *args, **kwargs):
+            if os.getpid() != parent and len(X) == 30:  # every other size is fitted before this one
+                time.sleep(1.0)
+            return fit(X, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "fit_logistic", slow_at_30_rows)
+        pools = _recorded_pools(monkeypatch)
+        _usable_cores(monkeypatch, {0, 1, 2})
+        forked = run_curve(ds, sched, TaskKind.BINARY_CLASSIFICATION, config, seed=5)
+        _usable_cores(monkeypatch, {0})
+        serial = run_curve(ds, sched, TaskKind.BINARY_CLASSIFICATION, config, seed=5)
+        assert pools == [3]
+        assert [p.train_size for p in forked] == list(sched.sizes)
+        assert pickle.dumps(forked) == pickle.dumps(serial)
+
+    def test_the_smaller_failing_size_is_raised_when_the_larger_fails_first(self, monkeypatch):
+        ds, sched, config = self.CURVES[TaskKind.BINARY_CLASSIFICATION]
+        parent, fit = os.getpid(), harness.fit_logistic
+
+        def failing_at_60_and_120_rows(X, *args, **kwargs):
+            if len(X) == 60:
+                if os.getpid() != parent:
+                    time.sleep(1.0)  # long after 120 rows has failed
+                raise ArithmeticError("the fit at 60 rows failed")
+            if len(X) == 120:
+                raise LookupError("the fit at 120 rows failed")
+            return fit(X, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "fit_logistic", failing_at_60_and_120_rows)
+        pools = _recorded_pools(monkeypatch)
+        _usable_cores(monkeypatch, {0, 1, 2})
+        with pytest.raises(ArithmeticError, match=r"^the fit at 60 rows failed$"):
+            run_curve(ds, sched, TaskKind.BINARY_CLASSIFICATION, config, seed=5)
+        assert pools == [3]
         assert multiprocessing.active_children() == []
 
 

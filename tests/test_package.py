@@ -1,11 +1,17 @@
-"""The package's export list, each module's __all__ joined once, and what importing the package costs."""
+"""The package's export list, each module's __all__ joined once, what importing the package costs, and how
+the fork helper reaches its workers."""
 
+import concurrent.futures
+import multiprocessing
 import os
 import subprocess
 import sys
 
+import numpy as np
+
 import normetric
 from normetric import data, exceptions, factors, harness, learners, metrics, synthetic
+from normetric._fork import map_on_cores
 
 
 def test_exports_are_the_module_lists_joined():
@@ -59,3 +65,21 @@ print(pools)
     command = [sys.executable, "-X", "dev", "-W", "error", "-c", script]
     done = subprocess.run(command, capture_output=True, text=True, env=env, timeout=120)
     assert (done.returncode, done.stderr, done.stdout) == (0, "", "[2, 2, 2]\n")
+
+
+def test_work_reaches_the_workers_by_fork_and_is_never_pickled(monkeypatch):
+    """A lambda cannot be pickled: a helper that sent work with each job, the array with it, fails here."""
+    features = np.arange(12.0).reshape(4, 3)
+    pools = []
+
+    class Recorded(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, *args):
+            pools.append(max_workers)
+            super().__init__(max_workers, *args)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorded)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    work = lambda job: features[job].tolist()  # noqa: E731
+    assert list(map_on_cores(work, [3, 1, 2], "job {} was done".format)) == [work(3), work(1), work(2)]
+    assert pools == [3]
+    assert multiprocessing.active_children() == []

@@ -82,56 +82,113 @@ def schedule(start: int, stop: int, step: int) -> SampleSchedule:
 _BLOCK_ROWS = 4096
 # save_csv forks a file of this many cells or more: the workers cost some 45 ms to start, a cell about 1.2 us
 _FORK_SAVE_CELLS = 2**17
+# read_blocks forks a file of this many bytes or more: its cost follows the bytes, not the cells, and the
+# workers cost some 55 ms to start in a new process; files of every shape measured broke even at 2-3 MB
+_FORK_READ_BYTES = 3 * 2**20
 
 
-def read_blocks(path: str) -> Iterator:
-    """Yield the header of a UTF-8 CSV file, then its data rows (as csv.reader reads them) in blocks.
+def read_blocks(path: str) -> tuple[list[str], Callable[[Callable], Iterator]]:
+    """The header of a UTF-8 CSV file, and blocks(work), which yields work(block) for each block of data rows.
 
-    A block (columns, others) holds at most _BLOCK_ROWS rows: columns[j] lists
-    cell j of each row as wide as the header, in order; others lists (position
-    in the block from 0, cells) for every other row, blank lines as [].  Lines
-    are split at '\\n' and ',' until a block holds '"', '\\r', NUL or a line
-    over csv.field_size_limit(); from there csv.reader reads the rest.
+    A block (columns, others) holds at most _BLOCK_ROWS rows, as csv.reader
+    reads them: columns[j] lists cell j of each row as wide as the header, in
+    order; others lists (position in the block from 0, cells) for every other
+    row, blank lines as [].  Lines are split at '\\n' and ',' until a block
+    holds '"', '\\r', NUL or a line over csv.field_size_limit(); from there
+    csv.reader reads the rest in this process.  A file of 3 MB or more
+    (_FORK_READ_BYTES) is split on every usable core by forked workers, each
+    reading its own blocks and running work on them, so only what work
+    returns (never None) comes back; the blocks are yielded in order, and an
+    error is raised as a read in one process raises it.  A worker that dies
+    raises WorkerError naming the first data row not read.  Each call of
+    blocks reads the file again.
     """
     if not os.path.isfile(path):
         raise DataError(f"no such file: {path}")
     if not os.path.getsize(path):
         raise DataError(f"{path} is empty (no header row)")
-    with open(path, "rb") as fh:
-        try:
-            raws = iter(lambda: b"".join(itertools.islice(fh, _BLOCK_ROWS)), b"")  # each ends at a newline
-            texts, width = map(bytes.decode, raws), None
-            for text in texts:
-                lines = text.removesuffix("\n").split("\n")  # the newline that ends a block starts no row
-                if any(c in text for c in '"\r\0') or max(map(len, lines)) > csv.field_size_limit():
-                    # each line so far was one row, so csv.reader can take over here and read the rest
-                    lines = (line for t in itertools.chain([text], texts) for line in io.StringIO(t, newline=""))
-                    rows = csv.reader(lines)
-                    if width is None:
-                        yield (header := next(rows))
-                        width = len(header)
-                    while block := list(itertools.islice(rows, _BLOCK_ROWS)):
-                        full = [row for row in block if row and len(row) == width]
-                        others = [(at, row) for at, row in enumerate(block) if not row or len(row) != width]
-                        yield list(zip(*full)) if full else [()] * width, others
+    with open(path, "rb") as fh:  # (offset, length) of the header line, then of each block of lines
+        sizes = [len(fh.readline())]
+        while size := sum(map(len, itertools.islice(fh, _BLOCK_ROWS))):
+            sizes.append(size)
+    ranges = list(zip(itertools.accumulate(sizes, initial=0), sizes))
+    plain = _read_block(path, 0, lambda block: block[1], ranges[0])  # with no width, each line is an other row
+    if plain is None:
+        with contextlib.closing(_reader_rows(path, ranges)) as rows:
+            header = next(rows)
+    else:
+        header = plain[0][1]
+    width = len(header)
+
+    def lost(job: tuple[int, int]) -> str:
+        return f"data row {(ranges.index(job) - 1) * _BLOCK_ROWS + 1} of {path} was read"
+
+    def blocks(work: Callable) -> Iterator:
+        start = 0  # the range csv.reader reads from: the header's if that is not plain
+        if plain is not None:
+            fork = os.path.getsize(path) >= _FORK_READ_BYTES
+            results = map_on_cores(functools.partial(_read_block, path, width, work), ranges[1:], lost, fork)
+            with contextlib.closing(results):
+                for start, result in enumerate(results, 1):
+                    if result is None:  # each line so far was one row, so csv.reader can take over here
+                        break
+                    yield result
+                else:
                     return
-                del text  # only the cells of a block are held while it is parsed
-                if width is None:
-                    header = lines[0].split(",") if lines[0] else []
-                    width, lines = len(header), lines[1:]
-                    yield header
-                # a row per line: odd rows are split alone, and the full ones all at once with no list per row
-                odd = np.fromiter(map(str.count, lines, itertools.repeat(",")), np.intp, len(lines)) != width - 1
-                odd |= ~np.fromiter(map(bool, lines), bool, len(lines))
-                others = [(at, lines[at].split(",") if lines[at] else []) for at in np.flatnonzero(odd).tolist()]
-                cells = ",".join(itertools.compress(lines, (~odd).tolist())).split(",") if not odd.all() else []
-                block = [cells[j::width] for j in range(width)], others
-                del lines, cells
-                yield block
-        except (UnicodeDecodeError, csv.Error) as exc:
-            if isinstance(exc, UnicodeDecodeError):  # count the position from the file's start, not the block's
-                at = fh.tell() - len(exc.object)
-                exc = UnicodeDecodeError("utf-8", bytes(at) + exc.object, at + exc.start, at + exc.end, exc.reason)
+        rows = _reader_rows(path, ranges[start:])
+        if not start:
+            next(rows)  # the header
+        while block := list(itertools.islice(rows, _BLOCK_ROWS)):
+            full = [row for row in block if row and len(row) == width]
+            others = [(at, row) for at, row in enumerate(block) if not row or len(row) != width]
+            yield work((list(zip(*full)) if full else [()] * width, others))
+
+    return header, blocks
+
+
+def _decoded(path: str, raw: bytes, offset: int) -> str:
+    """The text of bytes read from offset in path; a DataError places a byte that is not UTF-8 in the whole file."""
+    try:
+        return raw.decode()
+    except UnicodeDecodeError as exc:
+        exc = UnicodeDecodeError("utf-8", bytes(offset) + exc.object, offset + exc.start, offset + exc.end, exc.reason)
+        raise DataError(f"{path} is not a readable UTF-8 CSV file: {exc}") from None
+
+
+def _read_block(path: str, width: int, work: Callable, job: tuple[int, int]):
+    """work(block) for the lines in the byte range job = (offset, length) of path, split a row per line.
+
+    The lines are split at '\\n' and ',' only if none holds '"', '\\r', NUL or
+    more than csv.field_size_limit() characters; else csv.reader must read
+    them, and the result is None.
+    """
+    offset, length = job
+    with open(path, "rb") as fh:
+        fh.seek(offset)
+        text = _decoded(path, fh.read(length), offset)
+    lines = text.removesuffix("\n").split("\n")  # the newline that ends a range starts no row
+    if any(c in text for c in '"\r\0') or max(map(len, lines)) > csv.field_size_limit():
+        return None
+    del text
+    # odd rows are split alone, and the full ones all at once with no list per row
+    odd = np.fromiter(map(str.count, lines, itertools.repeat(",")), np.intp, len(lines)) != width - 1
+    odd |= ~np.fromiter(map(bool, lines), bool, len(lines))
+    others = [(at, lines[at].split(",") if lines[at] else []) for at in np.flatnonzero(odd).tolist()]
+    cells = ",".join(itertools.compress(lines, (~odd).tolist())).split(",") if not odd.all() else []
+    del lines  # only the cells of a block are held while it is parsed
+    columns = [cells[j::width] for j in range(width)]
+    del cells
+    return work((columns, others))
+
+
+def _reader_rows(path: str, ranges: list) -> Iterator[list[str]]:
+    """csv.reader's rows of path from the start of ranges[0] on."""
+    with open(path, "rb") as fh:
+        fh.seek(ranges[0][0])
+        texts = (_decoded(path, fh.read(length), offset) for offset, length in ranges)
+        try:
+            yield from csv.reader(line for text in texts for line in io.StringIO(text, newline=""))
+        except csv.Error as exc:
             raise DataError(f"{path} is not a readable UTF-8 CSV file: {exc}") from None
 
 
@@ -169,10 +226,10 @@ def read_columns(path: str, kind: str) -> tuple[list[str], Callable[..., np.ndar
     DataError names the file (a `kind`, such as "series file") and the
     column when it is absent, and else the first bad data row: one whose
     cell is not a number or fails the rule, or one that ends before the
-    column.  Columns are parsed a block at a time: no cell text is kept.
+    column.  Columns are parsed a block at a time where read_blocks splits
+    the block, on every usable core for a large file: no cell text is kept.
     """
-    blocks = read_blocks(path)
-    header = next(blocks)
+    header, blocks = read_blocks(path)
     parts: list = [[] for _ in header]  # each column's values, a block at a time
     bad: list = [None] * len(header)  # the message on its first cell that is not a number
     short: list = [None] * len(header)  # and on the first data row that ends before it
@@ -181,17 +238,16 @@ def read_columns(path: str, kind: str) -> tuple[list[str], Callable[..., np.ndar
         return f"column {header[j]!r} of {path} must hold {requirement}; data row {row + 1} has {cell!r}"
 
     n_rows = 0
-    for columns, others in blocks:
-        for j in range(len(header)):
+    every_column = dict.fromkeys(range(len(header)), "parse")
+    for n_full, columns, widths in blocks(functools.partial(_parsed, every_column, True)):
+        for j, (values, at, coding, ends) in columns.items():
             if bad[j] is None and short[j] is None:  # a column is read up to its first fault
-                cells, ends = _spliced(columns[j], others, j)
-                values, at = parse_column(cells)
                 parts[j].append(values)
-                bad[j] = None if at is None else must_hold(j, "numbers", n_rows + at, cells[at])
+                bad[j] = None if at is None else must_hold(j, "numbers", n_rows + at, coding[0][coding[1][at]])
                 if ends is not None:
                     short[j] = (f"data row {n_rows + ends[0] + 1} of {path} ends after field {ends[1]}; "
                                 f"column {header[j]!r} is field {j + 1}")
-        n_rows += (len(columns[0]) if columns else 0) + sum(1 for _, row in others if row)
+        n_rows += n_full + sum(map(bool, widths))
     if not n_rows:
         raise DataError(f"{kind} {path} has no data rows")
     for j, values in enumerate(parts):
@@ -202,16 +258,40 @@ def read_columns(path: str, kind: str) -> tuple[list[str], Callable[..., np.ndar
             raise DataError(f"{kind} {path} lacks a {name!r} column")
         j = header.index(name)
         if bad[j] is None and rule is not None and not (holds := rule[1](parts[j])).all():
-            at = int(np.argmin(holds))
-            with contextlib.closing(read_blocks(path)) as blocks:  # read again for the cell's text
-                next(blocks)
-                cells = itertools.chain.from_iterable(_spliced(c[j], o, j)[0] for c, o in blocks)
-                raise DataError(must_hold(j, rule[0], at, next(itertools.islice(cells, at, None))))
+            row = at = int(np.argmin(holds))
+            # read again for the cell's text, and leave no worker or file behind
+            with contextlib.closing(blocks(functools.partial(_parsed, {j: "code"}, True))) as coded:
+                for _, columns, _ in coded:
+                    cells, codes = columns[j][2]
+                    if at < codes.size:
+                        raise DataError(must_hold(j, rule[0], row, cells[codes[at]]))
+                    at -= codes.size
         if bad[j] or short[j]:
             raise DataError(bad[j] or short[j])
         return parts[j]
 
     return header, column
+
+
+def _parsed(plan: dict, spliced: bool, block: tuple) -> tuple[int, dict, list[int]]:
+    """The columns of a block of data rows that plan names, read in the process that split the block.
+
+    plan maps a column to "parse" or to "code".  A column holds cell j of the
+    block's full rows, or if spliced, of each of its data rows up to the first
+    that ends before the column (_spliced).  Returns the number of full rows;
+    for each planned column its values and first bad cell, as parse_column
+    gives them (None and 0 for a coded column), its coding when it is coded or
+    a cell does not parse (its distinct cells in order of first appearance,
+    and the index of each cell among them), and where a row ends before it
+    (or None); and the field count of each other row.
+    """
+    columns, others = block
+    read = {}
+    for j, how in plan.items():
+        cells, ends = _spliced(columns[j], others, j) if spliced else (columns[j], None)
+        values, bad = parse_column(cells) if how == "parse" else (None, 0)
+        read[j] = values, bad, None if bad is None else _coded(cells), ends
+    return len(columns[0]) if columns else 0, read, [len(row) for _, row in others]
 
 
 def _spliced(full: Sequence[str], others: list, j: int) -> tuple[list[str], Optional[tuple]]:
@@ -228,11 +308,15 @@ def _spliced(full: Sequence[str], others: list, j: int) -> tuple[list[str], Opti
     return cells, None
 
 
-def _codes(seen: dict, cells: Sequence[str]) -> np.ndarray:
-    """Codes of cells, numbering distinct cells in order of first appearance after those in seen (cell: code)."""
-    for cell in dict.fromkeys(cells):
-        seen.setdefault(cell, len(seen))
-    return np.fromiter(map(seen.__getitem__, cells), dtype=np.intp, count=len(cells))
+def _coded(cells: Sequence) -> tuple[list, np.ndarray]:
+    """The distinct cells in order of first appearance, and the index of each cell among them."""
+    index = {cell: at for at, cell in enumerate(dict.fromkeys(cells))}
+    return list(index), np.fromiter(map(index.__getitem__, cells), dtype=np.intp, count=len(cells))
+
+
+def _recoded(seen: dict, cells: list, codes: np.ndarray) -> np.ndarray:
+    """A block's codes (_coded) renumbered in order of first appearance after the cells in seen (cell: code)."""
+    return np.array([seen.setdefault(cell, len(seen)) for cell in cells], dtype=np.intp)[codes]
 
 
 def load_csv(path: str, target_column: str, task: TaskKind) -> Dataset:
@@ -247,12 +331,12 @@ def load_csv(path: str, target_column: str, task: TaskKind) -> Dataset:
     0..C-1 in first-appearance order over the kept rows; regression targets
     must parse.  If the target name occurs twice in the header, the last
     such column is the target.  Each block is parsed as parse_column parses
-    it, or coded where it does not parse, before the next is split.
+    it, or coded where it does not parse, where read_blocks splits it, on
+    every usable core for a large file.
     """
-    blocks = read_blocks(path)
-    header = next(blocks)
+    header, blocks = read_blocks(path)
     if target_column not in header:
-        for _ in blocks:  # a file that cannot be read says so first
+        for _ in blocks(len):  # a file that cannot be read says so first
             pass
         raise DataError(f"target column {target_column!r} not in header {header}")
     target_idx = len(header) - 1 - header[::-1].index(target_column)
@@ -262,13 +346,13 @@ def load_csv(path: str, target_column: str, task: TaskKind) -> Dataset:
     codes: list = [[] for _ in header]  # and its cells' codes, None for a block that parsed whole
     seen: list[dict] = [{} for _ in header]  # the cells coded so far, with their codes
     n_read = n_full = 0
-    for columns, others in blocks:
-        n_full += len(columns[0])
-        n_read += len(columns[0]) + len(others)
-        for col, cells in enumerate(columns):
-            values, bad = (None, 0) if col in categorical else parse_column(cells)
+    plan = {col: "code" if col in categorical else "parse" for col in range(len(header))}
+    for rows, columns, widths in blocks(functools.partial(_parsed, plan, False)):
+        n_full += rows
+        n_read += rows + len(widths)
+        for col, (values, _, coding, _) in columns.items():
             parts[col].append(values)
-            codes[col].append(None if bad is None else _codes(seen[col], cells))
+            codes[col].append(None if coding is None else _recoded(seen[col], *coding))
     if not n_full:
         raise DataError(f"{path} has no usable data rows ({n_read} dropped)")
 
@@ -280,10 +364,15 @@ def load_csv(path: str, target_column: str, task: TaskKind) -> Dataset:
             usable &= finite
         else:
             categorical.append(col)
+    # a block that parsed whole kept no codes: such columns are read again, coded from the first block
+    again = {col: "code" for col in categorical if any(block is None for block in codes[col])}
+    if again:
+        for col in again:
+            seen[col], codes[col] = {}, []
+        for _, columns, _ in blocks(functools.partial(_parsed, again, False)):
+            for col, (_, _, coding, _) in columns.items():
+                codes[col].append(_recoded(seen[col], *coding))
     for col in categorical:
-        if any(block is None for block in codes[col]):  # a block that parsed kept no codes: read them again
-            seen[col], blocks = {}, itertools.islice(read_blocks(path), 1, None)
-            codes[col] = [_codes(seen[col], columns[col]) for columns, _ in blocks]
         codes[col] = np.concatenate(codes[col])
         usable &= codes[col] != seen[col].get("", -1)
     keep = np.flatnonzero(usable)
@@ -292,7 +381,7 @@ def load_csv(path: str, target_column: str, task: TaskKind) -> Dataset:
         raise DataError(f"{path} has no usable data rows ({dropped} dropped)")
 
     def kept(col: int) -> np.ndarray:
-        return _codes({}, codes[col][keep].tolist()) if col in categorical else parts[col][keep]  # renumbered
+        return _coded(codes[col][keep].tolist())[1] if col in categorical else parts[col][keep]  # renumbered
 
     feature_cols = [c for c in range(len(header)) if c != target_idx]
     features = np.empty((keep.size, len(feature_cols)))

@@ -787,6 +787,38 @@ class TestExpand:
         assert multiprocessing.active_children() == []
 
 
+@pytest.mark.parametrize("command", ["curve", "evaluate"])
+def test_a_killed_reader_worker_exits_4(blobs_csv, binary_preds, capsys, monkeypatch, command):
+    """Every forked read of a block kills its worker, so the first block is never read."""
+    parent, read_block = os.getpid(), data._read_block
+
+    def killed(path, width, work, job):
+        if os.getpid() != parent:  # never this process
+            os.kill(os.getpid(), signal.SIGKILL)
+        return read_block(path, width, work, job)
+
+    monkeypatch.setattr(data, "_read_block", killed)
+    monkeypatch.setattr(data, "_BLOCK_ROWS", 100)
+    monkeypatch.setattr(data, "_FORK_READ_BYTES", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    path = blobs_csv if command == "curve" else binary_preds
+    argv = (["curve", "--task", "binary", "--data", path, "--target-column", "label", "--start", "40", "--stop", "80",
+             "--step", "40"] if command == "curve" else
+            ["evaluate", "--task", "binary", "--predictions", path, "--d", "2", "--n", "100"])
+    previous = signal.signal(signal.SIGALRM, _raise_timeout)
+    signal.alarm(60)
+    try:
+        code = main(argv)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 4
+    assert capsys.readouterr().err == (
+        f"normetric: error: a worker process died before data row 1 of {path} was read (killed, or out of memory)\n"
+    )
+    assert multiprocessing.active_children() == []
+
+
 def _raise_timeout(signum, frame):
     raise TimeoutError("expand still waiting after 60 s")
 

@@ -7,11 +7,14 @@ rows of the wrong width, blank lines, a first bad cell, a categorical
 column whose first block parses whole, quoted cells that hand the rest of
 a file to csv.reader, and bytes that are not UTF-8.  load_csv is held to
 tests/reference.py's ref_load_csv and read_columns to ref_read_columns,
-row loops over the whole file.  The memory each reader takes is bounded by
-a multiple of the arrays it returns or writes.
+row loops over the whole file.  Each read runs on one usable core and on
+three, where forked workers split and parse the blocks whatever the file's
+size.  The memory each reader takes is bounded by a multiple of the arrays
+it returns or writes.
 """
 
 import contextlib
+import multiprocessing
 import os
 import tracemalloc
 from unittest import mock
@@ -28,8 +31,8 @@ from normetric.factors import input_rules
 
 BLOCK = data._BLOCK_ROWS
 N_ROWS = 2 * BLOCK + 50  # two full blocks and part of a third
-# data lines, from 0, where a block ends or starts: the first block of lines holds the header
-# and data lines 0..4094, the next data lines 4095..8190
+# data lines, from 0, where a block ends or starts: the first block holds data lines 0..4095,
+# the next 4096..8191
 AROUND = [BLOCK - 2, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK - 2, 2 * BLOCK - 1, 2 * BLOCK]
 
 
@@ -91,17 +94,27 @@ def plain_only(variant):
     return contextlib.nullcontext()
 
 
-def loaded(path, task):
+@contextlib.contextmanager
+def on_cores(cores):
+    """Reads on this many usable cores, forked on more than one whatever the file's size."""
+    with mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cores))), \
+            mock.patch.object(data, "_FORK_READ_BYTES", 1):
+        yield
+    assert multiprocessing.active_children() == []
+
+
+def loaded(path, task, cores=1):
     try:
-        return load_csv(path, "y", task)
+        with on_cores(cores):
+            return load_csv(path, "y", task)
     except DataError as exc:
         return str(exc)
 
 
-def assert_loads_as_row_loop(path, task, variant):
+def assert_loads_as_row_loop(path, task, variant, cores):
     expected = ref.ref_load_csv(path, "y", task)
     with plain_only(variant):
-        got = loaded(path, task)
+        got = loaded(path, task, cores)
     assert not isinstance(got, str), got
     assert (got.feature_names, got.target_name, got.n_dropped) == (
         expected.feature_names, expected.target_name, expected.n_dropped)
@@ -115,27 +128,48 @@ faults = st.lists(
 )
 
 
+@pytest.mark.parametrize("cores", [1, 3])
 @settings(max_examples=20, deadline=None)
 @given(changes=faults, variant=st.sampled_from(["plain", "quoted", "crlf"]),
        task=st.sampled_from(list(TaskKind)))
-def test_load_csv_matches_row_loop_across_blocks(tmp_path_factory, changes, variant, task):
+def test_load_csv_matches_row_loop_across_blocks(tmp_path_factory, cores, changes, variant, task):
     lines = dataset_lines()
     for at, kind in sorted(changes, reverse=True):  # from the end, so earlier positions hold
         lines = mutate(lines, at, kind)
     path = write(tmp_path_factory.mktemp("blocks") / "data.csv", lines, variant)
-    assert_loads_as_row_loop(path, task, variant)
+    assert_loads_as_row_loop(path, task, variant, cores)
 
 
+@pytest.mark.parametrize("cores", [1, 3])
 @pytest.mark.parametrize("variant", ["plain", "quoted", "crlf"])
 @pytest.mark.parametrize("at", [BLOCK - 2, BLOCK - 1, BLOCK])
 @pytest.mark.parametrize("kind", ["blank", "short", "long"])
-def test_odd_rows_at_data_rows_4095_to_4097(tmp_path, kind, at, variant):
+def test_odd_rows_at_data_rows_4095_to_4097(tmp_path, kind, at, variant, cores):
     path = write(tmp_path / "data.csv", mutate(dataset_lines(), at, kind), variant)
-    assert_loads_as_row_loop(path, TaskKind.MULTICLASS_CLASSIFICATION, variant)
+    assert_loads_as_row_loop(path, TaskKind.MULTICLASS_CLASSIFICATION, variant, cores)
 
 
+@contextlib.contextmanager
+def counted_passes():
+    """The path of each pass over a file's blocks, as read_blocks's blocks(work) makes them."""
+    passes, read_blocks = [], data.read_blocks
+
+    def counted(path):
+        header, blocks = read_blocks(path)
+
+        def counted_blocks(work):
+            passes.append(path)
+            return blocks(work)
+
+        return header, counted_blocks
+
+    with mock.patch.object(data, "read_blocks", counted):
+        yield passes
+
+
+@pytest.mark.parametrize("cores", [1, 3])
 @pytest.mark.parametrize("variant", ["plain", "quoted"])
-def test_categorical_column_whose_first_block_parses_is_read_again(tmp_path, variant):
+def test_categorical_column_whose_first_block_parses_is_read_again(tmp_path, variant, cores):
     """'inf'/'nan' cells and numbers fill the first block; words the rest, so both columns are categorical."""
     rng = np.random.default_rng(5)
     odd = rng.choice(["inf", "nan", "-inf", "1e999"], N_ROWS).tolist()
@@ -145,35 +179,37 @@ def test_categorical_column_whose_first_block_parses_is_read_again(tmp_path, var
         f"{odd[i] if i < BLOCK else words[i]},{numbers[i] if i < BLOCK else words[i]},{i % 3}" for i in range(N_ROWS)
     ]
     path = write(tmp_path / "data.csv", lines, variant)
-    with mock.patch.object(data, "read_blocks", wraps=data.read_blocks) as reads:
-        assert_loads_as_row_loop(path, TaskKind.MULTICLASS_CLASSIFICATION, variant)
-    assert reads.call_count == 3  # the file, then once more for each of the two columns
-    ds = load_csv(path, "y", TaskKind.MULTICLASS_CLASSIFICATION)
+    with counted_passes() as passes:
+        assert_loads_as_row_loop(path, TaskKind.MULTICLASS_CLASSIFICATION, variant, cores)
+    assert passes == [path, path]  # the file, then once more for the two columns
+    ds = loaded(path, TaskKind.MULTICLASS_CLASSIFICATION, cores)
     assert sorted(set(ds.features[:, 0].tolist())) == list(map(float, range(7)))  # four spellings, three words
 
 
-def test_categorical_column_whose_blocks_all_fail_is_read_once(tmp_path):
+@pytest.mark.parametrize("cores", [1, 3])
+def test_categorical_column_whose_blocks_all_fail_is_read_once(tmp_path, cores):
     path = write(tmp_path / "data.csv", dataset_lines())
-    with mock.patch.object(data, "read_blocks", wraps=data.read_blocks) as reads:
-        assert_loads_as_row_loop(path, TaskKind.MULTICLASS_CLASSIFICATION, "plain")
-    assert reads.call_count == 1
+    with counted_passes() as passes:
+        assert_loads_as_row_loop(path, TaskKind.MULTICLASS_CLASSIFICATION, "plain", cores)
+    assert passes == [path]
 
 
-def column_outcomes(reader, path):
+def column_outcomes(reader, path, cores=1):
     """Each column of a binary predictions file read under each rule, plus an absent one: values or message."""
-    try:
-        header, column = reader(path, "predictions file")
-    except DataError as exc:
-        return str(exc)
-    rules = [None] + list(input_rules(TaskKind.BINARY_CLASSIFICATION).values())
-    outcomes = []
-    for name in header + ["absent"]:
-        for rule in rules:
-            try:
-                outcomes.append(bits(column(name, rule)))
-            except DataError as exc:
-                outcomes.append(str(exc))
-    return outcomes
+    with on_cores(cores):
+        try:
+            header, column = reader(path, "predictions file")
+        except DataError as exc:
+            return str(exc)
+        rules = [None] + list(input_rules(TaskKind.BINARY_CLASSIFICATION).values())
+        outcomes = []
+        for name in header + ["absent"]:
+            for rule in rules:
+                try:
+                    outcomes.append(bits(column(name, rule)))
+                except DataError as exc:
+                    outcomes.append(str(exc))
+        return outcomes
 
 
 faults_of_predictions = st.lists(
@@ -183,55 +219,93 @@ faults_of_predictions = st.lists(
 )
 
 
+@pytest.mark.parametrize("cores", [1, 3])
 @settings(max_examples=20, deadline=None)
 @given(changes=faults_of_predictions, variant=st.sampled_from(["plain", "quoted", "crlf"]))
-def test_read_columns_matches_row_loop_across_blocks(tmp_path_factory, changes, variant):
+def test_read_columns_matches_row_loop_across_blocks(tmp_path_factory, cores, changes, variant):
     lines = predictions_lines()
     for at, kind in sorted(changes, reverse=True):
         lines = mutate(lines, at, kind)
     path = write(tmp_path_factory.mktemp("blocks") / "predictions.csv", lines, variant)
     expected = column_outcomes(ref.ref_read_columns, path)
     with plain_only(variant):
-        assert column_outcomes(read_columns, path) == expected
+        assert column_outcomes(read_columns, path, cores) == expected
 
 
+@pytest.mark.parametrize("cores", [1, 3])
 @pytest.mark.parametrize("variant", ["plain", "quoted"])
-@pytest.mark.parametrize("at", [BLOCK - 2, BLOCK - 1, 2 * BLOCK - 2], ids=["last-of-first", "first-of-second",
-                                                                     "last-of-second"])
+@pytest.mark.parametrize("at", [BLOCK - 1, BLOCK, 2 * BLOCK - 1], ids=["last-of-first", "first-of-second",
+                                                                 "last-of-second"])
 @pytest.mark.parametrize("kind, message", [
     ("bad", "column 'y_true' of {path} must hold numbers; data row {row} has 'n/a'"),
     ("out-of-rule", "column 'y_true' of {path} must hold labels 0 or 1; data row {row} has '2'"),
     ("first-field-only", "data row {row} of {path} ends after field 1; column 'y_pred' is field 2"),
 ])
-def test_first_fault_at_the_edge_of_a_block(tmp_path, variant, at, kind, message):
+def test_first_fault_at_the_edge_of_a_block(tmp_path, variant, at, kind, message, cores):
     path = write(tmp_path / "predictions.csv", mutate(predictions_lines(), at, kind), variant)
-    column = read_columns(path, "predictions file")[1]
     rules = input_rules(TaskKind.BINARY_CLASSIFICATION)
-    with pytest.raises(DataError) as raised:
+    with on_cores(cores), pytest.raises(DataError) as raised:
+        column = read_columns(path, "predictions file")[1]
         column("y_pred" if kind == "first-field-only" else "y_true", rules["y_true"])
     assert str(raised.value) == message.format(path=path, row=at + 1)
-    assert column_outcomes(read_columns, path) == column_outcomes(ref.ref_read_columns, path)
+    assert column_outcomes(read_columns, path, cores) == column_outcomes(ref.ref_read_columns, path)
 
 
+@pytest.mark.parametrize("cores", [1, 3])
 @pytest.mark.parametrize("variant", ["plain", "quoted"])
 @pytest.mark.parametrize("kind, requirement, cell", [("bad", "numbers", "n/a"), ("out-of-rule", "labels 0 or 1", "2")])
-def test_blank_lines_of_an_earlier_block_are_not_counted(tmp_path, variant, kind, requirement, cell):
+def test_blank_lines_of_an_earlier_block_are_not_counted(tmp_path, variant, kind, requirement, cell, cores):
     lines = mutate(mutate(predictions_lines(), BLOCK + 5, kind), 10, "blank")
     path = write(tmp_path / "predictions.csv", lines, variant)
-    with pytest.raises(DataError) as raised:
+    with on_cores(cores), pytest.raises(DataError) as raised:
         read_columns(path, "predictions file")[1]("y_true", input_rules(TaskKind.BINARY_CLASSIFICATION)["y_true"])
     assert str(raised.value) == f"column 'y_true' of {path} must hold {requirement}; data row {BLOCK + 6} has {cell!r}"
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts open files through /proc")
-def test_naming_a_cell_that_breaks_a_rule_leaves_no_file_open(tmp_path):
+@pytest.mark.parametrize("cores", [1, 3])
+def test_naming_a_cell_that_breaks_a_rule_leaves_no_file_open(tmp_path, cores):
+    """Nor a worker: the second read of the file is closed while the error's traceback holds its frame."""
     path = write(tmp_path / "predictions.csv", mutate(predictions_lines(), BLOCK + 5, "out-of-rule"))
-    column = read_columns(path, "predictions file")[1]
-    before = len(os.listdir("/proc/self/fd"))
-    with pytest.raises(DataError) as raised:  # its traceback holds the frame that read the file again
-        column("y_true", input_rules(TaskKind.BINARY_CLASSIFICATION)["y_true"])
-    assert len(os.listdir("/proc/self/fd")) == before
+    with on_cores(cores):
+        column = read_columns(path, "predictions file")[1]
+        before = len(os.listdir("/proc/self/fd"))
+        with pytest.raises(DataError) as raised:  # its traceback holds the frame that read the file again
+            column("y_true", input_rules(TaskKind.BINARY_CLASSIFICATION)["y_true"])
+        assert len(os.listdir("/proc/self/fd")) == before
     assert "data row 4102 has '2'" in str(raised.value)
+
+
+@pytest.mark.parametrize("char", ['"', "\r", "\0"], ids=["quote", "carriage-return", "nul"])
+@pytest.mark.parametrize("kind", ["dataset", "predictions"])
+def test_a_file_handed_to_csv_reader_in_its_third_block_reads_as_on_one_core(tmp_path, kind, char):
+    """Workers split the first two blocks; csv.reader reads the rest here, from the third block's first byte."""
+    lines = dataset_lines() if kind == "dataset" else predictions_lines()
+    at = 2 * BLOCK + 8  # a data line of the third block, the first to hold char
+    head, last = lines[at + 1].rsplit(",", 1)
+    lines[at + 1] = {'"': f'{head},"{last}"', "\r": f"{head},{last}\r", "\0": f"{head},{last}\0"}[char]
+    path = write(tmp_path / "file.csv", lines)
+    handed = []
+    reader_rows = data._reader_rows
+
+    def recorded(path, ranges):
+        handed.append(ranges[0][0])
+        return reader_rows(path, ranges)
+
+    outcomes = []
+    for cores in (1, 3):
+        with mock.patch.object(data, "_reader_rows", recorded):
+            outcomes.append(loaded(path, TaskKind.MULTICLASS_CLASSIFICATION, cores) if kind == "dataset" else
+                            column_outcomes(read_columns, path, cores))
+    third = len("".join(line + "\n" for line in lines[:2 * BLOCK + 1]).encode())  # the header and two blocks
+    assert set(handed) == {third}
+    if kind == "dataset":
+        expected = ref.ref_load_csv(path, "y", TaskKind.MULTICLASS_CLASSIFICATION)
+        for got in outcomes:
+            assert (got.n_dropped, bits(got.features), bits(got.target)) == (
+                expected.n_dropped, bits(expected.features), bits(expected.target))
+    else:
+        assert outcomes == [column_outcomes(ref.ref_read_columns, path)] * 2
 
 
 def whole_file_decode_error(raw):
@@ -247,7 +321,8 @@ def whole_file_decode_error(raw):
     (b"\xe2\x82", "bytes in position {at}-{end}: invalid continuation byte"),
 ], ids=["one-byte", "two-bytes"])
 @pytest.mark.parametrize("kind", ["dataset", "predictions"])
-def test_a_byte_that_is_not_utf8_is_placed_in_the_whole_file(tmp_path, kind, bad, reason):
+@pytest.mark.parametrize("cores", [1, 3])
+def test_a_byte_that_is_not_utf8_is_placed_in_the_whole_file(tmp_path, cores, kind, bad, reason):
     lines = dataset_lines() if kind == "dataset" else predictions_lines()
     raw = "".join(line + "\n" for line in lines).encode()
     at = len("".join(line + "\n" for line in lines[:BLOCK + 3]).encode()) + 1  # in the second block
@@ -256,7 +331,7 @@ def test_a_byte_that_is_not_utf8_is_placed_in_the_whole_file(tmp_path, kind, bad
     path.write_bytes(raw)
     detail = f"'utf-8' codec can't decode {reason.format(at=at, end=at + len(bad) - 1)}"
     assert whole_file_decode_error(raw) == detail
-    with pytest.raises(DataError) as raised:
+    with on_cores(cores), pytest.raises(DataError) as raised:  # raised in a worker on three cores
         if kind == "dataset":
             load_csv(str(path), "y", TaskKind.MULTICLASS_CLASSIFICATION)
         else:
@@ -264,12 +339,13 @@ def test_a_byte_that_is_not_utf8_is_placed_in_the_whole_file(tmp_path, kind, bad
     assert str(raised.value) == f"{path} is not a readable UTF-8 CSV file: {detail}"
 
 
-def test_an_unreadable_file_says_so_before_a_missing_target_column(tmp_path):
+@pytest.mark.parametrize("cores", [1, 3])
+def test_an_unreadable_file_says_so_before_a_missing_target_column(tmp_path, cores):
     raw = "".join(line + "\n" for line in dataset_lines()).encode()
     raw = raw[:-5] + b"\xff" + raw[-5:]
     path = tmp_path / "file.csv"
     path.write_bytes(raw)
-    with pytest.raises(DataError) as raised:
+    with on_cores(cores), pytest.raises(DataError) as raised:
         load_csv(str(path), "label", TaskKind.MULTICLASS_CLASSIFICATION)
     assert str(raised.value) == f"{path} is not a readable UTF-8 CSV file: {whole_file_decode_error(raw)}"
 
@@ -313,21 +389,24 @@ def large_files(tmp_path_factory):
 
 
 # peak traced memory over the bytes of the arrays read or written; reading the
-# whole file as cell strings first took 11.1x, 6.2x and 6.8x on 200k rows
+# whole file as cell strings first took 11.1x, 6.2x and 6.8x on 200k rows.  On
+# two cores every read and save forks, and only this process's memory is traced.
+@pytest.mark.parametrize("cores", [1, 2])
 @pytest.mark.parametrize("reader, bound", [("load_csv", 5.0), ("save_csv", 2.0), ("read_columns", 3.5)])
-def test_memory_follows_the_arrays_not_the_cell_text(large_files, tmp_path, reader, bound):
+def test_memory_follows_the_arrays_not_the_cell_text(large_files, tmp_path, reader, bound, cores):
     dataset, predictions = large_files
-    if reader == "read_columns":
-        def read():
-            header, column = read_columns(predictions, "predictions file")
-            return [column(name) for name in header]
+    with on_cores(cores):
+        if reader == "read_columns":
+            def read():
+                header, column = read_columns(predictions, "predictions file")
+                return [column(name) for name in header]
 
-        peak, columns = traced_peak(read)
-        arrays = sum(values.nbytes for values in columns)
-    else:
-        ds = load_csv(dataset, "y", TaskKind.MULTICLASS_CLASSIFICATION)
-        call = (lambda: load_csv(dataset, "y", TaskKind.MULTICLASS_CLASSIFICATION)) if reader == "load_csv" else (
-            lambda: save_csv(ds, str(tmp_path / "saved.csv")))
-        peak, _ = traced_peak(call)
-        arrays = ds.features.nbytes + ds.target.nbytes
+            peak, columns = traced_peak(read)
+            arrays = sum(values.nbytes for values in columns)
+        else:
+            ds = load_csv(dataset, "y", TaskKind.MULTICLASS_CLASSIFICATION)
+            call = (lambda: load_csv(dataset, "y", TaskKind.MULTICLASS_CLASSIFICATION)) if reader == "load_csv" else (
+                lambda: save_csv(ds, str(tmp_path / "saved.csv")))
+            peak, _ = traced_peak(call)
+            arrays = ds.features.nbytes + ds.target.nbytes
     assert peak < bound * arrays, f"{reader} peaked at {peak / arrays:.2f}x its arrays"

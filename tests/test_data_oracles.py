@@ -2,7 +2,8 @@
 
 load_csv, save_csv and the neighbour scan inside synthetic_expand were
 rewritten as array code under the promise of identical output, and the
-scan and save_csv were then forked across cores under the same promise.
+scan, save_csv and the CSV reader were then forked across cores under the
+same promise.
 The old loops live on in tests/reference.py; these property tests feed
 both the kinds of input where column parsing, label encoding and
 tie-breaking could drift: wrong-width rows, cells Python's float() treats
@@ -13,11 +14,13 @@ sends any other through csv.reader, so both kinds of file are generated.
 """
 
 import concurrent.futures
+import contextlib
 import csv
 import errno
 import io
 import multiprocessing
 import os
+import pickle
 from unittest import mock
 
 import numpy as np
@@ -29,7 +32,7 @@ from normetric import (DataError, Dataset, TaskKind, load_csv, make_binary_class
                        save_csv)
 from normetric import data
 from normetric.cli import main
-from normetric.data import _neighbor_lists, read_blocks
+from normetric.data import _neighbor_lists, read_blocks, read_columns
 
 CLASS_TASKS = [TaskKind.BINARY_CLASSIFICATION, TaskKind.MULTICLASS_CLASSIFICATION, TaskKind.CLUSTERING]
 
@@ -114,8 +117,19 @@ def load_both(path, task):
     return outcomes
 
 
-def assert_loads_as_row_loop(path, task):
-    expected, got = load_both(str(path), task)
+@contextlib.contextmanager
+def reading_on(cores):
+    """Reads in blocks of three rows on this many usable cores, forked on more than one whatever the file's size."""
+    with mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cores))), \
+            mock.patch.object(data, "_BLOCK_ROWS", 3), mock.patch.object(data, "_FORK_READ_BYTES", 1):
+        yield
+    assert multiprocessing.active_children() == []
+
+
+def assert_loads_as_row_loop(path, task, cores=None):
+    """load_csv against the row loop, on this many cores in blocks of three rows, or as configured (None)."""
+    with reading_on(cores) if cores else contextlib.nullcontext():
+        expected, got = load_both(str(path), task)
     if isinstance(expected, str):
         assert got == expected
         return
@@ -127,20 +141,22 @@ def assert_loads_as_row_loop(path, task):
     assert bits(got.target) == bits(expected.target)
 
 
+@pytest.mark.parametrize("cores", [1, 3])
 @settings(max_examples=400, deadline=None)
 @given(text=csv_texts(), task=st.sampled_from(list(TaskKind)))
-def test_load_csv_matches_row_loop(tmp_path_factory, text, task):
+def test_load_csv_matches_row_loop(tmp_path_factory, cores, text, task):
     path = tmp_path_factory.mktemp("load") / "data.csv"
     path.write_text(text, encoding="utf-8", newline="")
-    assert_loads_as_row_loop(path, task)
+    assert_loads_as_row_loop(path, task, cores)
 
 
+@pytest.mark.parametrize("cores", [1, 3])
 @settings(max_examples=400, deadline=None)
 @given(text=plain_csv_texts(), task=st.sampled_from(list(TaskKind)))
-def test_load_csv_matches_row_loop_on_plain_files(tmp_path_factory, text, task):
+def test_load_csv_matches_row_loop_on_plain_files(tmp_path_factory, cores, text, task):
     path = tmp_path_factory.mktemp("plain") / "data.csv"
     path.write_text(text, encoding="utf-8", newline="")
-    assert_loads_as_row_loop(path, task)
+    assert_loads_as_row_loop(path, task, cores)
 
 
 def rows_of(blocks):
@@ -157,8 +173,8 @@ def rows_of(blocks):
 def read_as_csv_reader_does(path, text):
     """read_blocks's header and blocks, asserting that a plain file never reaches csv.reader."""
     def read():
-        blocks = read_blocks(str(path))
-        return next(blocks), list(blocks)
+        header, blocks = read_blocks(str(path))
+        return header, list(blocks(lambda block: block))
 
     if '"' in text or "\r" in text:
         return read()
@@ -473,3 +489,65 @@ class TestForkedSave:
             save_csv(make_regression(30_000, d=2, seed=7), "/dev/full")
         assert multiprocessing.active_children() == []
         assert caught.value.errno == errno.ENOSPC
+
+
+def _columns(path):
+    """Every column of a file as read_columns reads it (its column reader cannot leave a pool worker)."""
+    header, column = read_columns(path, "series file")
+    return [column(name) for name in header]
+
+
+class TestForkedRead:
+    @pytest.fixture
+    def blobs(self, tmp_path, monkeypatch):
+        """A 2000-row file of 20 blocks, read forked whatever its size."""
+        ds = make_blobs(2000, d=3, n_classes=3, seed=5)
+        save_csv(ds, str(tmp_path / "blobs.csv"))
+        monkeypatch.setattr(data, "_BLOCK_ROWS", 100)
+        monkeypatch.setattr(data, "_FORK_READ_BYTES", 1)
+        return str(tmp_path / "blobs.csv"), ds
+
+    def test_workers_read_the_blocks_of_one_process(self, blobs, monkeypatch):
+        path, ds = blobs
+        pools = _recorded_pools(monkeypatch)
+        outcomes = []
+        for cores in ({0, 1, 2}, {0}):
+            _usable_cores(monkeypatch, cores)
+            outcomes.append(pickle.dumps((load_csv(path, ds.target_name, ds.task), _columns(path))))
+            assert multiprocessing.active_children() == []
+        assert pools == [3, 3]
+        assert outcomes[0] == outcomes[1]
+        assert bits(pickle.loads(outcomes[0])[0].features) == bits(ds.features)
+
+    def test_a_pool_worker_reads_in_its_own_process(self, blobs, monkeypatch):
+        """A daemonic process may not start workers, so a read of several blocks runs where it is called."""
+        path, ds = blobs
+        _usable_cores(monkeypatch, {0, 1})
+        pool = multiprocessing.get_context("fork").Pool(1)
+        try:
+            inside = pool.apply_async(load_csv, (path, ds.target_name, ds.task)).get(timeout=60)
+            columns = pool.apply_async(_columns, (path,)).get(timeout=60)
+        finally:
+            pool.terminate()
+            pool.join()
+        _usable_cores(monkeypatch, {0})
+        assert pickle.dumps(inside) == pickle.dumps(load_csv(path, ds.target_name, ds.task))
+        assert [bits(c) for c in columns] == [bits(c) for c in _columns(path)]
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("rows, threshold", [(100, 1), (2000, None)], ids=["one block", "under the byte threshold"])
+    def test_a_small_read_stays_in_this_process(self, tmp_path, monkeypatch, rows, threshold):
+        """One block is one job, and a file far under 3 MB costs less to read than starting the workers."""
+        ds = make_regression(rows, d=3, seed=6)
+        path = str(tmp_path / "small.csv")
+        save_csv(ds, path)
+        monkeypatch.setattr(data, "_BLOCK_ROWS", 100)
+        if threshold is not None:
+            monkeypatch.setattr(data, "_FORK_READ_BYTES", threshold)
+        assert os.path.getsize(path) < data._FORK_READ_BYTES or rows <= data._BLOCK_ROWS
+        pools = _recorded_pools(monkeypatch)
+        _usable_cores(monkeypatch, {0, 1, 2})
+        got = load_csv(path, ds.target_name, ds.task)
+        columns = _columns(path)
+        assert pools == []
+        assert bits(got.features) == bits(ds.features) and bits(columns[-1]) == bits(ds.target)

@@ -49,7 +49,7 @@ def test_the_forked_stages_run_without_a_warning_under_dev_mode(tmp_path):
 import concurrent.futures, os
 from normetric import TaskKind, data, make_blobs, run_curve, schedule, synthetic_expand
 os.sched_getaffinity = lambda pid: {{0, 1}}
-data._FORK_BLOCKS, data._FORK_SAVE_CELLS, data._BLOCK_ROWS = 1, 1, 100
+data._FORK_BLOCKS, data._FORK_SAVE_CELLS, data._FORK_READ_BYTES, data._BLOCK_ROWS = 1, 1, 1, 100
 pools = []
 class Recorded(concurrent.futures.ProcessPoolExecutor):
     def __init__(self, *args):
@@ -59,12 +59,15 @@ concurrent.futures.ProcessPoolExecutor = Recorded
 ds = make_blobs(300, d=3, n_classes=2, seed=0, task=TaskKind.BINARY_CLASSIFICATION)
 run_curve(ds, schedule(40, 80, 40), TaskKind.BINARY_CLASSIFICATION, seed=1)
 data.save_csv(synthetic_expand(ds, 400, 5, seed=2), {str(tmp_path / "big.csv")!r})
+data.load_csv({str(tmp_path / "big.csv")!r}, ds.target_name, ds.task)
+header, column = data.read_columns({str(tmp_path / "big.csv")!r}, "series file")
+[column(name) for name in header]
 print(pools)
 """
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(normetric.__file__))}
     command = [sys.executable, "-X", "dev", "-W", "error", "-c", script]
     done = subprocess.run(command, capture_output=True, text=True, env=env, timeout=120)
-    assert (done.returncode, done.stderr, done.stdout) == (0, "", "[2, 2, 2]\n")
+    assert (done.returncode, done.stderr, done.stdout) == (0, "", "[2, 2, 2, 2, 2]\n")
 
 
 def test_work_reaches_the_workers_by_fork_and_is_never_pickled(monkeypatch):

@@ -3,7 +3,7 @@
 Exit codes: 0 success, 1 usage error (a numeric flag outside its own domain
 included), 2 data error (bad or missing files), 3 numeric or domain error,
 4 a worker process died (killed, or out of memory) during `curve`'s fits,
-`expand`'s neighbour scan, or while `expand` writes its output.
+`expand`'s neighbour scan or write, or the read of any CSV of 3 MB or more.
 Diagnostics go to stderr; results go to stdout or to the requested output
 files.
 """
@@ -89,8 +89,8 @@ def _read_predictions(path: str, task: TaskKind) -> dict:
     (a p_02 column is a DataError).  Clustering files carry cluster ids,
     any integers, in y_pred.  Each column must hold its rule in
     factors.input_rules (binary labels 0 or 1, say), and each row of
-    p_0..p_{C-1} must sum to 1 within 1e-6.  A breach is a DataError
-    naming the first bad data row.
+    p_0..p_{C-1} must sum to 1 within 1e-6.  A breach is a DataError naming
+    a data row: the one data.read_columns picks, or the first bad sum.
 
     The class sizes for h are counted from this file: y_true per class
     0..C-1 for classification, where each class must occur, and y_pred per

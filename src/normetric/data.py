@@ -9,13 +9,14 @@ import io
 import itertools
 import math
 import os
+import stat
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from ._fork import map_on_cores
-from .exceptions import DataError, DomainError, WorkerError
+from .exceptions import DataError, DomainError
 from .factors import TaskKind
 
 __all__ = [
@@ -192,28 +193,29 @@ def _reader_rows(path: str, ranges: list) -> Iterator[list[str]]:
             raise DataError(f"{path} is not a readable UTF-8 CSV file: {exc}") from None
 
 
-def parse_column(cells: Sequence[str]) -> tuple[np.ndarray, Optional[int]]:
+def parse_column(cells: Sequence[str]) -> tuple[np.ndarray, Optional[int], Optional[tuple[list, np.ndarray]]]:
     """Floats from CSV cells, each read as Python's float() reads it.
 
     numpy parses the cells (a block of a column) in one call, as float()
-    does; only cells among which one does not parse fall back to parsing
-    each distinct cell once.  Returns the values, NaN where a cell does not
-    parse, and the index of the first such cell (None if every cell parses).
+    does; only cells among which one does not parse fall back to coding
+    them (_coded) and parsing each distinct cell once.  Returns the values,
+    NaN where a cell does not parse, the index of the first such cell (None
+    if every cell parses), and the coding if the cells fell back (else None).
     """
     try:
-        return np.array(cells, dtype=float), None
+        return np.array(cells, dtype=float), None, None
     except ValueError:
         pass
-    parsed = dict.fromkeys(cells)  # distinct cells in order of first appearance
-    first_bad = None
-    for cell in parsed:
+    distinct, codes = _coded(cells)
+    floats, first_bad = np.empty(len(distinct)), None
+    for at, cell in enumerate(distinct):
         try:
-            parsed[cell] = float(cell)
+            floats[at] = float(cell)
         except ValueError:
-            parsed[cell] = math.nan
+            floats[at] = math.nan
             if first_bad is None:
                 first_bad = cells.index(cell)
-    return np.fromiter(map(parsed.__getitem__, cells), dtype=float, count=len(cells)), first_bad
+    return floats[codes], first_bad, (distinct, codes)
 
 
 def read_columns(path: str, kind: str) -> tuple[list[str], Callable[..., np.ndarray]]:
@@ -224,10 +226,11 @@ def read_columns(path: str, kind: str) -> tuple[list[str], Callable[..., np.ndar
     value that holds.  Blank lines are skipped and not counted as data rows,
     and a row longer than the header is read for its named cells.  A
     DataError names the file (a `kind`, such as "series file") and the
-    column when it is absent, and else the first bad data row: one whose
-    cell is not a number or fails the rule, or one that ends before the
-    column.  Columns are parsed a block at a time where read_blocks splits
-    the block, on every usable core for a large file: no cell text is kept.
+    column when it is absent.  Else, among the rows before the first that
+    ends before the column, it names the first whose cell is not a number,
+    else the first that fails the rule, and else that short row.  Columns
+    are parsed a block at a time where read_blocks splits the block, on
+    every usable core for a large file: no cell text is kept.
     """
     header, blocks = read_blocks(path)
     parts: list = [[] for _ in header]  # each column's values, a block at a time
@@ -279,18 +282,15 @@ def _parsed(plan: dict, spliced: bool, block: tuple) -> tuple[int, dict, list[in
     plan maps a column to "parse" or to "code".  A column holds cell j of the
     block's full rows, or if spliced, of each of its data rows up to the first
     that ends before the column (_spliced).  Returns the number of full rows;
-    for each planned column its values and first bad cell, as parse_column
-    gives them (None and 0 for a coded column), its coding when it is coded or
-    a cell does not parse (its distinct cells in order of first appearance,
-    and the index of each cell among them), and where a row ends before it
-    (or None); and the field count of each other row.
+    for each planned column its values, first bad cell and coding, as
+    parse_column gives them (None, None and _coded's for a coded column), and
+    where a row ends before it (or None); and the field count of each other row.
     """
     columns, others = block
     read = {}
     for j, how in plan.items():
         cells, ends = _spliced(columns[j], others, j) if spliced else (columns[j], None)
-        values, bad = parse_column(cells) if how == "parse" else (None, 0)
-        read[j] = values, bad, None if bad is None else _coded(cells), ends
+        read[j] = *(parse_column(cells) if how == "parse" else (None, None, _coded(cells))), ends
     return len(columns[0]) if columns else 0, read, [len(row) for _, row in others]
 
 
@@ -416,20 +416,23 @@ def save_csv(ds: Dataset, path: str) -> None:
     of 2**17 cells or more (13108 rows of 9 features, say) on every usable
     core by forked workers, each block written here in order as it comes
     back; the bytes are the same either way.  A worker that dies raises
-    WorkerError naming the first data row not written, and the file is
-    removed.
+    WorkerError naming the first data row not written.  An error once the
+    file is open removes it, if it is a regular file (not /dev/null, say).
     """
     labels = list(map(int if ds.task.has_class_targets else float, ds.target.tolist()))
     fork = ds.n * (ds.d + 1) >= _FORK_SAVE_CELLS
     blocks = map_on_cores(functools.partial(_text_rows, ds.features, labels), range(0, ds.n, _BLOCK_ROWS),
                           lambda start: f"data row {start + 1} of {path} was written", fork)
+    fh = open(path, "w", newline="", encoding="utf-8")
+    regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
     try:
-        with open(path, "w", newline="", encoding="utf-8") as fh, contextlib.closing(blocks):
+        with fh, contextlib.closing(blocks):
             # only the names may need csv's quoting: a float's or int's repr never does
             csv.writer(fh, lineterminator="\n").writerow(ds.feature_names + [ds.target_name])
             fh.writelines(blocks)
-    except WorkerError:
-        os.remove(path)  # a shorter file would read back as a valid dataset
+    except BaseException:
+        if regular:
+            os.remove(path)  # a shorter file would read back as a valid dataset
         raise
 
 
@@ -483,63 +486,59 @@ def _block_rows(m: int, d: int) -> int:  # anchor rows per block of a scan over 
     return max(1, _SCAN_BLOCK_FLOATS // max(1, m * d))
 
 
-def _pool_neighbors(features: np.ndarray, pools: list, k: int, job: tuple[int, int, int]) -> np.ndarray:
-    """Rows lo..hi-1 of the neighbour table of pools[at], for job (at, lo, hi).
+def _pool_neighbors(features: np.ndarray, pools: list, k: int, job: tuple) -> np.ndarray:
+    """The neighbour table of pools[at]'s rows at positions, for job (at, positions), positions ascending.
 
-    Row i - lo lists the positions of the k pool rows nearest to row i, itself excluded, ordered by
+    Row i lists the positions of the k pool rows nearest to the row at positions[i], itself excluded, ordered by
     (Euclidean distance, position), as a stable sort of the distances orders them, so ties go to the lower
     position.  A pool of one row lists that row itself; a pool of m <= k rows lists the other m - 1.  A
     distance that overflows raises FloatingPointError.
     """
-    at, lo, hi = job
+    at, positions = job
     features = features[pools[at]]
     m, d = features.shape
     if m == 1:
-        return np.zeros((1, 1), dtype=np.intp)
+        return np.zeros((positions.size, 1), dtype=np.intp)
     k = min(k, m - 1)
     step = _block_rows(m, d)
-    table = np.empty((hi - lo, k), dtype=np.intp)
+    table = np.empty((positions.size, k), dtype=np.intp)
     with np.errstate(over="raise"):  # an infinite distance would tie with every other, ranked by position
-        for start in range(lo, hi, step):
-            block = features[start:min(start + step, hi)]
-            b = block.shape[0]
-            diff = features - block[:, np.newaxis, :]
+        for start in range(0, positions.size, step):
+            anchors = positions[start:start + step]
+            b = anchors.size
+            diff = features - features[anchors][:, np.newaxis, :]
             # the very sum np.linalg.norm takes, so distances match it bit for bit
             distances = np.sqrt(np.add.reduce(np.square(diff, out=diff), axis=-1))
             # the k nearest others lie within the (k+1)-th smallest distance, self included
             cutoff = np.partition(distances, k, axis=1)[:, k:k + 1]
             candidate = (distances <= cutoff) | np.isnan(cutoff)
-            candidate[np.arange(b), np.arange(start, start + b)] = False
+            candidate[np.arange(b), anchors] = False
             rows, cols = np.nonzero(candidate)
             order = np.lexsort((cols, distances[rows, cols], rows))
             counts = np.bincount(rows, minlength=b)
             rank = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
-            table[start - lo:start - lo + b] = cols[order][rank < k].reshape(b, k)
+            table[start:start + b] = cols[order][rank < k].reshape(b, k)
     return table
 
 
-def _neighbor_lists(ds: Dataset, k: int) -> list[np.ndarray]:
-    """Each row's k nearest rows, by index, within its class (or all rows).
+def _neighbor_table(features: np.ndarray, pools: list, k: int, rows: np.ndarray) -> np.ndarray:
+    """Line i lists the k nearest rows to rows[i] (ascending, distinct) in its pool, then -1 up to k columns.
 
-    Each pool is cut into jobs of _JOB_BLOCKS blocks, run in order, forked for a scan of _FORK_BLOCKS blocks or
-    more: an anchor's neighbours depend on its own row of distances alone, so any cut gives the same bits.
+    Each pool's rows among them are cut into jobs of _JOB_BLOCKS blocks, run in order and forked for _FORK_BLOCKS
+    blocks or more: an anchor's neighbours depend on its own row of distances alone, so any cut gives the same bits.
     """
-    if ds.task.has_class_targets:
-        pools = [np.flatnonzero(ds.target == label) for label in np.unique(ds.target)]
-    else:
-        pools = [np.arange(ds.n)]
-    fork = sum(-(-pool.size // _block_rows(pool.size, ds.d)) for pool in pools) >= _FORK_BLOCKS
-    jobs = []
+    jobs, blocks = [], 0
     for at, pool in enumerate(pools):
-        span = _block_rows(pool.size, ds.d) * _JOB_BLOCKS
-        jobs += [(at, lo, min(lo + span, pool.size)) for lo in range(0, pool.size, span)]
-    scan = functools.partial(_pool_neighbors, ds.features, pools, k)
-    tables = list(map_on_cores(scan, jobs, "the neighbour scan ended".format, fork))
-    neighbor_lists: list[np.ndarray] = [np.empty(0, dtype=np.intp)] * ds.n
-    for (at, lo, hi), table in zip(jobs, tables):
-        for i, nearest in zip(pools[at][lo:hi].tolist(), pools[at][table]):
-            neighbor_lists[i] = nearest
-    return neighbor_lists
+        positions = np.flatnonzero(np.isin(pool, rows))
+        step = _block_rows(pool.size, features.shape[1])
+        blocks += -(-positions.size // step)
+        jobs += [(at, positions[lo:lo + step * _JOB_BLOCKS]) for lo in range(0, positions.size, step * _JOB_BLOCKS)]
+    scan = functools.partial(_pool_neighbors, features, pools, k)
+    tables = list(map_on_cores(scan, jobs, "the neighbour scan ended".format, blocks >= _FORK_BLOCKS))
+    table = np.full((rows.size, k), -1, dtype=np.intp)
+    for (at, positions), nearest in zip(jobs, tables):
+        table[np.searchsorted(rows, pools[at][positions]), :nearest.shape[1]] = pools[at][nearest]
+    return table
 
 
 def synthetic_expand(ds: Dataset, target_n: int, k_neighbors: int, seed: int) -> Dataset:
@@ -553,36 +552,36 @@ def synthetic_expand(ds: Dataset, target_n: int, k_neighbors: int, seed: int) ->
     original rows are preserved, bitwise, ahead of the synthetic ones.
 
     Neighbours are ranked by distance, ties going to the lower row index.
-    The scan is exact and so quadratic in the class size m: each class's
-    anchors are processed in blocks of about 2**16 // (m * d) rows, which
-    caps each float temporary at 2**16 elements (512 KB) however large
-    the class.  A scan of 192 blocks or more (three classes of 700 rows at
-    d = 8, say) runs on every usable core in forked workers, with the same
-    bits; a smaller one runs here.  A worker that dies raises WorkerError.
+    The anchors, picks and lambdas are drawn first, and only the drawn
+    anchors are scanned, each exactly against its whole class of m rows, in
+    blocks of 2**16 // (m * d) anchors: each float temporary is at most 512
+    KB.  A scan of 192 blocks of drawn anchors or more (all of three classes
+    of 700 rows at d = 8, say) forks on every usable core, with the same
+    bits.  A worker that dies raises WorkerError; a distance from a drawn
+    anchor that overflows raises DomainError.
     """
     if target_n <= ds.n:
         raise DomainError(f"target_n must exceed the current {ds.n} rows, got {target_n}")
     if not 1 <= k_neighbors < ds.n:
         raise DomainError(f"k_neighbors must be in [1, {ds.n - 1}], got {k_neighbors}")
 
+    pool_of = np.unique(ds.target, return_inverse=True)[1] if ds.task.has_class_targets else np.zeros(ds.n, np.intp)
+    pools = [np.flatnonzero(pool_of == at) for at in range(pool_of.max() + 1)]
+    widths = np.clip(np.bincount(pool_of)[pool_of] - 1, 1, k_neighbors).tolist()  # a lone row lists itself
+    rng = np.random.default_rng(seed)
+    (anchors, picks), lams = np.empty((2, target_n - ds.n), dtype=np.intp), np.empty(target_n - ds.n)
+    for row in range(target_n - ds.n):
+        anchors[row] = anchor = rng.integers(ds.n)
+        picks[row] = rng.integers(widths[anchor])
+        lams[row] = rng.random()
+    rows = np.unique(anchors)
     try:
-        neighbor_lists = _neighbor_lists(ds, k_neighbors)
+        table = _neighbor_table(ds.features, pools, k_neighbors, rows)
     except FloatingPointError:
         raise DomainError("features too large to compare: the distance between two rows overflows") from None
-    rng = np.random.default_rng(seed)
-    new_features = np.empty((target_n - ds.n, ds.d))
-    new_targets = np.empty(target_n - ds.n, dtype=ds.target.dtype)
-    for row in range(target_n - ds.n):
-        anchor = int(rng.integers(ds.n))
-        options = neighbor_lists[anchor]
-        neighbor = int(options[rng.integers(options.size)])
-        lam = rng.random()
-        new_features[row] = ds.features[anchor] + lam * (ds.features[neighbor] - ds.features[anchor])
-        new_targets[row] = ds.target[anchor]
-
-    return replace(
-        ds,
-        features=np.concatenate([ds.features, new_features]),
-        target=np.concatenate([ds.target, new_targets]),
-        n_dropped=0,
-    )
+    base = ds.features[anchors]
+    new_features = ds.features[table[np.searchsorted(rows, anchors), picks]] - base
+    new_features *= lams[:, np.newaxis]
+    new_features += base  # base + lam * (neighbor - base), one IEEE step at a time
+    return replace(ds, features=np.concatenate([ds.features, new_features]),
+                   target=np.concatenate([ds.target, ds.target[anchors]]), n_dropped=0)

@@ -271,9 +271,9 @@ _UNIT_INTERVAL = ("numbers in [0, 1]", _PROBABILITIES[1])
 def parse_series_csv(path: str) -> list[CurvePoint]:
     """Read a series CSV back into curve points with full breakdowns.
 
-    Columns are read by name, as the predictions file of `evaluate` is
-    (see data.read_columns).  A DataError names the file and the first bad
-    data row when a field is not a number, a train_size is not an integer
+    Columns are read by name, as the predictions file of `evaluate` is.
+    A DataError names the file and a bad data row (data.read_columns says
+    which) when a field is not a number, a train_size is not an integer
     >= 1 or does not exceed the one before it, or a base or adjusted metric
     is not in [0, 1].
     """

@@ -12,6 +12,7 @@ library's earlier code exactly.
 """
 
 import csv
+import dataclasses
 import math
 import os
 
@@ -353,8 +354,8 @@ def ref_fit_logistic_with_loss(X, y, n_classes, epochs, learning_rate, seed):
 
 # ---------------------------------------------------------------------------
 # The data layer's former row loops, kept verbatim.  Like the training loop
-# above they pin bits: load_csv, save_csv and the neighbour scan inside
-# synthetic_expand must reproduce them exactly.
+# above they pin bits: load_csv, save_csv and synthetic_expand, its
+# neighbour scan included, must reproduce them exactly.
 
 
 def _parse_finite(cell):
@@ -525,3 +526,24 @@ def ref_neighbor_lists(ds, k_neighbors):
         nearest = pool[np.argsort(distances, kind="stable")[:k_neighbors]]
         neighbor_lists.append(nearest)
     return neighbor_lists
+
+
+def ref_synthetic_expand(ds, target_n, k_neighbors, seed):
+    """synthetic_expand as a per-row loop over every row's neighbour list (returns a normetric Dataset)."""
+    neighbor_lists = ref_neighbor_lists(ds, k_neighbors)
+    rng = np.random.default_rng(seed)
+    new_features = np.empty((target_n - ds.n, ds.d))
+    new_targets = np.empty(target_n - ds.n, dtype=ds.target.dtype)
+    for row in range(target_n - ds.n):
+        anchor = int(rng.integers(ds.n))
+        options = neighbor_lists[anchor]
+        neighbor = int(options[rng.integers(options.size)])
+        lam = rng.random()
+        new_features[row] = ds.features[anchor] + lam * (ds.features[neighbor] - ds.features[anchor])
+        new_targets[row] = ds.target[anchor]
+    return dataclasses.replace(
+        ds,
+        features=np.concatenate([ds.features, new_features]),
+        target=np.concatenate([ds.target, new_targets]),
+        n_dropped=0,
+    )

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface, run in-process."""
 
 import csv
+import errno
 import io
 import json
 import multiprocessing
@@ -783,6 +784,30 @@ class TestExpand:
             f"normetric: error: a worker process died before data row 1 of {out} was written "
             "(killed, or out of memory)\n"
         )
+        assert not out.exists()
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_a_failed_save_exits_2_and_leaves_no_file(self, blobs_csv, tmp_path, capsys, monkeypatch, cores):
+        """The disk filling up after the first block is written: the rows before would read back as a dataset."""
+        text_rows = data._text_rows
+
+        def failed(features, labels, start):
+            if start:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return text_rows(features, labels, start)
+
+        monkeypatch.setattr(data, "_text_rows", failed)
+        monkeypatch.setattr(data, "_BLOCK_ROWS", 100)
+        monkeypatch.setattr(data, "_FORK_SAVE_CELLS", 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+        out = tmp_path / "big.csv"
+        code = main([
+            "expand", "--task", "binary", "--data", blobs_csv, "--target-column", "label",
+            "--target-n", "400", "--out", str(out),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == "normetric: data error: [Errno 28] No space left on device\n"
         assert not out.exists()
         assert multiprocessing.active_children() == []
 

@@ -3,7 +3,7 @@
 load_csv, save_csv and the neighbour scan inside synthetic_expand were
 rewritten as array code under the promise of identical output, and the
 scan, save_csv and the CSV reader were then forked across cores under the
-same promise.
+same promise; the scan was then narrowed to the rows synthetic_expand draws.
 The old loops live on in tests/reference.py; these property tests feed
 both the kinds of input where column parsing, label encoding and
 tie-breaking could drift: wrong-width rows, cells Python's float() treats
@@ -28,11 +28,11 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import reference as ref
-from normetric import (DataError, Dataset, TaskKind, load_csv, make_binary_classification, make_blobs, make_regression,
-                       save_csv)
+from normetric import (DataError, Dataset, DomainError, TaskKind, load_csv, make_binary_classification, make_blobs,
+                       make_regression, save_csv)
 from normetric import data
 from normetric.cli import main
-from normetric.data import _neighbor_lists, read_blocks, read_columns
+from normetric.data import _neighbor_table, read_blocks, read_columns
 
 CLASS_TASKS = [TaskKind.BINARY_CLASSIFICATION, TaskKind.MULTICLASS_CLASSIFICATION, TaskKind.CLUSTERING]
 
@@ -335,6 +335,17 @@ def neighbour_datasets(draw):
     return Dataset([f"x{j}" for j in range(d)], features, target, task), k
 
 
+def _pools(ds):
+    if ds.task.has_class_targets:
+        return [np.flatnonzero(ds.target == label) for label in np.unique(ds.target)]
+    return [np.arange(ds.n)]
+
+
+def _neighbor_lists(ds, k):
+    """Each row's neighbour list, every row scanned as if drawn: its line of _neighbor_table up to the -1s."""
+    return [line[line >= 0] for line in _neighbor_table(ds.features, _pools(ds), k, np.arange(ds.n))]
+
+
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 @settings(max_examples=400, deadline=None)
 @given(case=neighbour_datasets())
@@ -345,6 +356,53 @@ def test_neighbour_scan_matches_row_loop(case):
     assert len(got) == len(expected)
     for row_got, row_expected in zip(got, expected):
         assert bits(row_got) == bits(row_expected)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("cores", [1, 3])
+@settings(max_examples=200, deadline=None)
+@given(case=neighbour_datasets(), extra=st.integers(1, 60))
+def test_expand_matches_row_loop(cores, case, extra):
+    """Drawn first and scanned only where drawn, as the row loop over every row's list; a block and a job per
+    drawn row, so on three cores every scan of two drawn rows or more forks.  No distance here overflows, so a
+    scan of every row would succeed too."""
+    ds, k = case
+    expected = ref.ref_synthetic_expand(ds, ds.n + extra, k, seed=extra)
+    with mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cores))), \
+            mock.patch.object(data, "_SCAN_BLOCK_FLOATS", 1), mock.patch.object(data, "_FORK_BLOCKS", 1), \
+            mock.patch.object(data, "_JOB_BLOCKS", 1):
+        got = data.synthetic_expand(ds, ds.n + extra, k, seed=extra)
+    assert (bits(got.features), bits(got.target)) == (bits(expected.features), bits(expected.target))
+    assert multiprocessing.active_children() == []
+
+
+def _one_draw_beside_huge_rows(anchor_joins_them):
+    """Ten rows of one feature, expanded by one row at seed 0, so the first anchor drawn is the only one.
+
+    Two other rows, 1.5e308 and -1.5e308, make class 1, where every distance overflows; the anchor stays in
+    class 0 unless it joins them.
+    """
+    anchor = int(np.random.default_rng(0).integers(10))  # synthetic_expand's first draw
+    features, target = np.arange(10.0)[:, np.newaxis], np.zeros(10, dtype=np.int64)
+    huge = [row for row in range(10) if row != anchor][:2]
+    features[huge, 0] = [1.5e308, -1.5e308]
+    target[huge + [anchor] * anchor_joins_them] = 1
+    return Dataset(["x"], features, target, TaskKind.BINARY_CLASSIFICATION)
+
+
+def test_distances_that_overflow_between_rows_never_drawn_do_not_stop_expand():
+    """A scan of every row, as before the scan was narrowed to the drawn rows, rejected this input."""
+    ds = _one_draw_beside_huge_rows(False)
+    with np.errstate(over="ignore"):  # the row loop measures class 1 too
+        expected = ref.ref_synthetic_expand(ds, 11, 2, seed=0)
+    got = data.synthetic_expand(ds, 11, 2, seed=0)
+    assert got.target[-1] == 0
+    assert (bits(got.features), bits(got.target)) == (bits(expected.features), bits(expected.target))
+
+
+def test_a_distance_that_overflows_from_a_drawn_row_stops_expand():
+    with pytest.raises(DomainError, match="the distance between two rows overflows"):
+        data.synthetic_expand(_one_draw_beside_huge_rows(True), 11, 2, seed=0)
 
 
 def _several_blocks():
@@ -380,41 +438,50 @@ def _recorded_pools(monkeypatch):
     return pools
 
 
-def _scan_blocks(ds):
-    sizes = np.unique(ds.target, return_counts=True)[1] if ds.task.has_class_targets else [ds.n]
-    return sum(-(-int(m) // data._block_rows(int(m), ds.d)) for m in sizes)
+def _scan_blocks(ds, rows):
+    """The blocks of a scan of the given rows, pool by pool."""
+    return sum(-(-np.count_nonzero(np.isin(pool, rows)) // data._block_rows(pool.size, ds.d)) for pool in _pools(ds))
 
 
 class TestForkedExpand:
-    # each just over the 192 scan blocks from which the scan forks; regression is one pool
+    # four times their rows draws over 192 scan blocks, from which the scan forks, and saves under 2**17 cells;
+    # regression is one pool
     DATASETS = {
         TaskKind.BINARY_CLASSIFICATION: make_binary_classification(1800, d=8, seed=1),
-        TaskKind.MULTICLASS_CLASSIFICATION: make_blobs(2100, d=8, n_classes=3, seed=2),
+        TaskKind.MULTICLASS_CLASSIFICATION: make_blobs(2400, d=8, n_classes=3, seed=2),
         TaskKind.REGRESSION: make_regression(1300, d=8, seed=3),
-        TaskKind.CLUSTERING: make_blobs(2100, d=8, n_classes=3, seed=4, task=TaskKind.CLUSTERING),
+        TaskKind.CLUSTERING: make_blobs(2400, d=8, n_classes=3, seed=4, task=TaskKind.CLUSTERING),
     }
 
     @pytest.mark.parametrize("task", list(DATASETS), ids=lambda task: task.value)
     def test_workers_write_the_serial_file_byte_for_byte(self, tmp_path, monkeypatch, task):
         """Three workers (more than this host may have cores) against the scan in this process."""
         ds = self.DATASETS[task]
-        assert _scan_blocks(ds) >= data._FORK_BLOCKS
         save_csv(ds, str(tmp_path / "in.csv"))
+        drawn, scan = [], data._neighbor_table
+
+        def recorded(features, pools, k, rows):
+            drawn.append(rows)
+            return scan(features, pools, k, rows)
+
+        monkeypatch.setattr(data, "_neighbor_table", recorded)
         pools = _recorded_pools(monkeypatch)
         written = []
         for cores in ({0, 1, 2}, {0}):
             _usable_cores(monkeypatch, cores)
             out = tmp_path / f"out{len(cores)}.csv"
             assert main(["expand", "--task", task.value, "--data", str(tmp_path / "in.csv"), "--target-column",
-                         ds.target_name, "--target-n", str(ds.n + 500), "--out", str(out), "--seed", "3"]) == 0
+                         ds.target_name, "--target-n", str(4 * ds.n), "--out", str(out), "--seed", "3"]) == 0
             assert multiprocessing.active_children() == []
             written.append(out.read_bytes())
+        assert _scan_blocks(ds, drawn[0]) >= data._FORK_BLOCKS
+        assert 4 * ds.n * (ds.d + 1) < data._FORK_SAVE_CELLS
         assert pools == [3]
         assert written[0] == written[1]
 
     def test_a_scan_under_the_threshold_stays_in_this_process(self, monkeypatch):
         ds = make_regression(1150, d=8, seed=3)
-        assert _scan_blocks(ds) < data._FORK_BLOCKS
+        assert _scan_blocks(ds, np.arange(ds.n)) < data._FORK_BLOCKS
         pools = _recorded_pools(monkeypatch)
         _usable_cores(monkeypatch, {0, 1, 2})
         _neighbor_lists(ds, 5)
@@ -482,13 +549,19 @@ class TestForkedSave:
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full, a device whose writes fail")
     def test_a_failed_write_stops_the_workers_before_save_csv_raises(self, monkeypatch):
-        """The disk filling up mid-file: the workers are joined before the OSError leaves save_csv."""
+        """The disk filling up mid-file: the workers are joined before the OSError leaves save_csv.
+
+        /dev/full is a device, not a regular file, so save_csv must not remove it: os.remove only records here.
+        """
+        removed = []
+        monkeypatch.setattr(os, "remove", removed.append)
         monkeypatch.setattr(data, "_FORK_SAVE_CELLS", 1)
         _usable_cores(monkeypatch, {0, 1})
         with pytest.raises(OSError) as caught:  # holding the error keeps save_csv's frame alive
             save_csv(make_regression(30_000, d=2, seed=7), "/dev/full")
         assert multiprocessing.active_children() == []
         assert caught.value.errno == errno.ENOSPC
+        assert removed == []
 
 
 def _columns(path):

@@ -22,13 +22,13 @@ def _run_job(job: Any) -> Any:
 def map_on_cores(work: Callable, jobs: Sequence, lost: Callable[[Any], str], fork: bool = True) -> Iterator:
     """Yield work(job) for each job in order, computed by one forked worker per usable core.
 
-    The curve's fits, expand's neighbour scan, save_csv's blocks and read_blocks's blocks (for load_csv and
-    read_columns) run here.  Workers inherit work by fork, never pickled, so only a job goes out and its result
-    comes back, dropped here once it is yielded.  Jobs go out and results are yielded in job order, so a
-    failure raises the first failing job's error.  The jobs run here if fork is false, with one usable core
-    (os.sched_getaffinity) or job, or in a daemonic process (which may not start processes).  A worker that
-    dies raises WorkerError, worded by lost(the first job left undone).  Closing the generator shuts the
-    workers down.
+    The curve's chunks of consecutive sizes, expand's neighbour scan, save_csv's blocks and read_blocks's blocks
+    (for load_csv and read_columns) run here.  Workers inherit work by fork, never pickled, so only a job goes
+    out and its result comes back, dropped here once it is yielded.  Jobs go out and results are yielded in job
+    order, so a failure raises the first failing job's error.  The jobs run here if fork is false, with one
+    usable core (os.sched_getaffinity) or job, or in a daemonic process (which may not start processes).  A
+    worker that dies raises WorkerError, worded by lost(the first job left undone).  Closing the generator
+    shuts the workers down.
     """
     workers = min(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1, len(jobs))
     if fork and workers > 1:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import asdict, dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -12,7 +12,7 @@ from ._fork import map_on_cores
 from .data import Dataset, SampleSchedule, read_columns, split
 from .exceptions import ConfigurationError, DataError, DomainError
 from .factors import _PROBABILITIES, SAMPLES_PER_FEATURE, MetricBreakdown, TaskKind, evaluate, integer_rule
-from .learners import fit_kmeans, fit_linear, fit_logistic
+from .learners import _fit_logistic_stack, fit_kmeans, fit_linear
 
 __all__ = [
     "CurvePoint",
@@ -77,6 +77,11 @@ class LearnerConfig:
     n_clusters: Optional[int] = None
 
 
+# the training features of one curve job, a chunk of consecutive sizes (one size may exceed it): a stack
+# of a whole 1400 x 13 curve (2.6 MB) outgrew the cache and ran slower than stacks of 0.25-1 MB
+_CHUNK_BYTES = 2**19
+
+
 def derive_seed(master_seed: int, *tags: int) -> int:
     """Collapse (master seed, tags...) into an independent child seed."""
     return int(np.random.SeedSequence((master_seed, *tags)).generate_state(1)[0])
@@ -95,36 +100,60 @@ def _standardize(train: np.ndarray, test: np.ndarray, names: Sequence[str]) -> t
     return scaled
 
 
-def _curve_point(pool: Dataset, test: Dataset, task: TaskKind, config: LearnerConfig, seed: int, d: int,
+def _naming(message: str, call: Callable, *args):
+    """call(*args), whose DomainError, on the curve's standardized input only an overflow, becomes message."""
+    try:
+        return call(*args)
+    except DomainError:
+        raise DomainError(message) from None
+
+
+def _curve_chunk(pool: Dataset, test: Dataset, task: TaskKind, config: LearnerConfig, seed: int, d: int,
                  n_classes: Optional[int], pool_sizes: Optional[np.ndarray], k: Optional[int],
-                 size: int) -> CurvePoint:
-    """Fit on the shuffled pool's first `size` rows and score the fit on the test split."""
-    X_train, X_test = _standardize(pool.features[:size], test.features, pool.feature_names)
-    y_train = pool.target[:size]
-    fit_seed = derive_seed(seed, 1, size)
+                 sizes: Sequence[int]) -> list[CurvePoint]:
+    """For each of consecutive sizes, fit on the shuffled pool's first `size` rows and score on the test split.
+
+    A classifier's sizes descend as one stack (learners._fit_logistic_stack); other tasks fit each size in
+    turn.  A size is standardized when its fit draws it, so the error of the first size that fails, to
+    standardize, fit, predict or score, is raised after the sizes before it are scored.
+    """
+    tests = []
+
+    def training_sets():
+        for size in sizes:
+            X_train, X_test = _standardize(pool.features[:size], test.features, pool.feature_names)
+            tests.append(X_test)
+            yield X_train, pool.target[:size], derive_seed(seed, 1, size)
+
+    target = f"target column {pool.target_name!r} is too large to"
     if task is TaskKind.REGRESSION:
-        preds = fit_linear(X_train, y_train).predict(X_test)
-        scoring = {}
+        models = (_naming(f"{target} fit a line to", fit_linear, X, y) for X, y, _ in training_sets())
     elif task is TaskKind.CLUSTERING:
-        model = fit_kmeans(X_train, k, seed=fit_seed)
-        preds = model.predict(X_test)
-        scoring = {"class_sizes": np.unique(model.assignments, return_counts=True)[1]}
+        models = (fit_kmeans(X, k, seed=fit_seed) for X, _, fit_seed in training_sets())
     else:
-        model = fit_logistic(
-            X_train,
-            y_train.astype(int),
-            n_classes,
-            epochs=config.epochs,
-            learning_rate=config.learning_rate,
-            seed=fit_seed,
-        )
-        proba = model.predict_proba(X_test)
-        preds = np.argmax(proba, axis=1)
-        scoring = {
-            "y_prob": proba.max(axis=1) if task is TaskKind.BINARY_CLASSIFICATION else proba,
-            "class_sizes": pool_sizes,
-        }
-    return CurvePoint(size, evaluate(task, test.target, preds, d, size, **scoring))
+        models = _fit_logistic_stack(training_sets(), n_classes, config.epochs, config.learning_rate)
+    points = []
+    for size, model in zip(sizes, models):
+        X_test = tests[len(points)]  # standardized when its training set was drawn
+        if task is TaskKind.REGRESSION:
+            preds = _naming(f"{target} predict", model.predict, X_test)
+            scoring = {}
+        elif task is TaskKind.CLUSTERING:
+            try:
+                preds = model.predict(X_test)
+            except DomainError:  # a distance overflows: name the feature farthest out
+                far = pool.feature_names[int(np.argmax(np.abs(X_test).max(axis=0)))]
+                raise DomainError(f"feature column {far!r} is too large for k-means distances") from None
+            scoring = {"class_sizes": np.unique(model.assignments, return_counts=True)[1]}
+        else:
+            proba = model.predict_proba(X_test)
+            preds = np.argmax(proba, axis=1)
+            scoring = {
+                "y_prob": proba.max(axis=1) if task is TaskKind.BINARY_CLASSIFICATION else proba,
+                "class_sizes": pool_sizes,
+            }
+        points.append(CurvePoint(size, evaluate(task, test.target, preds, d, size, **scoring)))
+    return points
 
 
 def run_curve(
@@ -146,11 +175,14 @@ def run_curve(
     training pool (clustering uses the fitted model's cluster sizes).
     Deterministic given the seed.
 
-    The sizes are fitted in forked worker processes, one per usable core
-    (os.sched_getaffinity), in order.  With one usable core, or in a
-    daemonic process, they are fitted in this process.  Either way the
-    points are the same bits, and a failure raises the error of the first
-    failing size in schedule order; a worker that dies raises WorkerError.
+    The schedule is cut into chunks of consecutive sizes whose training
+    features stay under _CHUNK_BYTES; a classifier's chunk descends as one
+    stack.  The chunks are fitted in forked worker processes, one per
+    usable core (os.sched_getaffinity) up to one per chunk, in order.  With
+    one usable core or chunk, or in a daemonic process, they are fitted in
+    this process.  Either way the points are the same bits, and a failure
+    raises the error of the first failing size in schedule order; a worker
+    that dies raises WorkerError.
     """
     config = config if config is not None else LearnerConfig()
     train, test = split(ds, config.test_fraction, seed)
@@ -168,9 +200,16 @@ def run_curve(
             pool_sizes = np.bincount(pool.target.astype(int), minlength=n_classes)
     k = config.n_clusters if config.n_clusters is not None else n_classes  # default: one per true class
 
-    point = functools.partial(_curve_point, pool, test, task, config, seed, d, n_classes, pool_sizes, k)
-    # each point's fit is seeded by its size alone, so forked workers give the serial loop's points bit for bit
-    return list(map_on_cores(point, sched.sizes, "training size {} was fitted".format))
+    chunks = [[]]
+    for size in sched.sizes:  # a size joins the chunk before it while their features fit in _CHUNK_BYTES
+        if chunks[-1] and (sum(chunks[-1]) + size) * pool.features[:1].nbytes > _CHUNK_BYTES:
+            chunks.append([])
+        chunks[-1].append(size)
+    work = functools.partial(_curve_chunk, pool, test, task, config, seed, d, n_classes, pool_sizes, k)
+    # each fit is seeded by its size alone, and a stack gives each set its own bits, so forked workers give
+    # the serial loop's points bit for bit
+    points = map_on_cores(work, chunks, "training size {0[0]} was fitted".format)
+    return [point for chunk in points for point in chunk]
 
 
 def smooth(values: Sequence[float], window: int) -> np.ndarray:

@@ -9,7 +9,7 @@ the same data and seed always produce the same model.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -37,7 +37,12 @@ class LinearModel:
     intercept: float
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        return np.asarray(X, dtype=float) @ self.weights + self.intercept
+        """Predictions; ones that overflow raise DomainError."""
+        try:
+            with np.errstate(all="raise", under="ignore"):
+                return np.asarray(X, dtype=float) @ self.weights + self.intercept
+        except FloatingPointError:
+            raise DomainError("predictions too large: a product of weights and features overflows") from None
 
 
 @dataclass(frozen=True)
@@ -102,20 +107,27 @@ def fit_linear(X: np.ndarray, y: np.ndarray) -> LinearModel:
     Singular or numerically unusable systems (duplicated columns, constant
     features) fall back to a ridge-regularized solve with lambda = 1e-8,
     which keeps coefficients finite while leaving predictions on clean data
-    effectively unchanged.
+    effectively unchanged.  Sums or coefficients that overflow raise DomainError.
     """
     X, y = _fit_inputs(X, y)
 
     augmented = np.column_stack([X, np.ones(X.shape[0])])
-    gram = augmented.T @ augmented
-    rhs = augmented.T @ y
     try:
-        coef = np.linalg.solve(gram, rhs)
-        usable = np.all(np.isfinite(coef)) and np.allclose(gram @ coef, rhs, rtol=1e-6, atol=1e-8)
-    except np.linalg.LinAlgError:
-        usable = False
-    if not usable:
-        coef = np.linalg.solve(gram + RIDGE_FALLBACK * np.eye(gram.shape[0]), rhs)
+        with np.errstate(all="raise", under="ignore"):
+            gram = augmented.T @ augmented
+            rhs = augmented.T @ y
+            try:
+                coef = np.linalg.solve(gram, rhs)
+                usable = np.all(np.isfinite(coef)) and np.allclose(gram @ coef, rhs, rtol=1e-6, atol=1e-8)
+            except np.linalg.LinAlgError:
+                usable = False
+            if not usable:
+                coef = np.linalg.solve(gram + RIDGE_FALLBACK * np.eye(gram.shape[0]), rhs)
+        finite = np.isfinite(coef).all()
+    except FloatingPointError:
+        finite = False
+    if not finite:
+        raise DomainError("values too large to fit: the normal equations overflow")
     return LinearModel(weights=coef[:-1], intercept=float(coef[-1]))
 
 
@@ -172,35 +184,6 @@ def _softmax(z: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     return np.divide(ez, _row_sum(ez)[:, np.newaxis], out=ez)
 
 
-def _binary_grads(w, b, X, y, work=(None, None)):
-    """Gradients of the mean cross-entropy of a sigmoid model.
-
-    work holds two n-vectors, the logits and the residual, that training
-    allocates once per fit; by default each call allocates its own.
-    """
-    n = X.shape[0]
-    z = np.matmul(X, w, out=work[0])
-    z += b
-    residual = _sigmoid(z, out=work[1])
-    residual -= y
-    return (X.T @ residual) / n, float(np.add.reduce(residual)) / n
-
-
-def _softmax_grads(W, b, X, y_onehot, work=None):
-    """Gradients of the mean cross-entropy of a softmax model.
-
-    work, an (n, C) array that training allocates once per fit, receives
-    the logits, then the probabilities and the residual in place.
-    """
-    n = X.shape[0]
-    z = np.matmul(X, W.T, out=work)
-    z += b
-    residual = _softmax(z, out=z)
-    residual -= y_onehot
-    # einsum adds the rows in order, as mean(axis=0) does, with no (n, C) temporary
-    return (residual.T @ X) / n, np.einsum("ij->j", residual) / n
-
-
 def fit_logistic(
     X: np.ndarray,
     y: np.ndarray,
@@ -215,7 +198,8 @@ def fit_logistic(
     and every epoch consumes the whole batch in order.  Binary problems use
     the sigmoid parameterization, larger ones multinomial softmax.  Epochs
     compute only the residual and the gradients, never the loss itself, in
-    buffers allocated once per fit.
+    buffers allocated once per fit.  This is a stack of one: the epoch loop
+    (_descend) fits any number of training sets at once, each to these bits.
 
     Every reduction keeps numpy's order, because a float sum taken in
     another order rounds differently, and the weights, and so the CLI's
@@ -228,44 +212,100 @@ def fit_logistic(
     folded over the class columns.  A run that overflows, or ends with
     non-finite weights, raises DivergenceError.
     """
-    X, y = _fit_inputs(X, y, int)
-    if epochs < 1:
-        raise DomainError(f"epochs must be >= 1, got {epochs}")
-    if learning_rate <= 0:
-        raise DomainError(f"learning rate must be positive, got {learning_rate}")
-    if n_classes < 2:
-        raise DomainError(f"need at least 2 classes, got {n_classes}")
-    if y.min() < 0 or y.max() >= n_classes:
-        raise DomainError(f"labels must lie in [0, {n_classes})")
-    if np.unique(y).size < 2:
-        raise DegenerateDistributionError("training labels contain a single class")
+    return next(_fit_logistic_stack([(X, y, seed)], n_classes, epochs, learning_rate))
 
-    rng = np.random.default_rng(seed)
-    d = X.shape[1]
-    if n_classes == 2:
-        W, b, targets = 0.01 * rng.standard_normal(d), 0.0, y.astype(float)
-        grads, work = _binary_grads, (np.empty(y.size), np.empty(y.size))
-    else:
-        W, b = 0.01 * rng.standard_normal((n_classes, d)), np.zeros(n_classes)
-        targets = np.zeros((y.size, n_classes))
-        targets[np.arange(y.size), y] = 1.0
-        grads, work = _softmax_grads, np.empty((y.size, n_classes))
+
+def _fit_logistic_stack(sets: Iterable, n_classes: int, epochs: int,
+                        learning_rate: float) -> Iterator[LogisticModel]:
+    """Yield fit_logistic(X, y, n_classes, epochs, learning_rate, seed) for each (X, y, seed) of sets, bit for bit.
+
+    The sets are drawn and checked in order up to the first that fails (drawing it may raise too).  The sets
+    before it descend as one stack, their models are yielded, and then its error is raised.  If the stack
+    overflows or ends with non-finite weights, each set descends alone as it is reached, so the first set that
+    diverges raises its own DivergenceError.
+    """
+    stack, failure = [], None
+    try:
+        for X, y, seed in sets:
+            X, y = _fit_inputs(X, y, int)
+            if epochs < 1:
+                raise DomainError(f"epochs must be >= 1, got {epochs}")
+            if learning_rate <= 0:
+                raise DomainError(f"learning rate must be positive, got {learning_rate}")
+            if n_classes < 2:
+                raise DomainError(f"need at least 2 classes, got {n_classes}")
+            if y.min() < 0 or y.max() >= n_classes:
+                raise DomainError(f"labels must lie in [0, {n_classes})")
+            if np.unique(y).size < 2:
+                raise DegenerateDistributionError("training labels contain a single class")
+            stack.append((X, y, seed))
+    except Exception as exc:  # raised once the sets before it are yielded
+        failure = exc
+    try:
+        fits = _descend(stack, n_classes, epochs, learning_rate) if len(stack) > 1 else []
+    except DivergenceError:
+        fits = []
+    for at, one in enumerate(stack):
+        W, b = fits[at] if fits else _descend([one], n_classes, epochs, learning_rate)[0]
+        yield LogisticModel(weights=np.atleast_2d(W), intercepts=np.atleast_1d(b), n_classes=n_classes)
+    if failure is not None:
+        raise failure
+
+
+def _descend(stack: list, n_classes: int, epochs: int, learning_rate: float) -> list:
+    """Each (X, y, seed) set's weights and intercepts after gradient descent, all sets in one epoch loop.
+
+    Each set's products and sums run on its own rows of the shared buffers; the bias add, the activation,
+    the target subtraction and the updates run once over all of them.  Nothing is padded and no reduction
+    crosses a set, so each set gets the bits of a descent on its own.  An overflow, or weights that end
+    non-finite, raise DivergenceError naming the first set's training size.
+    """
+    sizes = np.array([y.size for _, y, _ in stack])
+    rows = [slice(end - n, end) for n, end in zip(sizes.tolist(), np.cumsum(sizes).tolist())]
+    binary = n_classes == 2
+    shape = () if binary else (n_classes,)
+    W = np.array([0.01 * np.random.default_rng(seed).standard_normal((*shape, X.shape[1])) for X, _, seed in stack])
+    b = np.zeros((len(stack), *shape))
+    labels = np.concatenate([y for _, y, _ in stack])
+    targets = labels.astype(float) if binary else np.eye(n_classes)[labels]
+    logits = np.empty(targets.shape)
+    residual = np.empty(targets.shape) if binary else logits  # the softmax runs in place
+    grad_W, grad_b = np.empty(W.shape), np.empty(b.shape)
+    per_W, per_b = (sizes.reshape((-1,) + (1,) * (a.ndim - 1)) for a in (W, b))  # n of each set
+    # each set's features, logits, residual and gradients: views into the stacked buffers
+    views = [(X, logits[at], residual[at], grad_W[i], grad_b[i:i + 1] if binary else grad_b[i])
+             for i, ((X, _, _), at) in enumerate(zip(stack, rows))]
     try:
         with np.errstate(all="raise", under="ignore"):
             for _ in range(epochs):
-                grad_W, grad_b = grads(W, b, X, targets, work)
-                W = W - learning_rate * grad_W
-                b = b - learning_rate * grad_b
+                for (X, z, _, _, _), w in zip(views, W):
+                    np.matmul(X, w.T, out=z)
+                logits += np.repeat(b, sizes, axis=0) if len(stack) > 1 else b  # one set: b broadcasts
+                _sigmoid(logits, out=residual) if binary else _softmax(logits, out=logits)
+                residual -= targets
+                for X, _, r, g_W, g_b in views:
+                    if binary:
+                        np.matmul(X.T, r, out=g_W)
+                        np.add.reduce(r, keepdims=True, out=g_b)
+                    else:  # einsum adds the rows in order, as mean(axis=0) does, with no (n, C) temporary
+                        np.matmul(r.T, X, out=g_W)
+                        np.einsum("ij->j", r, out=g_b)
+                W = W - learning_rate * (grad_W / per_W)
+                b = b - learning_rate * (grad_b / per_b)
         finite = np.isfinite(W).all() and np.isfinite(b).all()
     except FloatingPointError:
         finite = False
     if not finite:
-        raise DivergenceError(f"fit diverged at training size {y.size}, learning rate {learning_rate!r}")
-    return LogisticModel(weights=np.atleast_2d(W), intercepts=np.atleast_1d(b), n_classes=n_classes)
+        raise DivergenceError(f"fit diverged at training size {sizes[0]}, learning rate {learning_rate!r}")
+    return list(zip(W, b))
 
 
 def _nearest_centroid(X: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    distances = np.linalg.norm(X[:, np.newaxis, :] - centroids[np.newaxis, :, :], axis=2)
+    try:
+        with np.errstate(all="raise", under="ignore"):
+            distances = np.linalg.norm(X[:, np.newaxis, :] - centroids[np.newaxis, :, :], axis=2)
+    except FloatingPointError:
+        raise DomainError("features too large for k-means: a distance to a centroid overflows") from None
     return np.argmin(distances, axis=1)
 
 

@@ -502,6 +502,51 @@ class TestCurve:
         assert captured.err == "normetric: error: feature column 'x0' is too large to standardize\n"
         assert not caught
 
+    @staticmethod
+    def _write(path, header, rows):
+        path.write_text(header + "\n" + "".join(",".join(map(repr, row)) + "\n" for row in rows), encoding="utf-8")
+        return str(path)
+
+    def test_targets_that_overflow_a_line_fit_exit_3_naming_the_column_without_numpy_warnings(self, tmp_path, capfd):
+        """40 rows of y = 1e308 on every 7th row and -1e308 on every 11th: the normal equations overflow."""
+        rng = np.random.default_rng(0)
+        y = [1e308 if i % 7 == 0 else -1e308 if i % 11 == 0 else float(v)
+             for i, v in enumerate(rng.standard_normal(40))]
+        path = self._write(tmp_path / "huge_y.csv", "x,y", zip(rng.standard_normal(40).tolist(), y))
+        errors = []
+        for seed in range(1, 7):
+            code = main(["curve", "--task", "regression", "--data", path, "--target-column", "y", "--start", "5",
+                         "--stop", "30", "--step", "5", "--d", "1", "--n-star", "10", "--seed", str(seed)])
+            err = capfd.readouterr().err
+            assert code == 3 and "Warning" not in err, err
+            errors.append(err.splitlines()[-1])
+        assert all(line.startswith("normetric:") for line in errors), errors
+        assert "normetric: error: target column 'y' is too large to fit a line to" in errors
+
+    def test_a_test_feature_whose_distance_overflows_exits_3_naming_the_column_without_numpy_warnings(
+            self, tmp_path, capfd):
+        """60 rows of x, z, y: x holds 1e200 in data row 7.  In the test split it standardizes to a finite value
+        whose distance to a centroid overflows; the binary and two-class curves of the same file never square it."""
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal(60)
+        x[6] = 1e200
+        path = self._write(tmp_path / "far.csv", "x,z,y",
+                           zip(x.tolist(), rng.standard_normal(60).tolist(), [i % 2 for i in range(60)]))
+        outcomes = {}
+        for task in ("clustering", "binary", "multiclass"):
+            for seed in range(1, 7):
+                code = main(["curve", "--task", task, "--data", path, "--target-column", "y", "--start", "10",
+                             "--stop", "40", "--step", "10", "--d", "1", "--n-star", "20", "--seed", str(seed)])
+                err = capfd.readouterr().err
+                assert "Warning" not in err, err
+                assert code == 0 or err.splitlines()[-1].startswith("normetric:"), err
+                outcomes[task, seed] = code, err
+        for task in ("binary", "multiclass"):
+            assert {outcomes[task, seed][0] for seed in range(1, 7)} == {0, 3}
+        far = [seed for seed in range(1, 7) if outcomes["binary", seed][0] == 0]
+        assert far and all(outcomes["clustering", seed] == (
+            3, "normetric: error: feature column 'x' is too large for k-means distances\n") for seed in far)
+
     def test_even_smooth_window_is_domain_error(self, blobs_csv, tmp_path, capsys):
         code = main([
             "curve", "--task", "binary", "--data", blobs_csv, "--target-column", "label",

@@ -112,8 +112,25 @@ class TestRunCurve:
 
 
 def _usable_cores(monkeypatch, cores):
-    """run_curve starts one worker per usable core, up to one per size; {0} means the serial loop."""
+    """run_curve starts one worker per usable core, up to one per chunk of sizes; {0} means the serial loop."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cores))
+
+
+def _chunk_rows(monkeypatch, rows, d=3):
+    """Cut the curve's schedule into chunks of at most `rows` training rows of d features (one size may exceed it)."""
+    monkeypatch.setattr(harness, "_CHUNK_BYTES", rows * d * 8)
+
+
+def _before_each_set(monkeypatch, before):
+    """Call before(rows) as the curve's stacked logistic fit draws each training set, in whichever process."""
+    stack = harness._fit_logistic_stack
+
+    def drawn(sets):
+        for X, y, seed in sets:
+            before(len(X))
+            yield X, y, seed
+
+    monkeypatch.setattr(harness, "_fit_logistic_stack", lambda sets, *args: stack(drawn(sets), *args))
 
 
 def _recorded_pools(monkeypatch):
@@ -147,25 +164,36 @@ class TestForkedCurve:
 
     @pytest.mark.parametrize("task", list(CURVES), ids=lambda task: task.value)
     def test_workers_give_the_serial_points_bit_for_bit(self, monkeypatch, task):
-        """Three workers (more than this host may have cores) against the serial loop in this process."""
+        """Three workers (more than this host may have cores) on four chunks, the first of two sizes, against
+        the serial loop in this process, on one chunk of every size and on one chunk per size."""
         ds, sched, config = self.CURVES[task]
-        pools = []
-
-        class Recorded(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, max_workers, *args):
-                pools.append(max_workers)
-                super().__init__(max_workers, *args)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorded)
+        pools = _recorded_pools(monkeypatch)
+        _chunk_rows(monkeypatch, 150 if task is TaskKind.CLUSTERING else 100, ds.d)
         _usable_cores(monkeypatch, {0, 1, 2})
         forked = run_curve(ds, sched, task, config, seed=5)
         assert multiprocessing.active_children() == []
+        assert pools == [3]
         _usable_cores(monkeypatch, {0})
-        serial = run_curve(ds, sched, task, config, seed=5)
+        for chunk_bytes in (1, 2**30):
+            monkeypatch.setattr(harness, "_CHUNK_BYTES", chunk_bytes)
+            serial = run_curve(ds, sched, task, config, seed=5)
+            assert pickle.dumps(forked) == pickle.dumps(serial)
         assert pools == [3]
         assert [p.train_size for p in forked] == list(sched.sizes)
-        assert pickle.dumps(forked) == pickle.dumps(serial)
         assert format_series_csv(forked) == format_series_csv(serial)
+
+    def test_chunks_hold_consecutive_sizes_under_the_byte_bound(self, monkeypatch):
+        ds, sched, config = self.CURVES[TaskKind.BINARY_CLASSIFICATION]
+        chunks = []
+        monkeypatch.setattr(harness, "map_on_cores", lambda work, jobs, lost: chunks.extend(jobs) or [])
+        for rows in (1, 90, 100, 449, 450):
+            _chunk_rows(monkeypatch, rows)
+            run_curve(ds, sched, TaskKind.BINARY_CLASSIFICATION, config, seed=5)
+        assert chunks == [[30], [60], [90], [120], [150],
+                          [30, 60], [90], [120], [150],
+                          [30, 60], [90], [120], [150],
+                          [30, 60, 90, 120], [150],
+                          [30, 60, 90, 120, 150]]
 
     def test_a_pool_worker_runs_the_serial_loop(self, monkeypatch):
         """A multiprocessing.Pool worker is daemonic, and a daemonic process may not start workers."""
@@ -192,14 +220,14 @@ class TestForkedCurve:
 
     def test_a_killed_worker_ends_the_curve_with_an_error(self, monkeypatch):
         ds, sched, config = self.CURVES[TaskKind.BINARY_CLASSIFICATION]
-        parent, fit = os.getpid(), harness.fit_logistic
+        parent = os.getpid()
 
-        def killed_at_90_rows(X, *args, **kwargs):
-            if os.getpid() != parent and len(X) == 90:  # never this process
+        def killed_at_90_rows(rows):
+            if os.getpid() != parent and rows == 90:  # never this process
                 os.kill(os.getpid(), signal.SIGKILL)
-            return fit(X, *args, **kwargs)
 
-        monkeypatch.setattr(harness, "fit_logistic", killed_at_90_rows)
+        _before_each_set(monkeypatch, killed_at_90_rows)
+        _chunk_rows(monkeypatch, 1)
         _usable_cores(monkeypatch, {0, 1})
         previous = signal.signal(signal.SIGALRM, _raise_timeout)
         signal.alarm(60)
@@ -215,14 +243,14 @@ class TestForkedCurve:
 
     def test_points_keep_schedule_order_when_the_smallest_size_finishes_last(self, monkeypatch):
         ds, sched, config = self.CURVES[TaskKind.BINARY_CLASSIFICATION]
-        parent, fit = os.getpid(), harness.fit_logistic
+        parent = os.getpid()
 
-        def slow_at_30_rows(X, *args, **kwargs):
-            if os.getpid() != parent and len(X) == 30:  # every other size is fitted before this one
+        def slow_at_30_rows(rows):
+            if os.getpid() != parent and rows == 30:  # every other size is fitted before this one
                 time.sleep(1.0)
-            return fit(X, *args, **kwargs)
 
-        monkeypatch.setattr(harness, "fit_logistic", slow_at_30_rows)
+        _before_each_set(monkeypatch, slow_at_30_rows)
+        _chunk_rows(monkeypatch, 1)
         pools = _recorded_pools(monkeypatch)
         _usable_cores(monkeypatch, {0, 1, 2})
         forked = run_curve(ds, sched, TaskKind.BINARY_CLASSIFICATION, config, seed=5)
@@ -232,25 +260,27 @@ class TestForkedCurve:
         assert [p.train_size for p in forked] == list(sched.sizes)
         assert pickle.dumps(forked) == pickle.dumps(serial)
 
-    def test_the_smaller_failing_size_is_raised_when_the_larger_fails_first(self, monkeypatch):
+    @pytest.mark.parametrize("rows, started", [(1, [3]), (450, [])], ids=["chunk-per-size", "one-chunk"])
+    def test_the_smaller_failing_size_is_raised_when_the_larger_fails_first(self, monkeypatch, rows, started):
+        """Forked on a chunk per size, and in this process on one chunk whose stack draws every size."""
         ds, sched, config = self.CURVES[TaskKind.BINARY_CLASSIFICATION]
-        parent, fit = os.getpid(), harness.fit_logistic
+        parent = os.getpid()
 
-        def failing_at_60_and_120_rows(X, *args, **kwargs):
-            if len(X) == 60:
+        def failing_at_60_and_120_rows(rows):
+            if rows == 60:
                 if os.getpid() != parent:
                     time.sleep(1.0)  # long after 120 rows has failed
                 raise ArithmeticError("the fit at 60 rows failed")
-            if len(X) == 120:
+            if rows == 120:
                 raise LookupError("the fit at 120 rows failed")
-            return fit(X, *args, **kwargs)
 
-        monkeypatch.setattr(harness, "fit_logistic", failing_at_60_and_120_rows)
+        _before_each_set(monkeypatch, failing_at_60_and_120_rows)
+        _chunk_rows(monkeypatch, rows)
         pools = _recorded_pools(monkeypatch)
         _usable_cores(monkeypatch, {0, 1, 2})
         with pytest.raises(ArithmeticError, match=r"^the fit at 60 rows failed$"):
             run_curve(ds, sched, TaskKind.BINARY_CLASSIFICATION, config, seed=5)
-        assert pools == [3]
+        assert pools == started
         assert multiprocessing.active_children() == []
 
 

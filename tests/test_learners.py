@@ -2,16 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import reference as ref
 from normetric import DegenerateDistributionError, DivergenceError, DomainError, ShapeError, TaskKind, make_blobs
 from normetric.learners import (
     LogisticModel,
-    _binary_grads,
     _row_sum,
+    _fit_logistic_stack,
     _sigmoid,
     _softmax,
-    _softmax_grads,
     fit_kmeans,
     fit_linear,
     fit_logistic,
@@ -65,35 +65,43 @@ def _finite_difference(fn, params, eps=1e-6):
     return grad
 
 
+def _first_step(X, y, n_classes, seed):
+    """The seeded start of fit_logistic and the gradient its first epoch takes there (learning rate 1)."""
+    shape = () if n_classes == 2 else (n_classes,)
+    W0 = 0.01 * np.random.default_rng(seed).standard_normal((*shape, X.shape[1]))
+    model = fit_logistic(X, y, n_classes, epochs=1, learning_rate=1.0, seed=seed)
+    return W0, W0 - model.weights.reshape(W0.shape), -model.intercepts.reshape(shape)
+
+
 def test_binary_gradients_match_finite_differences():
     rng = np.random.default_rng(42)
     X = rng.normal(size=(12, 3))
-    y = rng.integers(0, 2, size=12).astype(float)
-    w = rng.normal(size=3) * 0.5
-    b = 0.3
+    y = rng.integers(0, 2, size=12)
+    y[:2] = [0, 1]
+    w, grad_w, grad_b = _first_step(X, y, 2, seed=7)
+    yf = y.astype(float)
 
-    grad_w_fd = _finite_difference(lambda: ref.binary_cross_entropy(w, b, X, y), w)
-    grad_w, grad_b = _binary_grads(w, b, X, y)
+    grad_w_fd = _finite_difference(lambda: ref.binary_cross_entropy(w, 0.0, X, yf), w)
     np.testing.assert_allclose(grad_w, grad_w_fd, atol=1e-7)
 
     eps = 1e-6
-    up = ref.binary_cross_entropy(w, b + eps, X, y)
-    down = ref.binary_cross_entropy(w, b - eps, X, y)
-    assert grad_b == pytest.approx((up - down) / (2 * eps), abs=1e-7)
+    up = ref.binary_cross_entropy(w, eps, X, yf)
+    down = ref.binary_cross_entropy(w, -eps, X, yf)
+    assert float(grad_b) == pytest.approx((up - down) / (2 * eps), abs=1e-7)
 
 
 def test_softmax_gradients_match_finite_differences():
     rng = np.random.default_rng(17)
     X = rng.normal(size=(10, 4))
     y = rng.integers(0, 3, size=10)
+    y[:3] = [0, 1, 2]
     onehot = np.zeros((10, 3))
     onehot[np.arange(10), y] = 1.0
-    W = rng.normal(size=(3, 4)) * 0.5
-    b = rng.normal(size=3) * 0.1
+    W, grad_W, grad_b = _first_step(X, y, 3, seed=7)
+    b = np.zeros(3)
 
     grad_W_fd = _finite_difference(lambda: ref.softmax_cross_entropy(W, b, X, onehot), W)
     grad_b_fd = _finite_difference(lambda: ref.softmax_cross_entropy(W, b, X, onehot), b)
-    grad_W, grad_b = _softmax_grads(W, b, X, onehot)
     np.testing.assert_allclose(grad_W, grad_W_fd, atol=1e-7)
     np.testing.assert_allclose(grad_b, grad_b_fd, atol=1e-7)
 
@@ -148,6 +156,60 @@ def test_fit_logistic_equals_loss_evaluating_loop_bitwise(case):
     weights, intercepts = ref.ref_fit_logistic_with_loss(X, y, n_classes, epochs, learning_rate, case)
     assert np.array_equal(model.weights, weights)
     assert np.array_equal(model.intercepts, intercepts)
+
+
+@st.composite
+def ragged_stacks(draw):
+    """1-6 training sets of 1-300 rows that share d and the class count, so no set starts at a multiple of 4 or 8
+    rows but by chance.  A set of one row holds one class, which fit_logistic refuses."""
+    n_classes = draw(st.sampled_from([2, 3, 4, 8, 130]))
+    d = draw(st.integers(1, 13))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sets = []
+    for n in draw(st.lists(st.integers(1, 300), min_size=1, max_size=6)):
+        X = rng.normal(size=(n, d)) * draw(st.sampled_from([0.01, 1.0, 30.0, 800.0]))
+        y = rng.integers(0, n_classes, size=n)
+        y[:2] = [0, 1][:n]
+        sets.append((X, y, draw(st.integers(0, 2**32 - 1))))
+    return sets, n_classes, draw(st.integers(1, 25)), draw(st.sampled_from([0.05, 0.5, 1.0, 2.5]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(ragged_stacks())
+def test_a_stack_fits_each_set_as_the_loss_evaluating_loop_does_alone(case):
+    """Every set's weights are the bits of the oracle run on that set alone, up to the first set that
+    cannot be fitted, whose own error is raised after the sets before it are yielded."""
+    sets, n_classes, epochs, learning_rate = case
+    fitted = _fit_logistic_stack(iter(sets), n_classes, epochs, learning_rate)
+    for X, y, seed in sets:
+        if X.shape[0] == 1:
+            with pytest.raises(DegenerateDistributionError, match="^training labels contain a single class$"):
+                next(fitted)
+            return
+        model = next(fitted)
+        weights, intercepts = ref.ref_fit_logistic_with_loss(X, y, n_classes, epochs, learning_rate, seed)
+        assert np.array_equal(model.weights, weights)
+        assert np.array_equal(model.intercepts, intercepts)
+    assert next(fitted, None) is None
+
+
+@pytest.mark.parametrize("n_classes", [2, 3])
+def test_a_set_that_diverges_inside_a_stack_raises_its_own_error_after_the_sets_before_it(n_classes):
+    rng = np.random.default_rng(9)
+    sets = [(rng.standard_normal((n, 3)) * scale, np.arange(n) % n_classes, n)
+            for n, scale in ((30, 1.0), (41, 1e300), (52, 1.0))]
+    alone = []
+    for X, y, seed in sets:
+        try:
+            alone.append(fit_logistic(X, y, n_classes, epochs=20, learning_rate=1.0, seed=seed))
+        except DivergenceError as exc:
+            alone.append(str(exc))
+    assert alone[1] == "fit diverged at training size 41, learning rate 1.0"
+    fitted = _fit_logistic_stack(sets, n_classes, 20, 1.0)
+    first = next(fitted)
+    assert np.array_equal(first.weights, alone[0].weights) and np.array_equal(first.intercepts, alone[0].intercepts)
+    with pytest.raises(DivergenceError, match=f"^{alone[1]}$"):
+        next(fitted)
 
 
 @pytest.mark.parametrize("n_classes", [3, 4, 8, 12, 129])

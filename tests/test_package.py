@@ -47,9 +47,10 @@ def test_the_forked_stages_run_without_a_warning_under_dev_mode(tmp_path):
     """Python 3.12+ warns when a process with live threads forks; -W error turns any warning into a failure."""
     script = f"""
 import concurrent.futures, os
-from normetric import TaskKind, data, make_blobs, run_curve, schedule, synthetic_expand
+from normetric import TaskKind, data, harness, make_blobs, run_curve, schedule, synthetic_expand
 os.sched_getaffinity = lambda pid: {{0, 1}}
 data._FORK_BLOCKS, data._FORK_SAVE_CELLS, data._FORK_READ_BYTES, data._BLOCK_ROWS = 1, 1, 1, 100
+harness._CHUNK_BYTES = 1
 pools = []
 class Recorded(concurrent.futures.ProcessPoolExecutor):
     def __init__(self, *args):

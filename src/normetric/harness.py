@@ -77,8 +77,9 @@ class LearnerConfig:
     n_clusters: Optional[int] = None
 
 
-# the training features of one curve job, a chunk of consecutive sizes (one size may exceed it): a stack
-# of a whole 1400 x 13 curve (2.6 MB) outgrew the cache and ran slower than stacks of 0.25-1 MB
+# the training features of one curve job, a chunk of consecutive sizes (one size may exceed it).  Timed on a
+# 1400 x 13 binary curve, sizes 80..1000 by 20, on 2 cores: chunks of 4000-6500 rows (0.4-0.7 MB) ran alike,
+# 2000- and 9000-row chunks slower, and the whole curve as one stack of 2.6 MB took twice as long
 _CHUNK_BYTES = 2**19
 
 
@@ -87,17 +88,21 @@ def derive_seed(master_seed: int, *tags: int) -> int:
     return int(np.random.SeedSequence((master_seed, *tags)).generate_state(1)[0])
 
 
-def _standardize(train: np.ndarray, test: np.ndarray, names: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    # z-score both sides with the training subsample's own statistics.  A finite std bounds every scaled
-    # training value by sqrt(rows), so an overflow shows as a non-finite std or scaled test value.
+def _standardize(train: np.ndarray, test: np.ndarray,
+                 names: Sequence[str]) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    # z-score the training subsample with its own statistics, returned to scale the test rows with.  A finite
+    # std bounds every scaled training value by sqrt(rows), so an overflow shows as a non-finite std or scaled
+    # test value.  Subtraction and division round monotonically, so every scaled test value is finite when
+    # those of each column's least and greatest are: test may be just those two rows.
     with np.errstate(over="ignore", invalid="ignore"):
         mean = train.mean(axis=0)
         std = train.std(axis=0)
         std = np.where(std == 0.0, 1.0, std)
-        scaled = (train - mean) / std, (test - mean) / std
-    if not (fits := np.isfinite(std) & np.isfinite(scaled[1]).all(axis=0)).all():
+        scaled = (train - mean) / std
+        ends = (np.array([test.min(axis=0), test.max(axis=0)]) - mean) / std
+    if not (fits := np.isfinite(std) & np.isfinite(ends).all(axis=0)).all():
         raise DomainError(f"feature column {names[int(np.argmin(fits))]!r} is too large to standardize")
-    return scaled
+    return scaled, (mean, std)
 
 
 def _naming(message: str, call: Callable, *args):
@@ -115,15 +120,19 @@ def _curve_chunk(pool: Dataset, test: Dataset, task: TaskKind, config: LearnerCo
 
     A classifier's sizes descend as one stack (learners._fit_logistic_stack); other tasks fit each size in
     turn.  A size is standardized when its fit draws it, so the error of the first size that fails, to
-    standardize, fit, predict or score, is raised after the sizes before it are scored.
+    standardize, fit, predict or score, is raised after the sizes before it are scored.  The test split is
+    scaled as each size is scored, so a chunk's memory does not grow with its number of sizes.
     """
-    tests = []
+    scales, ends = [], np.array([test.features.min(axis=0), test.features.max(axis=0)])
 
     def training_sets():
         for size in sizes:
-            X_train, X_test = _standardize(pool.features[:size], test.features, pool.feature_names)
-            tests.append(X_test)
+            X_train, scale = _standardize(pool.features[:size], ends, pool.feature_names)
+            scales.append(scale)
             yield X_train, pool.target[:size], derive_seed(seed, 1, size)
+
+    def farthest(X_test):  # the feature column whose scaled test value lies farthest out
+        return f"feature column {pool.feature_names[int(np.argmax(np.abs(X_test).max(axis=0)))]!r}"
 
     target = f"target column {pool.target_name!r} is too large to"
     if task is TaskKind.REGRESSION:
@@ -134,16 +143,24 @@ def _curve_chunk(pool: Dataset, test: Dataset, task: TaskKind, config: LearnerCo
         models = _fit_logistic_stack(training_sets(), n_classes, config.epochs, config.learning_rate)
     points = []
     for size, model in zip(sizes, models):
-        X_test = tests[len(points)]  # standardized when its training set was drawn
+        mean, std = scales[len(points)]  # drawn with its training set, which passed the same check
+        X_test = (test.features - mean) / std
         if task is TaskKind.REGRESSION:
-            preds = _naming(f"{target} predict", model.predict, X_test)
+            try:
+                preds = model.predict(X_test)
+            except DomainError:
+                # inputs in the training range, |x| <= sqrt(size), give predictions within this reach: when it
+                # is finite, a test feature far out made the overflow, and otherwise the weights (the target) did
+                with np.errstate(over="ignore"):
+                    reach = np.sqrt(size) * np.abs(model.weights).sum() + abs(model.intercept)
+                raise DomainError(f"{farthest(X_test)} is too large to predict" if np.isfinite(reach)
+                                  else f"{target} predict") from None
             scoring = {}
         elif task is TaskKind.CLUSTERING:
             try:
                 preds = model.predict(X_test)
-            except DomainError:  # a distance overflows: name the feature farthest out
-                far = pool.feature_names[int(np.argmax(np.abs(X_test).max(axis=0)))]
-                raise DomainError(f"feature column {far!r} is too large for k-means distances") from None
+            except DomainError:
+                raise DomainError(f"{farthest(X_test)} is too large for k-means distances") from None
             scoring = {"class_sizes": np.unique(model.assignments, return_counts=True)[1]}
         else:
             proba = model.predict_proba(X_test)

@@ -547,6 +547,25 @@ class TestCurve:
         assert far and all(outcomes["clustering", seed] == (
             3, "normetric: error: feature column 'x' is too large for k-means distances\n") for seed in far)
 
+    def test_a_test_feature_whose_prediction_overflows_exits_3_naming_it_not_the_target(self, tmp_path, capfd):
+        """60 rows of x, z, y = 1e4 x + z, but x holds 1e305 in data row 7 (whose y is 0).  In the test split it
+        standardizes to a finite value whose product with the weight on x overflows the prediction."""
+        rng = np.random.default_rng(0)
+        x, z = rng.standard_normal(60), rng.standard_normal(60)
+        y = 1e4 * x + z
+        x[6], y[6] = 1e305, 0.0
+        path = self._write(tmp_path / "far.csv", "x,z,y", zip(x.tolist(), z.tolist(), y.tolist()))
+        errors = []
+        for seed in range(1, 9):
+            code = main(["curve", "--task", "regression", "--data", path, "--target-column", "y", "--start", "10",
+                         "--stop", "40", "--step", "10", "--d", "2", "--n-star", "20", "--seed", str(seed)])
+            err = capfd.readouterr().err
+            assert "Warning" not in err, err
+            assert code == 0 or (code == 3 and err.splitlines()[-1].startswith("normetric:")), err
+            errors.append(err)
+        assert "normetric: error: feature column 'x' is too large to predict\n" in errors
+        assert not any("target column" in err for err in errors), errors
+
     def test_even_smooth_window_is_domain_error(self, blobs_csv, tmp_path, capsys):
         code = main([
             "curve", "--task", "binary", "--data", blobs_csv, "--target-column", "label",

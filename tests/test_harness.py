@@ -8,6 +8,7 @@ import os
 import pickle
 import signal
 import time
+import tracemalloc
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
@@ -194,6 +195,26 @@ class TestForkedCurve:
                           [30, 60], [90], [120], [150],
                           [30, 60, 90, 120], [150],
                           [30, 60, 90, 120, 150]]
+
+    @pytest.mark.parametrize("task", list(CURVES), ids=lambda task: task.value)
+    def test_a_chunk_holds_no_scaled_test_split_per_size(self, monkeypatch, task):
+        """A 9/10 test split of 18,000 rows dwarfs the training sets: a chunk of 16 sizes peaks within two
+        copies of it of a chunk of one, where a scaled copy kept for each size would add fifteen."""
+        ds = {TaskKind.BINARY_CLASSIFICATION: make_binary_classification(20000, d=4, seed=1),
+              TaskKind.MULTICLASS_CLASSIFICATION: make_blobs(20000, d=4, n_classes=3, seed=1),
+              TaskKind.REGRESSION: make_regression(20000, d=4, seed=1),
+              TaskKind.CLUSTERING: make_blobs(20000, d=4, n_classes=2, seed=1, task=TaskKind.CLUSTERING)}[task]
+        _usable_cores(monkeypatch, {0})
+        monkeypatch.setattr(harness, "_CHUNK_BYTES", 2**30)
+        peaks = []
+        for stop in (20, 320):
+            tracemalloc.start()
+            try:
+                run_curve(ds, schedule(20, stop, 20), task, LearnerConfig(test_fraction=0.9, epochs=5), seed=0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 2 * 18000 * ds.features[:1].nbytes
 
     def test_a_pool_worker_runs_the_serial_loop(self, monkeypatch):
         """A multiprocessing.Pool worker is daemonic, and a daemonic process may not start workers."""
@@ -470,3 +491,24 @@ def test_a_column_too_large_to_standardize_is_named(train, test):
     train, test = np.column_stack([[0.0, 1.0], train]), np.column_stack([[0.5] * len(test), test])
     with pytest.raises(DomainError, match=r"^feature column 'big' is too large to standardize$"):
         _standardize(train, test, ["small", "big"])
+
+
+@pytest.mark.parametrize("train", [
+    [1e-300, 2e-300], [0.0, 1.0], [-0.9e308, -0.8e308], [0.8e308, 0.9e308], [1.5e308, 1.7e308], [1e200, -1e200],
+], ids=["tiny-std", "ordinary", "far-below", "far-above", "training-mean", "training-std"])
+def test_standardizing_on_the_test_columns_ends_accepts_what_the_whole_test_split_allows(train):
+    """The check on each column's least and greatest test values passes exactly when every scaled test
+    value is finite, whichever end lies far out, and the scaling it returns gives the test split those values."""
+    train = np.array(train)[:, np.newaxis]
+    for test in ([0.5], [0.5, 1e10], [-1e10, 0.5], [0.5, 1.7e308], [-1.7e308, 0.5], [-1.7e308, 0.5, 1.7e308]):
+        test = np.array(test)[:, np.newaxis]
+        with np.errstate(all="ignore"):
+            mean, std = train.mean(axis=0), train.std(axis=0)
+            full = (test - mean) / np.where(std == 0.0, 1.0, std)
+        fits = bool(np.isfinite(std).all() and np.isfinite(full).all())
+        try:
+            _, (mean, std) = _standardize(train, test, ["x"])
+        except DomainError:
+            assert not fits, test
+        else:
+            assert fits and np.array_equal((test - mean) / std, full), test

@@ -65,29 +65,34 @@ def _finite_difference(fn, params, eps=1e-6):
     return grad
 
 
-def _first_step(X, y, n_classes, seed):
-    """The seeded start of fit_logistic and the gradient its first epoch takes there (learning rate 1)."""
-    shape = () if n_classes == 2 else (n_classes,)
-    W0 = 0.01 * np.random.default_rng(seed).standard_normal((*shape, X.shape[1]))
-    model = fit_logistic(X, y, n_classes, epochs=1, learning_rate=1.0, seed=seed)
-    return W0, W0 - model.weights.reshape(W0.shape), -model.intercepts.reshape(shape)
+def _second_step(X, y, n_classes, seed, learning_rate=4.0):
+    """fit_logistic's weights and intercepts after one epoch, and the gradient its second epoch takes there.
+
+    A learning rate of 4 carries the seeded start (W near 0, b = 0) to a point where b is far from 0 and the
+    logits reach past the sigmoid's linear middle; a power of two, it divides the step back out exactly.
+    """
+    first, second = (fit_logistic(X, y, n_classes, epochs=epochs, learning_rate=learning_rate, seed=seed)
+                     for epochs in (1, 2))
+    step = lambda attr: (getattr(first, attr) - getattr(second, attr)) / learning_rate
+    return first.weights, first.intercepts, step("weights"), step("intercepts")
 
 
 def test_binary_gradients_match_finite_differences():
     rng = np.random.default_rng(42)
-    X = rng.normal(size=(12, 3))
-    y = rng.integers(0, 2, size=12)
+    X = rng.normal(size=(12, 3)) * 2.0
+    y = (rng.random(12) < 0.7).astype(int)
     y[:2] = [0, 1]
-    w, grad_w, grad_b = _first_step(X, y, 2, seed=7)
+    (w,), (b,), (grad_w,), (grad_b,) = _second_step(X, y, 2, seed=7)
+    assert abs(b) > 0.1 and np.abs(X @ w + b).max() > 1.0
     yf = y.astype(float)
 
-    grad_w_fd = _finite_difference(lambda: ref.binary_cross_entropy(w, 0.0, X, yf), w)
+    grad_w_fd = _finite_difference(lambda: ref.binary_cross_entropy(w, b, X, yf), w)
     np.testing.assert_allclose(grad_w, grad_w_fd, atol=1e-7)
 
     eps = 1e-6
-    up = ref.binary_cross_entropy(w, eps, X, yf)
-    down = ref.binary_cross_entropy(w, -eps, X, yf)
-    assert float(grad_b) == pytest.approx((up - down) / (2 * eps), abs=1e-7)
+    up = ref.binary_cross_entropy(w, b + eps, X, yf)
+    down = ref.binary_cross_entropy(w, b - eps, X, yf)
+    assert grad_b == pytest.approx((up - down) / (2 * eps), abs=1e-7)
 
 
 def test_softmax_gradients_match_finite_differences():
@@ -97,8 +102,8 @@ def test_softmax_gradients_match_finite_differences():
     y[:3] = [0, 1, 2]
     onehot = np.zeros((10, 3))
     onehot[np.arange(10), y] = 1.0
-    W, grad_W, grad_b = _first_step(X, y, 3, seed=7)
-    b = np.zeros(3)
+    W, b, grad_W, grad_b = _second_step(X, y, 3, seed=7)
+    assert np.abs(b).min() > 0.1 and np.abs(X @ W.T + b).max() > 1.0
 
     grad_W_fd = _finite_difference(lambda: ref.softmax_cross_entropy(W, b, X, onehot), W)
     grad_b_fd = _finite_difference(lambda: ref.softmax_cross_entropy(W, b, X, onehot), b)

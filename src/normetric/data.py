@@ -81,10 +81,11 @@ def schedule(start: int, stop: int, step: int) -> SampleSchedule:
 
 # data rows per block of a CSV file read or written: a block's cells are parsed before the next is split
 _BLOCK_ROWS = 4096
+_SCAN_BYTES = 2**20  # bytes per read of read_blocks's scan for the newlines that end its blocks
 # save_csv forks a file of this many cells or more: the workers cost some 45 ms to start, a cell about 1.2 us
 _FORK_SAVE_CELLS = 2**17
-# read_blocks forks a file of this many bytes or more: its cost follows the bytes, not the cells, and the
-# workers cost some 55 ms to start in a new process; files of every shape measured broke even at 2-3 MB
+# read_blocks forks a file of this many bytes or more: its cost follows the bytes, not the cells, and starting the
+# workers costs some 55 ms in a new process; files of every shape measured on 2 cores broke even at 2-4 MB
 _FORK_READ_BYTES = 3 * 2**20
 
 
@@ -94,25 +95,30 @@ def read_blocks(path: str) -> tuple[list[str], Callable[[Callable], Iterator]]:
     A block (columns, others) holds at most _BLOCK_ROWS rows, as csv.reader
     reads them: columns[j] lists cell j of each row as wide as the header, in
     order; others lists (position in the block from 0, cells) for every other
-    row, blank lines as [].  Lines are split at '\\n' and ',' until a block
-    holds '"', '\\r', NUL or a line over csv.field_size_limit(); from there
-    csv.reader reads the rest in this process.  A file of 3 MB or more
-    (_FORK_READ_BYTES) is split on every usable core by forked workers, each
-    reading its own blocks and running work on them, so only what work
-    returns (never None) comes back; the blocks are yielded in order, and an
-    error is raised as a read in one process raises it.  A worker that dies
-    raises WorkerError naming the first data row not read.  Each call of
-    blocks reads the file again.
+    row, blank lines as [].  A block ends at every _BLOCK_ROWS-th newline, which
+    numpy finds a _SCAN_BYTES read at a time.  Lines are split at '\\n' and ','
+    (_read_block) until a block holds '"', '\\r', NUL or a line over
+    csv.field_size_limit() bytes; from there csv.reader reads the rest in
+    this process.  A file of 3 MB or more (_FORK_READ_BYTES) is split on
+    every usable core by forked workers, each reading its own blocks and
+    running work on them, so only what work returns (never None) comes back;
+    the blocks are yielded in order, and an error is raised as a read in one
+    process raises it.  A worker that dies raises WorkerError naming the
+    first data row not read.  Each call of blocks reads the file again.
     """
     if not os.path.isfile(path):
         raise DataError(f"no such file: {path}")
     if not os.path.getsize(path):
         raise DataError(f"{path} is empty (no header row)")
-    with open(path, "rb") as fh:  # (offset, length) of the header line, then of each block of lines
-        sizes = [len(fh.readline())]
-        while size := sum(map(len, itertools.islice(fh, _BLOCK_ROWS))):
-            sizes.append(size)
-    ranges = list(zip(itertools.accumulate(sizes, initial=0), sizes))
+    ends, seen = [], 0  # the end of the header line, then of each block of lines; the newlines before a chunk
+    with open(path, "rb") as fh:
+        while chunk := fh.read(_SCAN_BYTES):
+            newlines = np.flatnonzero(np.frombuffer(chunk, np.uint8) == 10)  # newline number 0 ends the header
+            ends += (newlines[-seen % _BLOCK_ROWS::_BLOCK_ROWS] + (fh.tell() - len(chunk) + 1)).tolist()
+            seen += newlines.size
+        if not ends or ends[-1] < fh.tell():  # the file's last lines, or a header with no newline
+            ends.append(fh.tell())
+    ranges = [(start, end - start) for start, end in zip([0] + ends, ends)]  # (offset, length)
     plain = _read_block(path, 0, lambda block: block[1], ranges[0])  # with no width, each line is an other row
     if plain is None:
         with contextlib.closing(_reader_rows(path, ranges)) as rows:
@@ -160,25 +166,32 @@ def _read_block(path: str, width: int, work: Callable, job: tuple[int, int]):
     """work(block) for the lines in the byte range job = (offset, length) of path, split a row per line.
 
     The lines are split at '\\n' and ',' only if none holds '"', '\\r', NUL or
-    more than csv.field_size_limit() characters; else csv.reader must read
-    them, and the result is None.
+    more than csv.field_size_limit() bytes; else csv.reader must read them,
+    and the result is None.  numpy finds the lines and counts their commas in
+    the bytes, so no Python code runs per line: the lines are split into cells
+    in one call, and the odd ones' (blank, or not width - 1 commas) sliced out.
     """
     offset, length = job
     with open(path, "rb") as fh:
         fh.seek(offset)
-        text = _decoded(path, fh.read(length), offset)
-    lines = text.removesuffix("\n").split("\n")  # the newline that ends a range starts no row
-    if any(c in text for c in '"\r\0') or max(map(len, lines)) > csv.field_size_limit():
+        raw = fh.read(length)
+    text = _decoded(path, raw, offset)
+    codes = np.frombuffer(raw if raw.endswith(b"\n") else raw + b"\n", np.uint8)  # each line ends at a newline
+    ends = np.flatnonzero(codes == 10)
+    sizes = np.diff(ends, prepend=-1) - 1
+    if any(c in raw for c in b'"\r\0') or sizes.max() > csv.field_size_limit():
         return None
-    del text
-    # odd rows are split alone, and the full ones all at once with no list per row
-    odd = np.fromiter(map(str.count, lines, itertools.repeat(",")), np.intp, len(lines)) != width - 1
-    odd |= ~np.fromiter(map(bool, lines), bool, len(lines))
-    others = [(at, lines[at].split(",") if lines[at] else []) for at in np.flatnonzero(odd).tolist()]
-    cells = ",".join(itertools.compress(lines, (~odd).tolist())).split(",") if not odd.all() else []
-    del lines  # only the cells of a block are held while it is parsed
+    commas = np.diff(np.searchsorted(np.flatnonzero(codes == 44), ends), prepend=0)
+    odd = (commas != width - 1) | (sizes == 0)
+    cells = text.removesuffix("\n").replace("\n", ",").split(",")  # each line's commas + 1 cells, in order
+    del codes, raw, text
+    at, firsts = np.flatnonzero(odd), np.cumsum(commas + 1) - commas - 1  # the odd lines, each line's first cell
+    others = [(line, cells[first:first + n] if size else []) for line, first, n, size in
+              zip(at.tolist(), firsts[at].tolist(), (commas[at] + 1).tolist(), sizes[at].tolist())]
+    if at.size:
+        cells = list(itertools.compress(cells, np.repeat(~odd, commas + 1).tolist()))
     columns = [cells[j::width] for j in range(width)]
-    del cells
+    del cells  # only the cells of a block are held while it is parsed
     return work((columns, others))
 
 

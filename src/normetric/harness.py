@@ -135,8 +135,10 @@ def _curve_chunk(pool: Dataset, test: Dataset, task: TaskKind, config: LearnerCo
         return f"feature column {pool.feature_names[int(np.argmax(np.abs(X_test).max(axis=0)))]!r}"
 
     target = f"target column {pool.target_name!r} is too large to"
+    score = evaluate  # a regression's fails on a zero test target (MAPE names it), and else only on an overflow
     if task is TaskKind.REGRESSION:
         models = (_naming(f"{target} fit a line to", fit_linear, X, y) for X, y, _ in training_sets())
+        score = functools.partial(_naming, f"{target} score", evaluate) if test.target.all() else evaluate
     elif task is TaskKind.CLUSTERING:
         models = (fit_kmeans(X, k, seed=fit_seed) for X, _, fit_seed in training_sets())
     else:
@@ -169,7 +171,7 @@ def _curve_chunk(pool: Dataset, test: Dataset, task: TaskKind, config: LearnerCo
                 "y_prob": proba.max(axis=1) if task is TaskKind.BINARY_CLASSIFICATION else proba,
                 "class_sizes": pool_sizes,
             }
-        points.append(CurvePoint(size, evaluate(task, test.target, preds, d, size, **scoring)))
+        points.append(CurvePoint(size, score(task, test.target, preds, d, size, **scoring)))
     return points
 
 

@@ -13,6 +13,7 @@ library's earlier code exactly.
 
 import csv
 import dataclasses
+import itertools
 import math
 import os
 
@@ -495,6 +496,16 @@ def ref_read_columns(path, kind):
         return values
 
     return header, column
+
+
+def ref_block_ranges(path, block_rows):
+    """read_blocks's (offset, length) byte ranges as its former line loop found them: the header line, then
+    blocks of block_rows lines each, the last one ending where the file ends."""
+    with open(path, "rb") as fh:
+        sizes = [len(fh.readline())]
+        while size := sum(map(len, itertools.islice(fh, block_rows))):
+            sizes.append(size)
+    return list(zip(itertools.accumulate(sizes, initial=0), sizes))
 
 
 def ref_save_csv(ds, path):

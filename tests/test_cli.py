@@ -14,8 +14,10 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from normetric import TaskKind, data, load_csv, make_binary_classification, make_blobs, make_regression, save_csv
+from normetric import (DataError, TaskKind, data, load_csv, make_binary_classification, make_blobs, make_regression,
+                       save_csv)
 from normetric.cli import main
+from test_data_oracles import FAILING, PARSING, csv_texts, plain_csv_texts
 
 
 @pytest.fixture
@@ -520,8 +522,10 @@ class TestCurve:
             err = capfd.readouterr().err
             assert code == 3 and "Warning" not in err, err
             errors.append(err.splitlines()[-1])
-        assert all(line.startswith("normetric:") for line in errors), errors
+        # every seed names the column, whether the line fit, the prediction or the score overflows first
+        assert all(line.startswith("normetric: error: target column 'y' is too large to ") for line in errors), errors
         assert "normetric: error: target column 'y' is too large to fit a line to" in errors
+        assert "normetric: error: target column 'y' is too large to score" in errors
 
     def test_a_test_feature_whose_distance_overflows_exits_3_naming_the_column_without_numpy_warnings(
             self, tmp_path, capfd):
@@ -565,6 +569,21 @@ class TestCurve:
             errors.append(err)
         assert "normetric: error: feature column 'x' is too large to predict\n" in errors
         assert not any("target column" in err for err in errors), errors
+
+    def test_a_zero_test_target_is_named_as_mape_s_zero_not_as_an_overflow(self, tmp_path, capfd):
+        """40 rows of x, y with y = 0 in data row 5: where it falls in the test split, MAPE is undefined."""
+        rng = np.random.default_rng(0)
+        x, y = rng.standard_normal(40), rng.standard_normal(40)
+        y[4] = 0.0
+        path = self._write(tmp_path / "zero_y.csv", "x,y", zip(x.tolist(), y.tolist()))
+        outcomes = []
+        for seed in range(1, 9):
+            code = main(["curve", "--task", "regression", "--data", path, "--target-column", "y", "--start", "5",
+                         "--stop", "30", "--step", "5", "--d", "1", "--n-star", "10", "--seed", str(seed)])
+            outcomes.append((code, capfd.readouterr().err))
+        assert {code for code, _ in outcomes} == {0, 3}
+        assert all(err == "normetric: error: MAPE is undefined when y_true contains zeros\n"
+                   for code, err in outcomes if code), outcomes
 
     def test_even_smooth_window_is_domain_error(self, blobs_csv, tmp_path, capsys):
         code = main([
@@ -1125,3 +1144,64 @@ def test_evaluate_fails_cleanly_on_malformed_files(tmp_path, capsys, data, task,
     # rows that do not sum to 1, and classes absent from y_true, are data errors
     if "sum to 1" in err or "at least one sample" in err or "no row of class" in err:
         assert code == 2, err
+
+
+@st.composite
+def fittable_csv_texts(draw):
+    """A dataset CSV a curve can fit: 40-80 rows of 1-3 standard normal features and a label y of 2 or 3
+    classes, or a float in [1, 2), with up to three cells spoiled (huge, odd or missing), plain or all quoted."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, d, classes = draw(st.integers(40, 80)), draw(st.integers(1, 3)), draw(st.sampled_from([0, 2, 3]))
+    labels = rng.integers(classes, size=n).tolist() if classes else rng.uniform(1, 2, n).tolist()
+    rows = [list(map(repr, features)) + [repr(label)] for features, label in zip(rng.standard_normal((n, d)).tolist(),
+                                                                                 labels)]
+    for _ in range(draw(st.integers(0, 3))):
+        rows[draw(st.integers(0, n - 1))][draw(st.integers(0, d))] = draw(
+            st.sampled_from(["1e300", "-1e300", "1e200"] + PARSING + FAILING))
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n", quoting=draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL])))
+    writer.writerows([[f"x{j}" for j in range(d)] + ["y"]] + rows)
+    return out.getvalue()
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    text=st.one_of(plain_csv_texts(max_rows=40), csv_texts(max_rows=40), fittable_csv_texts()),
+    task=st.sampled_from(list(TaskKind)),
+    shares=st.lists(st.integers(30, 100), min_size=3, max_size=3),
+    step=st.integers(1, 4),
+    extra=st.integers(-2, 30),
+    k=st.integers(1, 4),
+    seed=st.integers(0, 3),
+)
+def test_curve_expand_and_report_fail_cleanly_on_small_files(tmp_path, capfd, text, task, shares, step, extra, k,
+                                                             seed):
+    """Each command on a small dataset CSV, plain or quoted, and report on the series curve wrote (else on the
+    dataset): an exit code of 0-4, a failure's reason on the last stderr line, and no traceback or numpy warning,
+    a forked worker's included.  The curve's sizes and n* are drawn as shares (in %) of its training pool, and
+    expand's target as a number of rows added, so that most runs get past the argument checks."""
+    data, series = tmp_path / "fuzz.csv", tmp_path / "series.csv"
+    data.write_text(text, encoding="utf-8", newline="")
+    series.unlink(missing_ok=True)
+    try:
+        rows = load_csv(str(data), "y", task).n
+    except DataError:
+        rows = 12
+    start, n_star, stop = sorted(max(1, (rows - rows // 2) * share // 100) for share in shares)
+    dataset = ["--task", task.value, "--data", str(data), "--target-column", "y", "--seed", str(seed)]
+    runs = [
+        ["curve", *dataset, "--start", str(start), "--stop", str(stop), "--step", str(step), "--d", "1",
+         "--n-star", str(n_star), "--test-fraction", "0.5", "--epochs", "20", "--series", str(series),
+         "--report", str(tmp_path / "r.json")],
+        ["expand", *dataset, "--target-n", str(max(1, rows + extra)), "--k-neighbors", str(k),
+         "--out", str(tmp_path / "x.csv")],
+        ["report", "--series", None, "--n-star", str(n_star)],
+    ]
+    for argv in runs:
+        if argv[0] == "report":
+            argv[2] = str(series if series.exists() else data)
+        code = main(argv)
+        err = capfd.readouterr().err
+        assert code in range(5), (argv, err)
+        assert code == 0 or err.splitlines()[-1].startswith("normetric:"), (argv, err)
+        assert "Traceback" not in err and "Warning" not in err, (argv, err)

@@ -48,12 +48,12 @@ def bits(array):
 
 
 @st.composite
-def csv_texts(draw):
+def csv_texts(draw, max_rows=12):
     """A dataset CSV whose target column is 'y', plus some wrong-width rows."""
     n_columns = draw(st.integers(1, 5))
     header = draw(st.lists(st.sampled_from(NAMES), min_size=n_columns, max_size=n_columns))
     header[draw(st.integers(0, n_columns - 1))] = "y"
-    n_rows = draw(st.integers(1, 12))
+    n_rows = draw(st.integers(1, max_rows))
     number = st.one_of(
         st.sampled_from(PARSING),
         st.floats(allow_nan=False, allow_infinity=False).map(repr),
@@ -84,7 +84,7 @@ PLAIN_CELLS = [cell for cell in PARSING + FAILING if '"' not in cell and "," not
 
 
 @st.composite
-def plain_csv_texts(draw):
+def plain_csv_texts(draw, max_rows=12):
     """A dataset CSV written line by line with no quoting, as read_blocks splits it itself.
 
     Blank lines, rows a field short or over, one-column files, an empty
@@ -102,7 +102,7 @@ def plain_csv_texts(draw):
         st.integers(-3, 3).map(str),
     )
     widths = st.sampled_from([n_columns] * 4 + [0, n_columns - 1, n_columns + 1])
-    rows = [[draw(cell) for _ in range(draw(widths))] for _ in range(draw(st.integers(0, 12)))]
+    rows = [[draw(cell) for _ in range(draw(widths))] for _ in range(draw(st.integers(0, max_rows)))]
     text = "\n".join(",".join(row) for row in [header] + rows)
     return text + draw(st.sampled_from(["\n", ""]))
 
@@ -258,6 +258,60 @@ def test_a_line_over_the_field_limit_is_left_to_csv_reader(tmp_path):
         ref.ref_load_csv(str(path), "y", TaskKind.BINARY_CLASSIFICATION)
     with pytest.raises(DataError, match="field larger than field limit"):
         load_csv(str(path), "y", TaskKind.BINARY_CLASSIFICATION)
+
+
+def read_recording_ranges(path):
+    """read_blocks's header, blocks and the byte range of each _read_block call: the header's, then each block's."""
+    ranges, read_block = [], data._read_block
+
+    def recorded(path, width, work, job):
+        ranges.append(job)
+        return read_block(path, width, work, job)
+
+    with mock.patch.object(data, "_read_block", recorded), \
+            mock.patch.object(data.csv, "reader", side_effect=AssertionError("plain file sent to csv.reader")):
+        header, blocks = read_blocks(str(path))
+        return header, list(blocks(lambda block: block)), ranges
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.lists(st.text("1,é", max_size=4), min_size=1, max_size=12).map("\n".join).flatmap(
+    lambda text: st.sampled_from([text + "\n", text])), scan_bytes=st.integers(1, 7), block_rows=st.integers(1, 5))
+@example(text="a,y", scan_bytes=1, block_rows=1)  # a header alone
+@example(text="a,y\n", scan_bytes=4, block_rows=1)  # and its newline, the last byte of a scan's read
+@example(text="a\n\n\n1\n\n", scan_bytes=2, block_rows=2)  # blank lines where reads and blocks end
+@example(text="a\n1\n2", scan_bytes=3, block_rows=2)  # no final newline
+def test_block_ranges_are_the_line_loop_s_wherever_a_scan_read_ends(tmp_path_factory, text, scan_bytes, block_rows):
+    """The scan for block ends reads _SCAN_BYTES at a time (a MiB); here reads of 1-7 bytes end anywhere."""
+    assume(text)
+    path = tmp_path_factory.mktemp("scan") / "data.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    with mock.patch.object(data, "_SCAN_BYTES", scan_bytes), mock.patch.object(data, "_BLOCK_ROWS", block_rows):
+        header, blocks, ranges = read_recording_ranges(path)
+    assert ranges == ref.ref_block_ranges(str(path), block_rows)
+    assert [header] + rows_of(blocks) == list(csv.reader(io.StringIO(text, newline="")))
+
+
+def test_a_line_over_the_field_limit_in_bytes_only_reads_as_csv_reader_reads_it(tmp_path):
+    """A line's length is counted in bytes, so a plain line of two-byte characters under the limit in characters
+    is handed to csv.reader, which reads it."""
+    wide = "é" * (csv.field_size_limit() // 2 + 1) + ",1"
+    assert len(wide) <= csv.field_size_limit() < len(wide.encode())
+    text = f"a,y\n1,0\n{wide}\n2,1\n3,0\n"
+    path = tmp_path / "wide.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    handed, reader_rows = [], data._reader_rows
+
+    def recorded(path, ranges):
+        handed.append(ranges[0])
+        return reader_rows(path, ranges)
+
+    with mock.patch.object(data, "_reader_rows", recorded):
+        header, blocks = read_blocks(str(path))
+        assert [header] + rows_of(blocks(lambda block: block)) == list(csv.reader(io.StringIO(text, newline="")))
+        assert handed == [(4, len(text.encode()) - 4)]  # the data rows, from the header's end
+        for task in TaskKind:
+            assert_loads_as_row_loop(path, task)
 
 
 special_floats = st.sampled_from([-0.0, 0.0, 5e-324, 1e16, 1e-5, 0.1, -1.5e300, 123456789.125])

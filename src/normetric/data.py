@@ -116,9 +116,8 @@ def read_blocks(path: str) -> tuple[list[str], Callable[[Callable], Iterator]]:
             newlines = np.flatnonzero(np.frombuffer(chunk, np.uint8) == 10)  # newline number 0 ends the header
             ends += (newlines[-seen % _BLOCK_ROWS::_BLOCK_ROWS] + (fh.tell() - len(chunk) + 1)).tolist()
             seen += newlines.size
-        if not ends or ends[-1] < fh.tell():  # the file's last lines, or a header with no newline
-            ends.append(fh.tell())
-    ranges = [(start, end - start) for start, end in zip([0] + ends, ends)]  # (offset, length)
+        # (offset, length); the last range ends with the file, and is empty only if a block ended there
+        ranges = [(start, end - start) for start, end in zip([0] + ends, ends + [fh.tell()]) if end > start]
     plain = _read_block(path, 0, lambda block: block[1], ranges[0])  # with no width, each line is an other row
     if plain is None:
         with contextlib.closing(_reader_rows(path, ranges)) as rows:
@@ -167,9 +166,8 @@ def _read_block(path: str, width: int, work: Callable, job: tuple[int, int]):
 
     The lines are split at '\\n' and ',' only if none holds '"', '\\r', NUL or
     more than csv.field_size_limit() bytes; else csv.reader must read them,
-    and the result is None.  numpy finds the lines and counts their commas in
-    the bytes, so no Python code runs per line: the lines are split into cells
-    in one call, and the odd ones' (blank, or not width - 1 commas) sliced out.
+    and the result is None.  No Python code runs per line: numpy finds the
+    lines and counts their commas, and sets apart blank and odd-width ones.
     """
     offset, length = job
     with open(path, "rb") as fh:
@@ -183,8 +181,10 @@ def _read_block(path: str, width: int, work: Callable, job: tuple[int, int]):
         return None
     commas = np.diff(np.searchsorted(np.flatnonzero(codes == 44), ends), prepend=0)
     odd = (commas != width - 1) | (sizes == 0)
-    cells = text.removesuffix("\n").replace("\n", ",").split(",")  # each line's commas + 1 cells, in order
-    del codes, raw, text
+    del codes, raw
+    text = text.removesuffix("\n").replace("\n", ",")  # each line's commas + 1 cells, in order
+    cells = text.split(",")
+    del text
     at, firsts = np.flatnonzero(odd), np.cumsum(commas + 1) - commas - 1  # the odd lines, each line's first cell
     others = [(line, cells[first:first + n] if size else []) for line, first, n, size in
               zip(at.tolist(), firsts[at].tolist(), (commas[at] + 1).tolist(), sizes[at].tolist())]

@@ -139,9 +139,9 @@ def dimensionality_factor(d: int, n: int) -> float:
 
 
 def _check_class_sizes(sizes: Sequence[int], shown) -> None:
-    """Hold class sizes to their rule; an empty class, `shown` as given, is degenerate rather than malformed."""
-    if np.any(np.equal(sizes, 0)):
-        raise DegenerateDistributionError(f"every class needs at least one sample, got {shown}")
+    """Hold class sizes to their rule; an empty class, `shown` as given on one line, is degenerate, not malformed."""
+    if np.any(np.equal(sizes, 0)):  # numpy's text of a long array breaks its lines
+        raise DegenerateDistributionError(f"every class needs at least one sample, got {shown}".replace("\n", ""))
     _check("class_sizes", sizes, _CLASS_SIZES)
 
 

@@ -2,6 +2,7 @@
 
 import inspect
 import math
+import sys
 from collections import Counter
 
 import numpy as np
@@ -128,6 +129,16 @@ def test_an_empty_class_is_degenerate_and_keeps_its_message():
         class_imbalance_ratio([10, 0])
     with pytest.raises(DegenerateDistributionError, match=r"^every class needs at least one sample, got \[100, 0, 5\]$"):
         average_class_imbalance_ratio([100, 0, 5])
+
+
+def test_an_empty_class_among_many_is_named_on_one_line():
+    """numpy breaks the text of a long array into lines, and a message's last line is read as its reason."""
+    sizes = np.array([26] * 40 + [0])
+    assert "\n" in str(sizes)
+    with pytest.raises(DegenerateDistributionError) as raised:
+        average_class_imbalance_ratio(sizes)
+    with np.printoptions(linewidth=sys.maxsize):
+        assert str(raised.value) == f"every class needs at least one sample, got {sizes}"
 
 
 @pytest.mark.parametrize("seed, sizes", [(4, "[26 22  0]"), (6, "[24 24  0]")])

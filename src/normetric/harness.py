@@ -135,7 +135,7 @@ def _curve_chunk(pool: Dataset, test: Dataset, task: TaskKind, config: LearnerCo
         return f"feature column {pool.feature_names[int(np.argmax(np.abs(X_test).max(axis=0)))]!r}"
 
     target = f"target column {pool.target_name!r} is too large to"
-    score = evaluate  # a regression's fails on a zero test target (MAPE names it), and else only on an overflow
+    score = evaluate  # a regression's score fails only on an overflow, unless a test target is 0 (MAPE says so)
     if task is TaskKind.REGRESSION:
         models = (_naming(f"{target} fit a line to", fit_linear, X, y) for X, y, _ in training_sets())
         score = functools.partial(_naming, f"{target} score", evaluate) if test.target.all() else evaluate

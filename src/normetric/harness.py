@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-import functools
 from dataclasses import asdict, dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -105,76 +104,6 @@ def _standardize(train: np.ndarray, test: np.ndarray,
     return scaled, (mean, std)
 
 
-def _naming(message: str, call: Callable, *args):
-    """call(*args), whose DomainError, on the curve's standardized input only an overflow, becomes message."""
-    try:
-        return call(*args)
-    except DomainError:
-        raise DomainError(message) from None
-
-
-def _curve_chunk(pool: Dataset, test: Dataset, task: TaskKind, config: LearnerConfig, seed: int, d: int,
-                 n_classes: Optional[int], pool_sizes: Optional[np.ndarray], k: Optional[int],
-                 sizes: Sequence[int]) -> list[CurvePoint]:
-    """For each of consecutive sizes, fit on the shuffled pool's first `size` rows and score on the test split.
-
-    A classifier's sizes descend as one stack (learners._fit_logistic_stack); other tasks fit each size in
-    turn.  A size is standardized when its fit draws it, so the error of the first size that fails, to
-    standardize, fit, predict or score, is raised after the sizes before it are scored.  The test split is
-    scaled as each size is scored, so a chunk's memory does not grow with its number of sizes.
-    """
-    scales, ends = [], np.array([test.features.min(axis=0), test.features.max(axis=0)])
-
-    def training_sets():
-        for size in sizes:
-            X_train, scale = _standardize(pool.features[:size], ends, pool.feature_names)
-            scales.append(scale)
-            yield X_train, pool.target[:size], derive_seed(seed, 1, size)
-
-    def farthest(X_test):  # the feature column whose scaled test value lies farthest out
-        return f"feature column {pool.feature_names[int(np.argmax(np.abs(X_test).max(axis=0)))]!r}"
-
-    target = f"target column {pool.target_name!r} is too large to"
-    score = evaluate  # a regression's score fails only on an overflow, unless a test target is 0 (MAPE says so)
-    if task is TaskKind.REGRESSION:
-        models = (_naming(f"{target} fit a line to", fit_linear, X, y) for X, y, _ in training_sets())
-        score = functools.partial(_naming, f"{target} score", evaluate) if test.target.all() else evaluate
-    elif task is TaskKind.CLUSTERING:
-        models = (fit_kmeans(X, k, seed=fit_seed) for X, _, fit_seed in training_sets())
-    else:
-        models = _fit_logistic_stack(training_sets(), n_classes, config.epochs, config.learning_rate)
-    points = []
-    for size, model in zip(sizes, models):
-        mean, std = scales[len(points)]  # drawn with its training set, which passed the same check
-        X_test = (test.features - mean) / std
-        if task is TaskKind.REGRESSION:
-            try:
-                preds = model.predict(X_test)
-            except DomainError:
-                # inputs in the training range, |x| <= sqrt(size), give predictions within this reach: when it
-                # is finite, a test feature far out made the overflow, and otherwise the weights (the target) did
-                with np.errstate(over="ignore"):
-                    reach = np.sqrt(size) * np.abs(model.weights).sum() + abs(model.intercept)
-                raise DomainError(f"{farthest(X_test)} is too large to predict" if np.isfinite(reach)
-                                  else f"{target} predict") from None
-            scoring = {}
-        elif task is TaskKind.CLUSTERING:
-            try:
-                preds = model.predict(X_test)
-            except DomainError:
-                raise DomainError(f"{farthest(X_test)} is too large for k-means distances") from None
-            scoring = {"class_sizes": np.unique(model.assignments, return_counts=True)[1]}
-        else:
-            proba = model.predict_proba(X_test)
-            preds = np.argmax(proba, axis=1)
-            scoring = {
-                "y_prob": proba.max(axis=1) if task is TaskKind.BINARY_CLASSIFICATION else proba,
-                "class_sizes": pool_sizes,
-            }
-        points.append(CurvePoint(size, score(task, test.target, preds, d, size, **scoring)))
-    return points
-
-
 def run_curve(
     ds: Dataset,
     sched: SampleSchedule,
@@ -186,22 +115,25 @@ def run_curve(
     """Train at every schedule size and evaluate against one fixed test split.
 
     The training pool is shuffled once, and size-m training sets are its
-    first m rows, so larger subsamples nest the smaller ones.  Each size
-    standardizes features with its own subsample statistics, fits the
-    task's learner with a seed derived from (seed, size), predicts on the
-    held-out split, and records the base metric plus the full adjusted
-    breakdown with n_train = m.  Class-imbalance sizes come from the whole
-    training pool (clustering uses the fitted model's cluster sizes).
+    first m rows, so larger subsamples nest the smaller ones.  Each size is
+    standardized with its own subsample statistics as its fit draws it, and
+    the held-out split is scaled by them as the size is scored, so no scaled
+    split is kept per size.  The task's learner is fitted with a seed derived
+    from (seed, size), and each point records the base metric plus the full
+    adjusted breakdown with n_train = m.  Class-imbalance sizes come from the
+    whole training pool (clustering uses the fitted model's cluster sizes).
     Deterministic given the seed.
 
     The schedule is cut into chunks of consecutive sizes whose training
     features stay under _CHUNK_BYTES; a classifier's chunk descends as one
-    stack.  The chunks are fitted in forked worker processes, one per
-    usable core (os.sched_getaffinity) up to one per chunk, in order.  With
-    one usable core or chunk, or in a daemonic process, they are fitted in
-    this process.  Either way the points are the same bits, and a failure
-    raises the error of the first failing size in schedule order; a worker
-    that dies raises WorkerError.
+    stack (learners._fit_logistic_stack), other tasks fit each size in turn.
+    The chunks are fitted in forked worker processes, one per usable core
+    (os.sched_getaffinity) up to one per chunk, in order.  With one usable
+    core or chunk, or in a daemonic process, they are fitted in this process.
+    Either way the points are the same bits, and a failure, to standardize,
+    fit, predict or score, raises the error of the first failing size in
+    schedule order once the sizes before it are scored; a worker that dies
+    raises WorkerError.
     """
     config = config if config is not None else LearnerConfig()
     train, test = split(ds, config.test_fraction, seed)
@@ -212,23 +144,85 @@ def run_curve(
     order = np.random.default_rng(derive_seed(seed, 0)).permutation(train.n)
     pool = train.take(order)
     d = d if d is not None else ds.d
-    n_classes = pool_sizes = None
-    if task.has_class_targets:  # neither depends on the training size
+    target = f"target column {pool.target_name!r} is too large to"
+    ends = np.array([test.features.min(axis=0), test.features.max(axis=0)])
+
+    def farthest(X_test):  # the feature column whose scaled test value lies farthest out
+        return f"feature column {pool.feature_names[int(np.argmax(np.abs(X_test).max(axis=0)))]!r}"
+
+    if task is TaskKind.REGRESSION:  # on the standardized input, a line fails to fit or score only on an overflow
+        def fitted(sets):
+            for X, y, _ in sets:
+                try:
+                    model = fit_linear(X, y)
+                except DomainError:
+                    raise DomainError(f"{target} fit a line to") from None
+                yield model
+
+        def scored(model, X_test, size):
+            try:
+                preds = model.predict(X_test)
+            except DomainError:
+                # inputs in the training range, |x| <= sqrt(size), give predictions within this reach: when it
+                # is finite, a test feature far out made the overflow, and otherwise the weights (the target) did
+                with np.errstate(over="ignore"):
+                    reach = np.sqrt(size) * np.abs(model.weights).sum() + abs(model.intercept)
+                raise DomainError(f"{farthest(X_test)} is too large to predict" if np.isfinite(reach)
+                                  else f"{target} predict") from None
+            try:
+                return evaluate(task, test.target, preds, d, size)
+            except DomainError:
+                if not test.target.all():  # a zero test target, which MAPE names
+                    raise
+                raise DomainError(f"{target} score") from None
+    elif task is TaskKind.CLUSTERING:
+        k = config.n_clusters if config.n_clusters is not None else int(max(pool.target.max(), test.target.max())) + 1
+
+        def fitted(sets):
+            return (fit_kmeans(X, k, seed=fit_seed) for X, _, fit_seed in sets)
+
+        def scored(model, X_test, size):
+            try:
+                preds = model.predict(X_test)
+            except DomainError:
+                raise DomainError(f"{farthest(X_test)} is too large for k-means distances") from None
+            return evaluate(task, test.target, preds, d, size,
+                            class_sizes=np.unique(model.assignments, return_counts=True)[1])
+    else:
         n_classes = int(max(pool.target.max(), test.target.max())) + 1
-        if task is not TaskKind.CLUSTERING:
-            pool_sizes = np.bincount(pool.target.astype(int), minlength=n_classes)
-    k = config.n_clusters if config.n_clusters is not None else n_classes  # default: one per true class
+        pool_sizes = np.bincount(pool.target.astype(int), minlength=n_classes)  # not per training size
+
+        def fitted(sets):
+            return _fit_logistic_stack(sets, n_classes, config.epochs, config.learning_rate)
+
+        def scored(model, X_test, size):
+            proba = model.predict_proba(X_test)
+            return evaluate(task, test.target, np.argmax(proba, axis=1), d, size, class_sizes=pool_sizes,
+                            y_prob=proba.max(axis=1) if task is TaskKind.BINARY_CLASSIFICATION else proba)
+
+    def chunk(sizes):  # fit on the shuffled pool's first `size` rows for each of consecutive sizes, and score
+        scales, points = [], []
+
+        def training_sets():
+            for size in sizes:
+                X_train, scale = _standardize(pool.features[:size], ends, pool.feature_names)
+                scales.append(scale)
+                yield X_train, pool.target[:size], derive_seed(seed, 1, size)
+
+        for size, model in zip(sizes, fitted(training_sets())):
+            mean, std = scales[len(points)]  # drawn with its training set, which passed the same check
+            points.append(CurvePoint(size, scored(model, (test.features - mean) / std, size)))
+        return points
 
     chunks = [[]]
     for size in sched.sizes:  # a size joins the chunk before it while their features fit in _CHUNK_BYTES
         if chunks[-1] and (sum(chunks[-1]) + size) * pool.features[:1].nbytes > _CHUNK_BYTES:
             chunks.append([])
         chunks[-1].append(size)
-    work = functools.partial(_curve_chunk, pool, test, task, config, seed, d, n_classes, pool_sizes, k)
     # each fit is seeded by its size alone, and a stack gives each set its own bits, so forked workers give
     # the serial loop's points bit for bit
-    points = map_on_cores(work, chunks, "training size {0[0]} was fitted".format)
-    return [point for chunk in points for point in chunk]
+    done = map_on_cores(chunk, chunks, "training size {0[0]} was fitted".format)
+    return [point for points in done for point in points]
 
 
 def smooth(values: Sequence[float], window: int) -> np.ndarray:

@@ -9,7 +9,7 @@ import numpy as np
 
 from ._fork import map_on_cores
 from .data import Dataset, SampleSchedule, read_columns, split
-from .exceptions import ConfigurationError, DataError, DomainError
+from .exceptions import ConfigurationError, DataError, DegenerateDistributionError, DomainError
 from .factors import _PROBABILITIES, SAMPLES_PER_FEATURE, MetricBreakdown, TaskKind, evaluate, integer_rule
 from .learners import _fit_logistic_stack, fit_kmeans, fit_linear
 
@@ -144,19 +144,19 @@ def run_curve(
     order = np.random.default_rng(derive_seed(seed, 0)).permutation(train.n)
     pool = train.take(order)
     d = d if d is not None else ds.d
-    target = f"target column {pool.target_name!r} is too large to"
+    column = f"target column {pool.target_name!r}"
     ends = np.array([test.features.min(axis=0), test.features.max(axis=0)])
 
     def farthest(X_test):  # the feature column whose scaled test value lies farthest out
         return f"feature column {pool.feature_names[int(np.argmax(np.abs(X_test).max(axis=0)))]!r}"
 
-    if task is TaskKind.REGRESSION:  # on the standardized input, a line fails to fit or score only on an overflow
+    if task is TaskKind.REGRESSION:  # on the standardized input, a line fit or prediction fails only on an overflow
         def fitted(sets):
             for X, y, _ in sets:
                 try:
                     model = fit_linear(X, y)
                 except DomainError:
-                    raise DomainError(f"{target} fit a line to") from None
+                    raise DomainError(f"{column} is too large to fit a line to") from None
                 yield model
 
         def scored(model, X_test, size):
@@ -168,18 +168,20 @@ def run_curve(
                 with np.errstate(over="ignore"):
                     reach = np.sqrt(size) * np.abs(model.weights).sum() + abs(model.intercept)
                 raise DomainError(f"{farthest(X_test)} is too large to predict" if np.isfinite(reach)
-                                  else f"{target} predict") from None
+                                  else f"{column} is too large to predict") from None
             try:
                 return evaluate(task, test.target, preds, d, size)
-            except DomainError:
-                if not test.target.all():  # a zero test target, which MAPE names
-                    raise
-                raise DomainError(f"{target} score") from None
+            except DomainError:  # MAPE's on a zero test target, else an error or a square overflowed
+                raise DomainError(f"{column} is too large to score" if test.target.all()
+                                  else f"{column} holds 0 in the test split, where MAPE is undefined") from None
     elif task is TaskKind.CLUSTERING:
         k = config.n_clusters if config.n_clusters is not None else int(max(pool.target.max(), test.target.max())) + 1
 
         def fitted(sets):
-            return (fit_kmeans(X, k, seed=fit_seed) for X, _, fit_seed in sets)
+            for X, _, fit_seed in sets:
+                if len(X) < k:
+                    raise DomainError(f"training size {len(X)} holds fewer rows than k={k} clusters")
+                yield fit_kmeans(X, k, seed=fit_seed)
 
         def scored(model, X_test, size):
             try:
@@ -190,13 +192,22 @@ def run_curve(
                             class_sizes=np.unique(model.assignments, return_counts=True)[1])
     else:
         n_classes = int(max(pool.target.max(), test.target.max())) + 1
+        if n_classes > 2 and task is TaskKind.BINARY_CLASSIFICATION:  # every size would fail to score
+            raise DomainError(f"{column} holds class {n_classes - 1}, but a binary curve's classes are 0 and 1")
         pool_sizes = np.bincount(pool.target.astype(int), minlength=n_classes)  # not per training size
 
+        def classes(drawn):  # a size whose rows hold one class, named as the stack draws it, before its own check
+            if ((y := drawn[1]) == y[0]).all():
+                raise DegenerateDistributionError(f"training size {y.size} holds only class {int(y[0])} of {column}")
+            return drawn
+
         def fitted(sets):
-            return _fit_logistic_stack(sets, n_classes, config.epochs, config.learning_rate)
+            return _fit_logistic_stack(map(classes, sets), n_classes, config.epochs, config.learning_rate)
 
         def scored(model, X_test, size):
             proba = model.predict_proba(X_test)
+            if not pool_sizes.all():
+                raise DegenerateDistributionError(f"{column} has no training row of class {np.argmin(pool_sizes)}")
             return evaluate(task, test.target, np.argmax(proba, axis=1), d, size, class_sizes=pool_sizes,
                             y_prob=proba.max(axis=1) if task is TaskKind.BINARY_CLASSIFICATION else proba)
 

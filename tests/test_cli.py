@@ -582,8 +582,28 @@ class TestCurve:
                          "--stop", "30", "--step", "5", "--d", "1", "--n-star", "10", "--seed", str(seed)])
             outcomes.append((code, capfd.readouterr().err))
         assert {code for code, _ in outcomes} == {0, 3}
-        assert all(err == "normetric: error: MAPE is undefined when y_true contains zeros\n"
+        assert all(err == "normetric: error: target column 'y' holds 0 in the test split, where MAPE is undefined\n"
                    for code, err in outcomes if code), outcomes
+
+    @pytest.mark.parametrize("task", ["binary", "multiclass", "clustering"])
+    def test_a_training_size_too_small_to_fit_is_named(self, tmp_path, capfd, task):
+        """60 rows of x, y with y alternating 0 and 1: a training set of one row holds one class, and fewer
+        rows than two clusters."""
+        reason = "holds fewer rows than k=2 clusters" if task == "clustering" else "holds only class 0 of target column 'y'"
+        x = np.random.default_rng(0).standard_normal(60)
+        path = self._write(tmp_path / "two.csv", "x,y", zip(x.tolist(), [i % 2 for i in range(60)]))
+        code = main(["curve", "--task", task, "--data", path, "--target-column", "y", "--start", "1", "--stop", "21",
+                     "--step", "5", "--d", "1", "--n-star", "10", "--epochs", "5"])
+        assert (code, capfd.readouterr()) == (3, ("", f"normetric: error: training size 1 {reason}\n"))
+
+    def test_a_binary_curve_of_three_classes_names_the_third(self, tmp_path, capfd):
+        """Not evaluate's "y_true must hold labels 0 or 1", or its count of class sizes, at the first size."""
+        x = np.random.default_rng(0).standard_normal(60)
+        path = self._write(tmp_path / "three.csv", "x,y", zip(x.tolist(), [i % 3 for i in range(60)]))
+        code = main(["curve", "--task", "binary", "--data", path, "--target-column", "y", "--start", "10",
+                     "--stop", "40", "--step", "10", "--d", "1", "--n-star", "20", "--epochs", "5"])
+        assert (code, capfd.readouterr()) == (
+            3, ("", "normetric: error: target column 'y' holds class 2, but a binary curve's classes are 0 and 1\n"))
 
     def test_even_smooth_window_is_domain_error(self, blobs_csv, tmp_path, capsys):
         code = main([
@@ -1205,3 +1225,5 @@ def test_curve_expand_and_report_fail_cleanly_on_small_files(tmp_path, capfd, te
         assert code in range(5), (argv, err)
         assert code == 0 or err.splitlines()[-1].startswith("normetric:"), (argv, err)
         assert "Traceback" not in err and "Warning" not in err, (argv, err)
+        if argv[0] == "curve":  # its user wrote a dataset, not evaluate's arrays
+            assert not any(name in err for name in ("y_true", "y_pred", "y_prob", "class_sizes")), (argv, err)

@@ -141,8 +141,8 @@ def test_an_empty_class_among_many_is_named_on_one_line():
         assert str(raised.value) == f"every class needs at least one sample, got {sizes}"
 
 
-@pytest.mark.parametrize("seed, sizes", [(4, "[26 22  0]"), (6, "[24 24  0]")])
-def test_curve_whose_training_pool_lacks_a_class_exits_3(tmp_path, capsys, seed, sizes):
+@pytest.mark.parametrize("seed", [4, 6])
+def test_curve_whose_training_pool_lacks_a_class_exits_3(tmp_path, capsys, seed):
     # class 2 has one row; these seeds put it in the test split, so the pool counts zero of it
     features = np.random.default_rng(0).normal(size=(60, 2)).tolist()
     labels = [0] * 30 + [1] * 29 + [2]
@@ -152,4 +152,4 @@ def test_curve_whose_training_pool_lacks_a_class_exits_3(tmp_path, capsys, seed,
         "curve", "--task", "multiclass", "--data", str(path), "--target-column", "label",
         "--start", "10", "--stop", "40", "--step", "10", "--seed", str(seed), "--epochs", "5",
     ])
-    assert (code, capsys.readouterr()) == (3, ("", f"normetric: error: every class needs at least one sample, got {sizes}\n"))
+    assert (code, capsys.readouterr()) == (3, ("", "normetric: error: target column 'label' has no training row of class 2\n"))

@@ -589,7 +589,8 @@ class TestCurve:
     def test_a_training_size_too_small_to_fit_is_named(self, tmp_path, capfd, task):
         """60 rows of x, y with y alternating 0 and 1: a training set of one row holds one class, and fewer
         rows than two clusters."""
-        reason = "holds fewer rows than k=2 clusters" if task == "clustering" else "holds only class 0 of target column 'y'"
+        reason = ("holds fewer rows than k=2 clusters" if task == "clustering"
+                  else "holds only class 0 of target column 'y'")
         x = np.random.default_rng(0).standard_normal(60)
         path = self._write(tmp_path / "two.csv", "x,y", zip(x.tolist(), [i % 2 for i in range(60)]))
         code = main(["curve", "--task", task, "--data", path, "--target-column", "y", "--start", "1", "--stop", "21",

@@ -136,6 +136,8 @@ def run_curve(
     raises WorkerError.
     """
     config = config if config is not None else LearnerConfig()
+    if not 0 < (d := d if d is not None else ds.d) < np.inf:  # in factors' words, before any chunk is fitted
+        raise DomainError(f"d must be finite and positive, got d={d}")
     train, test = split(ds, config.test_fraction, seed)
     if sched.max_size > train.n:
         raise DomainError(
@@ -143,7 +145,6 @@ def run_curve(
         )
     order = np.random.default_rng(derive_seed(seed, 0)).permutation(train.n)
     pool = train.take(order)
-    d = d if d is not None else ds.d
     column = f"target column {pool.target_name!r}"
     ends = np.array([test.features.min(axis=0), test.features.max(axis=0)])
 

@@ -203,14 +203,16 @@ def fit_logistic(
 
     Every reduction keeps numpy's order, because a float sum taken in
     another order rounds differently, and the weights, and so the CLI's
-    fixed-seed output, are pinned bit for bit.  The gradients come from
-    the BLAS products X.T @ residual and residual.T @ X; the softmax row
-    sum is _row_sum, which keeps sum(axis=1)'s bits; the sigmoid's bias
-    gradient is the pairwise np.add.reduce that np.mean runs, and the
-    softmax's is an einsum that adds the rows in order, as mean(axis=0)
-    does.  Only the softmax row max, which is exact in any order, is
-    folded over the class columns.  A run that overflows, or ends with
-    non-finite weights, raises DivergenceError.
+    fixed-seed output, are pinned bit for bit.  The products X @ w,
+    X.T @ residual and residual.T @ X are np.dot calls into the BLAS
+    routines that matmul calls; the softmax row sum is _row_sum, which
+    keeps sum(axis=1)'s bits; the sigmoid's bias gradients, np.mean's
+    pairwise sums, are one np.add.reduceat from a zeroed slot before each
+    set's rows, and the softmax's is an einsum that adds the rows in
+    order, as mean(axis=0) does.  Only the softmax row max, exact in any
+    order, is folded over the class columns.  Bad settings raise
+    DomainError; a run that overflows, or ends with non-finite weights,
+    DivergenceError.
     """
     return next(_fit_logistic_stack([(X, y, seed)], n_classes, epochs, learning_rate))
 
@@ -219,21 +221,21 @@ def _fit_logistic_stack(sets: Iterable, n_classes: int, epochs: int,
                         learning_rate: float) -> Iterator[LogisticModel]:
     """Yield fit_logistic(X, y, n_classes, epochs, learning_rate, seed) for each (X, y, seed) of sets, bit for bit.
 
-    The sets are drawn and checked in order up to the first that fails (drawing it may raise too).  The sets
-    before it descend as one stack, their models are yielded, and then its error is raised.  If the stack
-    overflows or ends with non-finite weights, each set descends alone as it is reached, so the first set that
-    diverges raises its own DivergenceError.
+    The settings are checked first, then the sets are drawn and checked in order up to the first that fails
+    (drawing it may raise too).  The sets before it descend as one stack, their models are yielded, and then its
+    error is raised.  If the stack overflows or ends with non-finite weights, each set descends alone as it is
+    reached, so the first set that diverges raises its own DivergenceError.
     """
+    if not (isinstance(epochs, (int, np.integer)) and epochs >= 1):
+        raise DomainError(f"epochs must be a whole number >= 1, got {epochs!r}")
+    if not 0 < learning_rate < np.inf:
+        raise DomainError(f"learning rate must be finite and positive, got {learning_rate!r}")
+    if n_classes < 2:
+        raise DomainError(f"need at least 2 classes, got {n_classes}")
     stack, failure = [], None
     try:
         for X, y, seed in sets:
             X, y = _fit_inputs(X, y, int)
-            if epochs < 1:
-                raise DomainError(f"epochs must be >= 1, got {epochs}")
-            if learning_rate <= 0:
-                raise DomainError(f"learning rate must be positive, got {learning_rate}")
-            if n_classes < 2:
-                raise DomainError(f"need at least 2 classes, got {n_classes}")
             if y.min() < 0 or y.max() >= n_classes:
                 raise DomainError(f"labels must lie in [0, {n_classes})")
             if np.unique(y).size < 2:
@@ -255,43 +257,46 @@ def _fit_logistic_stack(sets: Iterable, n_classes: int, epochs: int,
 def _descend(stack: list, n_classes: int, epochs: int, learning_rate: float) -> list:
     """Each (X, y, seed) set's weights and intercepts after gradient descent, all sets in one epoch loop.
 
-    Each set's products and sums run on its own rows of the shared buffers; the bias add, the activation,
-    the target subtraction and the updates run once over all of them.  Nothing is padded and no reduction
+    Each set's rows follow a slot of its own in the shared buffers; its products are np.dot calls into views
+    built once per fit, as W and b are updated in place.  The bias add, the activation, the target subtraction
+    and the updates run once over all sets, and the slots' residuals are then zeroed, so one np.add.reduceat
+    from the slots gives each sigmoid bias sum the bits of np.add.reduce from its zero identity.  No reduction
     crosses a set, so each set gets the bits of a descent on its own.  An overflow, or weights that end
     non-finite, raise DivergenceError naming the first set's training size.
     """
     sizes = np.array([y.size for _, y, _ in stack])
-    rows = [slice(end - n, end) for n, end in zip(sizes.tolist(), np.cumsum(sizes).tolist())]
-    binary = n_classes == 2
-    shape = () if binary else (n_classes,)
+    starts = np.cumsum(counts := sizes + 1) - counts  # each set's slot, its rows right after it
+    shape = () if (binary := n_classes == 2) else (n_classes,)
     W = np.array([0.01 * np.random.default_rng(seed).standard_normal((*shape, X.shape[1])) for X, _, seed in stack])
     b = np.zeros((len(stack), *shape))
-    labels = np.concatenate([y for _, y, _ in stack])
-    targets = labels.astype(float) if binary else np.eye(n_classes)[labels]
-    logits = np.empty(targets.shape)
-    residual = np.empty(targets.shape) if binary else logits  # the softmax runs in place
+    targets = np.zeros((counts.sum(), *shape))
+    logits = np.zeros(targets.shape)  # a slot's logit stays finite: its bias plus 0, or the sigmoid's scratch
+    residual = np.zeros(targets.shape) if binary else logits  # the softmax runs in place
     grad_W, grad_b = np.empty(W.shape), np.empty(b.shape)
     per_W, per_b = (sizes.reshape((-1,) + (1,) * (a.ndim - 1)) for a in (W, b))  # n of each set
-    # each set's features, logits, residual and gradients: views into the stacked buffers
-    views = [(X, logits[at], residual[at], grad_W[i], grad_b[i:i + 1] if binary else grad_b[i])
-             for i, ((X, _, _), at) in enumerate(zip(stack, rows))]
+    forward, backward = [], []  # each set's np.dot operands and output, and its residual: views into the buffers
+    for i, ((X, y, _), start) in enumerate(zip(stack, starts.tolist())):
+        targets[(at := slice(start + 1, start + 1 + y.size))] = y if binary else np.eye(n_classes)[y]
+        forward.append((X, W[i] if binary else W[i].T, logits[at]))
+        r = residual[at]
+        backward.append(((X.T, r) if binary else (r.T, X)) + (grad_W[i], r, grad_b[i]))
     try:
         with np.errstate(all="raise", under="ignore"):
             for _ in range(epochs):
-                for (X, z, _, _, _), w in zip(views, W):
-                    np.matmul(X, w.T, out=z)
-                logits += np.repeat(b, sizes, axis=0) if len(stack) > 1 else b  # one set: b broadcasts
+                for X, w, z in forward:
+                    np.dot(X, w, out=z)
+                logits += np.repeat(b, counts, axis=0) if len(stack) > 1 else b  # one set: b broadcasts
                 _sigmoid(logits, out=residual) if binary else _softmax(logits, out=logits)
                 residual -= targets
-                for X, _, r, g_W, g_b in views:
-                    if binary:
-                        np.matmul(X.T, r, out=g_W)
-                        np.add.reduce(r, keepdims=True, out=g_b)
-                    else:  # einsum adds the rows in order, as mean(axis=0) does, with no (n, C) temporary
-                        np.matmul(r.T, X, out=g_W)
-                        np.einsum("ij->j", r, out=g_b)
-                W = W - learning_rate * (grad_W / per_W)
-                b = b - learning_rate * (grad_b / per_b)
+                residual[starts] = 0.0
+                for x, r, g_W, rows, g_b in backward:
+                    np.dot(x, r, out=g_W)
+                    if not binary:  # einsum adds the rows in order, as mean(axis=0) does, with no (n, C) temporary
+                        np.einsum("ij->j", rows, out=g_b)
+                if binary:
+                    np.add.reduceat(residual, starts, out=grad_b)
+                W -= learning_rate * (grad_W / per_W)
+                b -= learning_rate * (grad_b / per_b)
         finite = np.isfinite(W).all() and np.isfinite(b).all()
     except FloatingPointError:
         finite = False

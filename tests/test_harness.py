@@ -163,6 +163,17 @@ class TestForkedCurve:
             LearnerConfig(n_clusters=3)),
     }
 
+    @pytest.mark.parametrize("d", [0, -1, math.nan, math.inf], ids=["zero", "negative", "nan", "inf"])
+    @pytest.mark.parametrize("task", list(CURVES), ids=lambda task: task.value)
+    def test_a_d_that_is_not_finite_and_positive_is_refused_before_the_split(self, monkeypatch, task, d):
+        """In factors' words for every task, and before a chunk is fitted, not after as a score's failure."""
+        ds, sched, config = self.CURVES[task]
+        for stage in ("split", "map_on_cores"):
+            monkeypatch.setattr(harness, stage, lambda *args, stage=stage: pytest.fail(f"{stage} ran"))
+        with pytest.raises(DomainError) as raised:
+            run_curve(ds, sched, task, config, seed=5, d=d)
+        assert str(raised.value) == f"d must be finite and positive, got d={d}"
+
     @pytest.mark.parametrize("task", list(CURVES), ids=lambda task: task.value)
     def test_workers_give_the_serial_points_bit_for_bit(self, monkeypatch, task):
         """Three workers (more than this host may have cores) on four chunks, the first of two sizes, against

@@ -1,11 +1,17 @@
 """Unit tests for the built-in learners."""
 
+import math
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import reference as ref
-from normetric import DegenerateDistributionError, DivergenceError, DomainError, ShapeError, TaskKind, make_blobs
+import normetric
+from normetric import DegenerateDistributionError, DivergenceError, DomainError, ShapeError, TaskKind, learners, make_blobs
 from normetric.learners import (
     LogisticModel,
     _row_sum,
@@ -179,8 +185,27 @@ def ragged_stacks(draw):
     return sets, n_classes, draw(st.integers(1, 25)), draw(st.sampled_from([0.05, 0.5, 1.0, 2.5]))
 
 
+def _fixed_stack(sizes, n_classes):
+    """A stack of sets of the given sizes and 13 features, 25 epochs at learning rate 1.0, as ragged_stacks draws."""
+    rng = np.random.default_rng(len(sizes))
+    sets = []
+    for seed, n in enumerate(sizes):
+        y = rng.integers(0, n_classes, size=n)
+        y[:2] = [0, 1]
+        sets.append((rng.normal(size=(n, 13)), y, seed))
+    return sets, n_classes, 25, 1.0
+
+
+# 20 sets whose lengths straddle numpy's pairwise sum: 8 terms unrolled, blocks of 128, and so 1024 = 8 * 128
+STRADDLING = [7, 8, 9, 2, 127, 128, 129, 15, 16, 17, 1023, 1024, 1025, 3, 255, 256, 257, 63, 64, 65]
+
+
 @settings(max_examples=150, deadline=None)
 @given(ragged_stacks())
+@example(_fixed_stack(STRADDLING, 2))
+@example(_fixed_stack(STRADDLING, 3))
+@example(_fixed_stack([129], 2))
+@example(_fixed_stack([129], 4))
 def test_a_stack_fits_each_set_as_the_loss_evaluating_loop_does_alone(case):
     """Every set's weights are the bits of the oracle run on that set alone, up to the first set that
     cannot be fitted, whose own error is raised after the sets before it are yielded."""
@@ -196,6 +221,40 @@ def test_a_stack_fits_each_set_as_the_loss_evaluating_loop_does_alone(case):
         assert np.array_equal(model.weights, weights)
         assert np.array_equal(model.intercepts, intercepts)
     assert next(fitted, None) is None
+
+
+def test_a_stacked_binary_curve_gives_the_same_points_on_one_or_two_blas_threads():
+    """OpenBLAS splits a gemv of some 9216 cells or more (here sizes from 720 rows) between its threads: the
+    points, pickled in processes started with one and with two, must be the same bytes."""
+    script = """
+import pickle, sys
+from normetric import LearnerConfig, TaskKind, make_binary_classification, run_curve, schedule
+points = run_curve(make_binary_classification(1400, d=13, seed=0), schedule(80, 1000, 40),
+                   TaskKind.BINARY_CLASSIFICATION, LearnerConfig(learning_rate=1.0), seed=0)
+sys.stdout.buffer.write(pickle.dumps(points))
+"""
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(normetric.__file__))}
+    runs = [subprocess.run([sys.executable, "-c", script], capture_output=True, timeout=120,
+                           env={**env, "OPENBLAS_NUM_THREADS": threads}) for threads in ("1", "2")]
+    assert [(run.returncode, run.stderr) for run in runs] == [(0, b""), (0, b"")]
+    assert runs[0].stdout == runs[1].stdout
+
+
+@pytest.mark.parametrize("setting, value, message", [
+    ("learning_rate", math.nan, "learning rate must be finite and positive, got nan"),
+    ("learning_rate", math.inf, "learning rate must be finite and positive, got inf"),
+    ("learning_rate", 0.0, "learning rate must be finite and positive, got 0.0"),
+    ("epochs", 2.5, "epochs must be a whole number >= 1, got 2.5"),
+    ("epochs", 0, "epochs must be a whole number >= 1, got 0"),
+], ids=["nan-rate", "inf-rate", "zero-rate", "fractional-epochs", "zero-epochs"])
+@pytest.mark.parametrize("n_classes", [2, 3])
+def test_a_bad_setting_is_named_before_any_epoch_runs(monkeypatch, setting, value, message, n_classes):
+    """Not a divergence after every epoch ran, nor range()'s TypeError."""
+    monkeypatch.setattr(learners, "_descend", lambda *args: pytest.fail("an epoch ran"))
+    X = np.random.default_rng(5).standard_normal((12, 3))
+    with pytest.raises(DomainError) as raised:
+        fit_logistic(X, np.arange(12) % n_classes, n_classes, **{setting: value})
+    assert str(raised.value) == message
 
 
 @pytest.mark.parametrize("n_classes", [2, 3])

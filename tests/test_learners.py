@@ -11,7 +11,9 @@ from hypothesis import example, given, settings, strategies as st
 
 import reference as ref
 import normetric
-from normetric import DegenerateDistributionError, DivergenceError, DomainError, ShapeError, TaskKind, learners, make_blobs
+from normetric import (
+    DegenerateDistributionError, DivergenceError, DomainError, ShapeError, TaskKind, learners, make_blobs,
+)
 from normetric.learners import (
     LogisticModel,
     _row_sum,
@@ -196,7 +198,7 @@ def _fixed_stack(sizes, n_classes):
     return sets, n_classes, 25, 1.0
 
 
-# 20 sets whose lengths straddle numpy's pairwise sum: 8 terms unrolled, blocks of 128, and so 1024 = 8 * 128
+# 20 sets whose lengths straddle the steps of numpy's pairwise sum (8 partial sums, blocks of 128 terms) and 1024
 STRADDLING = [7, 8, 9, 2, 127, 128, 129, 15, 16, 17, 1023, 1024, 1025, 3, 255, 256, 257, 63, 64, 65]
 
 

@@ -270,7 +270,7 @@ def _descend(stack: list, n_classes: int, epochs: int, learning_rate: float) -> 
     W = np.array([0.01 * np.random.default_rng(seed).standard_normal((*shape, X.shape[1])) for X, _, seed in stack])
     b = np.zeros((len(stack), *shape))
     targets = np.zeros((counts.sum(), *shape))
-    logits = np.zeros(targets.shape)  # a slot's logit stays finite: its bias plus 0, or the sigmoid's scratch
+    logits = np.zeros(targets.shape)  # a slot's logit, its bias plus 0 or the sigmoid's scratch in [0, 1], is finite
     residual = np.zeros(targets.shape) if binary else logits  # the softmax runs in place
     grad_W, grad_b = np.empty(W.shape), np.empty(b.shape)
     per_W, per_b = (sizes.reshape((-1,) + (1,) * (a.ndim - 1)) for a in (W, b))  # n of each set

@@ -3,7 +3,7 @@
 Exit codes: 0 success, 1 usage error (a numeric flag outside its own domain
 included), 2 data error (bad or missing files), 3 numeric or domain error,
 4 a worker process died (killed, or out of memory) during `curve`'s fits,
-`expand`'s neighbour scan or write, or the read of any CSV of 3 MB or more.
+`expand`'s neighbour scan or write, or the read of 3 MB or more of blocks numpy splits.
 Diagnostics go to stderr; results go to stdout or to the requested output
 files.
 """

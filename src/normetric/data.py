@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import csv
 import functools
@@ -84,8 +85,8 @@ _BLOCK_ROWS = 4096
 _SCAN_BYTES = 2**20  # bytes per read of read_blocks's scan for the newlines that end its blocks
 # save_csv forks a file of this many cells or more: the workers cost some 45 ms to start, a cell about 1.2 us
 _FORK_SAVE_CELLS = 2**17
-# read_blocks forks a file of this many bytes or more: its cost follows the bytes, not the cells, and starting the
-# workers costs some 55 ms in a new process; files of every shape measured on 2 cores broke even at 2-4 MB
+# read_blocks forks the blocks numpy splits if they hold this many bytes or more: its cost follows the bytes, not
+# the cells, and starting the workers costs some 55 ms in a new process; every shape on 2 cores broke even at 2-4 MB
 _FORK_READ_BYTES = 3 * 2**20
 
 
@@ -96,54 +97,51 @@ def read_blocks(path: str) -> tuple[list[str], Callable[[Callable], Iterator]]:
     reads them: columns[j] lists cell j of each row as wide as the header, in
     order; others lists (position in the block from 0, cells) for every other
     row, blank lines as [].  A block ends at every _BLOCK_ROWS-th newline, which
-    numpy finds a _SCAN_BYTES read at a time.  Lines are split at '\\n' and ','
-    (_read_block) until a block holds '"', '\\r', NUL or a line over
-    csv.field_size_limit() bytes; from there csv.reader reads the rest in
-    this process.  A file of 3 MB or more (_FORK_READ_BYTES) is split on
+    numpy finds a _SCAN_BYTES read at a time.  The same scan finds the first
+    '"', '\\r' or NUL and the first line over csv.field_size_limit() bytes:
+    the blocks before the one that holds either are split at '\\n' and ','
+    (_read_block), and csv.reader reads the rest in this process.  If those
+    plain blocks come to 3 MB or more (_FORK_READ_BYTES), they are split on
     every usable core by forked workers, each reading its own blocks and
-    running work on them, so only what work returns (never None) comes back;
-    the blocks are yielded in order, and an error is raised as a read in one
-    process raises it.  A worker that dies raises WorkerError naming the
-    first data row not read.  Each call of blocks reads the file again.
+    running work on them, so only what work returns comes back; the blocks
+    are yielded in order, and an error is raised as a read in one process
+    raises it.  A worker that dies raises WorkerError naming the first data
+    row not read.  Each call of blocks reads the file again.
     """
     if not os.path.isfile(path):
         raise DataError(f"no such file: {path}")
     if not os.path.getsize(path):
         raise DataError(f"{path} is empty (no header row)")
-    ends, seen = [], 0  # the end of the header line, then of each block of lines; the newlines before a chunk
+    ends, seen, last, found = [], 0, -1, []  # the header's and each block's end; the newlines so far, and the last
     with open(path, "rb") as fh:
         while chunk := fh.read(_SCAN_BYTES):
-            newlines = np.flatnonzero(np.frombuffer(chunk, np.uint8) == 10)  # newline number 0 ends the header
-            ends += (newlines[-seen % _BLOCK_ROWS::_BLOCK_ROWS] + (fh.tell() - len(chunk) + 1)).tolist()
+            newlines = np.flatnonzero(np.frombuffer(chunk, np.uint8) == 10) + (fh.tell() - len(chunk))
+            ends += (newlines[-seen % _BLOCK_ROWS::_BLOCK_ROWS] + 1).tolist()  # newline number 0 ends the header
             seen += newlines.size
+            if not found:  # the first bytes csv.reader must read: '"', '\r', NUL, a line over the field limit
+                found = [at + fh.tell() - len(chunk) for at in map(chunk.find, b'"\r\0') if at >= 0]
+                found += newlines[np.diff(newlines, prepend=last) > csv.field_size_limit() + 1][:1].tolist()
+            last = newlines[-1] if newlines.size else last
+        found += [last + 1] if fh.tell() - last - 1 > csv.field_size_limit() else []  # a last line with no newline
         # (offset, length); the last range ends with the file, and is empty only if a block ended there
         ranges = [(start, end - start) for start, end in zip([0] + ends, ends + [fh.tell()]) if end > start]
-    plain = _read_block(path, 0, lambda block: block[1], ranges[0])  # with no width, each line is an other row
-    if plain is None:
+    rest = bisect.bisect(ends, min(found)) if found else len(ranges)  # the first range csv.reader reads
+    if rest:
+        header = _read_block(path, 0, lambda block: block[1], ranges[0])[0][1]  # with no width, lines are others
+    else:
         with contextlib.closing(_reader_rows(path, ranges)) as rows:
             header = next(rows)
-    else:
-        header = plain[0][1]
     width = len(header)
 
     def lost(job: tuple[int, int]) -> str:
         return f"data row {(ranges.index(job) - 1) * _BLOCK_ROWS + 1} of {path} was read"
 
     def blocks(work: Callable) -> Iterator:
-        start = 0  # the range csv.reader reads from: the header's if that is not plain
-        if plain is not None:
-            fork = os.path.getsize(path) >= _FORK_READ_BYTES
-            results = map_on_cores(functools.partial(_read_block, path, width, work), ranges[1:], lost, fork)
-            with contextlib.closing(results):
-                for start, result in enumerate(results, 1):
-                    if result is None:  # each line so far was one row, so csv.reader can take over here
-                        break
-                    yield result
-                else:
-                    return
-        rows = _reader_rows(path, ranges[start:])
-        if not start:
-            next(rows)  # the header
+        fork = sum(length for _, length in ranges[1:rest]) >= _FORK_READ_BYTES  # only the plain blocks' bytes count
+        yield from map_on_cores(functools.partial(_read_block, path, width, work), ranges[1:rest], lost, fork)
+        if rest == len(ranges):
+            return
+        rows = itertools.islice(_reader_rows(path, ranges[rest:]), int(not rest), None)  # past the header
         while block := list(itertools.islice(rows, _BLOCK_ROWS)):
             full = [row for row in block if row and len(row) == width]
             others = [(at, row) for at, row in enumerate(block) if not row or len(row) != width]
@@ -164,10 +162,10 @@ def _decoded(path: str, raw: bytes, offset: int) -> str:
 def _read_block(path: str, width: int, work: Callable, job: tuple[int, int]):
     """work(block) for the lines in the byte range job = (offset, length) of path, split a row per line.
 
-    The lines are split at '\\n' and ',' only if none holds '"', '\\r', NUL or
-    more than csv.field_size_limit() bytes; else csv.reader must read them,
-    and the result is None.  No Python code runs per line: numpy finds the
-    lines and counts their commas, and sets apart blank and odd-width ones.
+    The lines are split at '\\n' and ',' only: read_blocks's scan hands a
+    range here only if no line in it holds '"', '\\r', NUL or more than
+    csv.field_size_limit() bytes.  No Python code runs per line: numpy finds
+    the lines and counts their commas, and sets apart blank and odd-width ones.
     """
     offset, length = job
     with open(path, "rb") as fh:
@@ -177,8 +175,6 @@ def _read_block(path: str, width: int, work: Callable, job: tuple[int, int]):
     codes = np.frombuffer(raw if raw.endswith(b"\n") else raw + b"\n", np.uint8)  # each line ends at a newline
     ends = np.flatnonzero(codes == 10)
     sizes = np.diff(ends, prepend=-1) - 1
-    if any(c in raw for c in b'"\r\0') or sizes.max() > csv.field_size_limit():
-        return None
     commas = np.diff(np.searchsorted(np.flatnonzero(codes == 44), ends), prepend=0)
     odd = (commas != width - 1) | (sizes == 0)
     del codes, raw

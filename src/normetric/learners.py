@@ -89,7 +89,7 @@ class KMeansModel:
 
 
 def _fit_inputs(X, y=None, y_dtype=float) -> tuple:
-    """X as a non-empty 2-D float matrix of finite numbers, and y, if given, as one value per row."""
+    """X as a non-empty 2-D C-contiguous float matrix of finite numbers, and y, if given, as one value per row."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise ShapeError(f"feature matrix must be 2-D, got ndim={X.ndim}")
@@ -98,7 +98,7 @@ def _fit_inputs(X, y=None, y_dtype=float) -> tuple:
     if y is not None and (y := np.asarray(y, dtype=y_dtype)).shape != (X.shape[0],):
         raise ShapeError(f"y must have one value per row, got {y.shape} for {X.shape[0]} rows")
     _check("X", X, _FINITE)
-    return X, y
+    return np.ascontiguousarray(X), y  # a strided or F-ordered X is copied once, so a fit gets its C copy's bits
 
 
 def fit_linear(X: np.ndarray, y: np.ndarray) -> LinearModel:

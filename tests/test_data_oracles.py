@@ -314,6 +314,94 @@ def test_a_line_over_the_field_limit_in_bytes_only_reads_as_csv_reader_reads_it(
             assert_loads_as_row_loop(path, task)
 
 
+@pytest.fixture
+def field_limit():
+    """csv.field_size_limit() lowered to 20 for one test: a 20-byte line stays plain, a 23-byte one does not."""
+    old = csv.field_size_limit(20)
+    yield 20
+    csv.field_size_limit(old)
+
+
+LONG = "aaaaaaaaaa,bbbbbbbbbb,c"  # 23 bytes, each field under the limit, so csv.reader reads it
+
+
+@pytest.mark.parametrize("lines, final, across_reads", [
+    (["a,b,y", LONG, "1,2,3", "4,5,6", "12345678,12345678,12"], "\n", False),
+    (["a,b,y", "12345678,12345678,12", "1,2,3", "4,5,6", LONG, "7,8,9"], "\n", True),
+    (["a,b,y", "12345678,12345678,12", "1,2,3", "4,5,6", LONG], "", False),
+], ids=["first-data-line", "across-two-scan-reads", "unterminated-last-line"])
+def test_the_scan_hands_a_line_over_the_field_limit_to_csv_reader_from_its_own_block(
+        tmp_path, monkeypatch, field_limit, lines, final, across_reads):
+    """Blocks of two data lines; a line of exactly the limit, where there is one, leaves its block plain."""
+    text = "\n".join(lines) + final
+    path = tmp_path / "long.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    assert len("12345678,12345678,12") == field_limit < len(LONG)
+    long_at = lines.index(LONG) - 1  # among the data lines
+    start = len("".join(line + "\n" for line in lines[:long_at + 1]))
+    if across_reads:  # a read of the scan ends inside the long line, the newline before it in the read before
+        monkeypatch.setattr(data, "_SCAN_BYTES", start + 5)
+    monkeypatch.setattr(data, "_BLOCK_ROWS", 2)
+    handed, reader_rows = [], data._reader_rows
+
+    def recorded(path, ranges):
+        handed.append(ranges[0][0])
+        return reader_rows(path, ranges)
+
+    monkeypatch.setattr(data, "_reader_rows", recorded)
+    header, blocks = read_blocks(str(path))
+    assert [header] + rows_of(blocks(lambda block: block)) == list(csv.reader(io.StringIO(text, newline="")))
+    assert handed == [ref.ref_block_ranges(str(path), 2)[1 + long_at // 2][0]]
+
+
+def _quoted_in_third_block(path):
+    """A header and 40 blocks of 100 data rows with a quoted cell in the third block; the file's text."""
+    lines = ["a,b,y"] + [f"{i},{i % 7},{i % 2}" for i in range(4000)]
+    lines[1 + 208] = '208,"6",0'
+    text = "".join(line + "\n" for line in lines)
+    path.write_text(text, encoding="utf-8", newline="")
+    return text
+
+
+def test_no_worker_runs_work_on_a_block_that_csv_reader_reads(tmp_path, monkeypatch):
+    """The workers split the two plain blocks only; csv.reader reads the other 38 here.  Each block's work runs
+    once, whichever process runs it."""
+    path, log = tmp_path / "file.csv", tmp_path / "work.log"
+    text = _quoted_in_third_block(path)
+    monkeypatch.setattr(data, "_BLOCK_ROWS", 100)
+    monkeypatch.setattr(data, "_FORK_READ_BYTES", 1)
+    _usable_cores(monkeypatch, {0, 1, 2})
+    pools = _recorded_pools(monkeypatch)
+
+    def work(block):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return block
+
+    header, blocks = read_blocks(str(path))
+    assert [header] + rows_of(blocks(work)) == list(csv.reader(io.StringIO(text, newline="")))
+    assert multiprocessing.active_children() == []
+    assert len(log.read_text().splitlines()) == 40
+    assert pools == [2]
+
+
+def test_the_fork_counts_only_the_bytes_of_the_blocks_numpy_splits(tmp_path, monkeypatch):
+    """A file over _FORK_READ_BYTES whose two plain blocks come to less is read in this process."""
+    path = tmp_path / "file.csv"
+    size = len(_quoted_in_third_block(path))
+    monkeypatch.setattr(data, "_BLOCK_ROWS", 100)
+    ranges = ref.ref_block_ranges(str(path), 100)
+    monkeypatch.setattr(data, "_FORK_READ_BYTES", ranges[1][1] + ranges[2][1] + 1)
+    assert data._FORK_READ_BYTES < size
+    header, blocks = read_blocks(str(path))
+    _usable_cores(monkeypatch, {0})
+    one_core = rows_of(blocks(lambda block: block))
+    _usable_cores(monkeypatch, {0, 1, 2})
+    pools = _recorded_pools(monkeypatch)
+    assert rows_of(blocks(lambda block: block)) == one_core
+    assert pools == []
+
+
 special_floats = st.sampled_from([-0.0, 0.0, 5e-324, 1e16, 1e-5, 0.1, -1.5e300, 123456789.125])
 feature_values = st.one_of(special_floats, st.floats(allow_nan=False, allow_infinity=False))
 

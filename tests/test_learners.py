@@ -344,6 +344,21 @@ def test_logistic_deterministic_given_seed():
     np.testing.assert_array_equal(m1.intercepts, m2.intercepts)
 
 
+@pytest.mark.parametrize("n_classes", [2, 3])
+def test_a_strided_or_f_ordered_feature_matrix_fits_to_its_c_copy_s_bits(n_classes):
+    """A view of every other column of a 1000 x 26 array, with no copy, fitted slower and, binary, to other bits."""
+    rng = np.random.default_rng(24)
+    big = rng.normal(size=(1000, 26))
+    y = rng.integers(0, n_classes, size=1000)
+    strided = big[:, ::2]
+    assert not strided.flags.c_contiguous
+    fits = [fit_logistic(X, y, n_classes, epochs=50, seed=5)
+            for X in (np.ascontiguousarray(strided), strided, np.asfortranarray(strided))]
+    for model in fits[1:]:
+        assert model.weights.tobytes() == fits[0].weights.tobytes()
+        assert model.intercepts.tobytes() == fits[0].intercepts.tobytes()
+
+
 def test_logistic_rejects_degenerate_labels():
     X = np.zeros((5, 2))
     with pytest.raises(DegenerateDistributionError):

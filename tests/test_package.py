@@ -44,9 +44,10 @@ print(sorted(name for name in sys.modules if name.split(".")[0] in ("multiproces
 
 
 def test_the_forked_stages_run_without_a_warning_under_dev_mode(tmp_path):
-    """Python 3.12+ warns when a process with live threads forks; -W error turns any warning into a failure."""
+    """Python 3.12+ warns when a process with live threads forks; -W error turns any warning into a failure, and
+    -X dev warns of a file never closed, as a read handed to csv.reader after its forked blocks could leave one."""
     script = f"""
-import concurrent.futures, os
+import concurrent.futures, os, pathlib
 from normetric import TaskKind, data, harness, make_blobs, run_curve, schedule, synthetic_expand
 os.sched_getaffinity = lambda pid: {{0, 1}}
 data._FORK_BLOCKS, data._FORK_SAVE_CELLS, data._FORK_READ_BYTES, data._BLOCK_ROWS = 1, 1, 1, 100
@@ -63,12 +64,17 @@ data.save_csv(synthetic_expand(ds, 400, 5, seed=2), {str(tmp_path / "big.csv")!r
 data.load_csv({str(tmp_path / "big.csv")!r}, ds.target_name, ds.task)
 header, column = data.read_columns({str(tmp_path / "big.csv")!r}, "series file")
 [column(name) for name in header]
+lines = pathlib.Path({str(tmp_path / "big.csv")!r}).read_text().splitlines(True)
+lines[251] = '"' + lines[251].replace(",", '",', 1)  # csv.reader reads from the third of four blocks
+pathlib.Path({str(tmp_path / "quoted.csv")!r}).write_text("".join(lines))
+header, column = data.read_columns({str(tmp_path / "quoted.csv")!r}, "series file")
+[column(name) for name in header]
 print(pools)
 """
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(normetric.__file__))}
     command = [sys.executable, "-X", "dev", "-W", "error", "-c", script]
     done = subprocess.run(command, capture_output=True, text=True, env=env, timeout=120)
-    assert (done.returncode, done.stderr, done.stdout) == (0, "", "[2, 2, 2, 2, 2]\n")
+    assert (done.returncode, done.stderr, done.stdout) == (0, "", "[2, 2, 2, 2, 2, 2]\n")
 
 
 def test_work_reaches_the_workers_by_fork_and_is_never_pickled(monkeypatch):

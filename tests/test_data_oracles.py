@@ -332,7 +332,7 @@ LONG = "aaaaaaaaaa,bbbbbbbbbb,c"  # 23 bytes, each field under the limit, so csv
 ], ids=["first-data-line", "across-two-scan-reads", "unterminated-last-line"])
 def test_the_scan_hands_a_line_over_the_field_limit_to_csv_reader_from_its_own_block(
         tmp_path, monkeypatch, field_limit, lines, final, across_reads):
-    """Blocks of two data lines; a line of exactly the limit, where there is one, leaves its block plain."""
+    """Blocks of two data lines.  In the last two cases a line of exactly the limit leaves the first block plain."""
     text = "\n".join(lines) + final
     path = tmp_path / "long.csv"
     path.write_text(text, encoding="utf-8", newline="")

@@ -4,7 +4,6 @@ import csv
 import errno
 import io
 import json
-import multiprocessing
 import os
 import signal
 import warnings
@@ -18,6 +17,7 @@ from normetric import (DataError, TaskKind, data, load_csv, make_binary_classifi
                        save_csv)
 from normetric.cli import main
 from test_data_oracles import FAILING, PARSING, csv_texts, plain_csv_texts
+from workers import assert_no_child
 
 
 @pytest.fixture
@@ -485,7 +485,7 @@ class TestCurve:
         for cores in ({0, 1, 2}, {0}):  # three workers, then the serial loop
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cores=cores: cores)
             outcomes.append((main(argv), capsys.readouterr()))
-            assert multiprocessing.active_children() == []
+            assert_no_child()
         assert outcomes[0] == outcomes[1]
         assert outcomes[0][0] == 3
         assert outcomes[0][1].err == "normetric: error: fit diverged at training size 30, learning rate 1e+308\n"
@@ -828,7 +828,7 @@ class TestExpand:
             "normetric: error: features too large to compare: the distance between two rows overflows\n"
         )
         assert not caught and not out.exists()
-        assert multiprocessing.active_children() == []
+        assert_no_child()
 
     def test_a_killed_scan_worker_exits_4(self, blobs_csv, tmp_path, capsys, monkeypatch):
         parent, scan = os.getpid(), data._pool_neighbors
@@ -857,7 +857,7 @@ class TestExpand:
             "normetric: error: a worker process died before the neighbour scan ended (killed, or out of memory)\n"
         )
         assert not out.exists()
-        assert multiprocessing.active_children() == []
+        assert_no_child()
 
     def test_a_killed_save_worker_exits_4_and_leaves_no_file(self, blobs_csv, tmp_path, capsys, monkeypatch):
         """A file cut short at a row boundary would read back as a valid, smaller dataset."""
@@ -889,7 +889,7 @@ class TestExpand:
             "(killed, or out of memory)\n"
         )
         assert not out.exists()
-        assert multiprocessing.active_children() == []
+        assert_no_child()
 
     @pytest.mark.parametrize("cores", [1, 2])
     def test_a_failed_save_exits_2_and_leaves_no_file(self, blobs_csv, tmp_path, capsys, monkeypatch, cores):
@@ -913,7 +913,7 @@ class TestExpand:
         assert code == 2
         assert capsys.readouterr().err == "normetric: data error: [Errno 28] No space left on device\n"
         assert not out.exists()
-        assert multiprocessing.active_children() == []
+        assert_no_child()
 
 
 @pytest.mark.parametrize("command", ["curve", "evaluate"])
@@ -945,7 +945,7 @@ def test_a_killed_reader_worker_exits_4(blobs_csv, binary_preds, capsys, monkeyp
     assert capsys.readouterr().err == (
         f"normetric: error: a worker process died before data row 1 of {path} was read (killed, or out of memory)\n"
     )
-    assert multiprocessing.active_children() == []
+    assert_no_child()
 
 
 def _raise_timeout(signum, frame):

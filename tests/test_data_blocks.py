@@ -14,7 +14,6 @@ it returns or writes.
 """
 
 import contextlib
-import multiprocessing
 import os
 import tracemalloc
 from unittest import mock
@@ -24,6 +23,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference as ref
+from workers import assert_no_child
 from normetric import DataError, TaskKind, load_csv, save_csv
 from normetric import data
 from normetric.data import read_columns
@@ -100,7 +100,7 @@ def on_cores(cores):
     with mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cores))), \
             mock.patch.object(data, "_FORK_READ_BYTES", 1):
         yield
-    assert multiprocessing.active_children() == []
+    assert_no_child()
 
 
 def loaded(path, task, cores=1):

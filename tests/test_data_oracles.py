@@ -28,6 +28,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import reference as ref
+from workers import assert_no_child
 from normetric import (DataError, Dataset, DomainError, TaskKind, load_csv, make_binary_classification, make_blobs,
                        make_regression, save_csv)
 from normetric import data
@@ -123,7 +124,7 @@ def reading_on(cores):
     with mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cores))), \
             mock.patch.object(data, "_BLOCK_ROWS", 3), mock.patch.object(data, "_FORK_READ_BYTES", 1):
         yield
-    assert multiprocessing.active_children() == []
+    assert_no_child()
 
 
 def assert_loads_as_row_loop(path, task, cores=None):
@@ -380,7 +381,7 @@ def test_no_worker_runs_work_on_a_block_that_csv_reader_reads(tmp_path, monkeypa
 
     header, blocks = read_blocks(str(path))
     assert [header] + rows_of(blocks(work)) == list(csv.reader(io.StringIO(text, newline="")))
-    assert multiprocessing.active_children() == []
+    assert_no_child()
     assert len(log.read_text().splitlines()) == 40
     assert pools == [2]
 
@@ -433,7 +434,7 @@ def test_save_csv_matches_row_loop(tmp_path_factory, cores, ds):
             mock.patch.object(data, "_BLOCK_ROWS", 3), mock.patch.object(data, "_FORK_SAVE_CELLS", 1):
         save_csv(ds, str(folder / "got.csv"))
     assert (folder / "got.csv").read_bytes() == (folder / "expected.csv").read_bytes()
-    assert multiprocessing.active_children() == []
+    assert_no_child()
 
 
 @pytest.mark.parametrize("cores", [1, 3])
@@ -515,7 +516,7 @@ def test_expand_matches_row_loop(cores, case, extra):
             mock.patch.object(data, "_JOB_BLOCKS", 1):
         got = data.synthetic_expand(ds, ds.n + extra, k, seed=extra)
     assert (bits(got.features), bits(got.target)) == (bits(expected.features), bits(expected.target))
-    assert multiprocessing.active_children() == []
+    assert_no_child()
 
 
 def _one_draw_beside_huge_rows(anchor_joins_them):
@@ -614,7 +615,7 @@ class TestForkedExpand:
             out = tmp_path / f"out{len(cores)}.csv"
             assert main(["expand", "--task", task.value, "--data", str(tmp_path / "in.csv"), "--target-column",
                          ds.target_name, "--target-n", str(4 * ds.n), "--out", str(out), "--seed", "3"]) == 0
-            assert multiprocessing.active_children() == []
+            assert_no_child()
             written.append(out.read_bytes())
         assert _scan_blocks(ds, drawn[0]) >= data._FORK_BLOCKS
         assert 4 * ds.n * (ds.d + 1) < data._FORK_SAVE_CELLS
@@ -638,7 +639,7 @@ class TestForkedExpand:
         _usable_cores(monkeypatch, {0, 1, 2})
         got = _neighbor_lists(ds, 6)
         assert pools == [3]
-        assert multiprocessing.active_children() == []
+        assert_no_child()
         assert len(got) == ds.n
         for row_got, expected in zip(got, ref.ref_neighbor_lists(ds, 6)):
             assert bits(row_got) == bits(expected)
@@ -655,7 +656,7 @@ class TestForkedExpand:
             pool.join()
         _usable_cores(monkeypatch, {0})
         assert [bits(row) for row in inside] == [bits(row) for row in _neighbor_lists(ds, 5)]
-        assert multiprocessing.active_children() == []
+        assert_no_child()
 
 
 class TestForkedSave:
@@ -673,7 +674,7 @@ class TestForkedSave:
         _usable_cores(monkeypatch, {0})
         save_csv(ds, str(tmp_path / "here.csv"))
         assert (tmp_path / "inside.csv").read_bytes() == (tmp_path / "here.csv").read_bytes()
-        assert multiprocessing.active_children() == []
+        assert_no_child()
 
     @pytest.mark.parametrize("n, d, threshold", [(4000, 8, 1), (10_000, 1, None)],
                              ids=["one block", "under the cell threshold"])
@@ -701,7 +702,7 @@ class TestForkedSave:
         _usable_cores(monkeypatch, {0, 1})
         with pytest.raises(OSError) as caught:  # holding the error keeps save_csv's frame alive
             save_csv(make_regression(30_000, d=2, seed=7), "/dev/full")
-        assert multiprocessing.active_children() == []
+        assert_no_child()
         assert caught.value.errno == errno.ENOSPC
         assert removed == []
 
@@ -729,7 +730,7 @@ class TestForkedRead:
         for cores in ({0, 1, 2}, {0}):
             _usable_cores(monkeypatch, cores)
             outcomes.append(pickle.dumps((load_csv(path, ds.target_name, ds.task), _columns(path))))
-            assert multiprocessing.active_children() == []
+            assert_no_child()
         assert pools == [3, 3]
         assert outcomes[0] == outcomes[1]
         assert bits(pickle.loads(outcomes[0])[0].features) == bits(ds.features)
@@ -748,7 +749,7 @@ class TestForkedRead:
         _usable_cores(monkeypatch, {0})
         assert pickle.dumps(inside) == pickle.dumps(load_csv(path, ds.target_name, ds.task))
         assert [bits(c) for c in columns] == [bits(c) for c in _columns(path)]
-        assert multiprocessing.active_children() == []
+        assert_no_child()
 
     @pytest.mark.parametrize("rows, threshold", [(100, 1), (2000, None)], ids=["one block", "under the byte threshold"])
     def test_a_small_read_stays_in_this_process(self, tmp_path, monkeypatch, rows, threshold):

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import reference as ref
+from workers import assert_no_child
 from normetric import (
     ConfigurationError,
     CurvePoint,
@@ -183,7 +184,7 @@ class TestForkedCurve:
         _chunk_rows(monkeypatch, 150 if task is TaskKind.CLUSTERING else 100, ds.d)
         _usable_cores(monkeypatch, {0, 1, 2})
         forked = run_curve(ds, sched, task, config, seed=5)
-        assert multiprocessing.active_children() == []
+        assert_no_child()
         assert pools == [3]
         _usable_cores(monkeypatch, {0})
         for chunk_bytes in (1, 2**30):
@@ -238,7 +239,7 @@ class TestForkedCurve:
             pool.terminate()
             pool.join()
         assert pickle.dumps(inside) == pickle.dumps(run_curve(ds, sched, TaskKind.REGRESSION, config, seed=5))
-        assert multiprocessing.active_children() == []
+        assert_no_child()
 
     def test_a_column_too_large_to_standardize_is_named_from_a_worker(self, monkeypatch):
         rng = np.random.default_rng(0)
@@ -248,7 +249,7 @@ class TestForkedCurve:
         _usable_cores(monkeypatch, {0, 1})
         with pytest.raises(DomainError, match=r"^feature column 'x0' is too large to standardize$"):
             run_curve(ds, schedule(40, 160, 40), TaskKind.REGRESSION, seed=0)
-        assert multiprocessing.active_children() == []
+        assert_no_child()
 
     def test_a_killed_worker_ends_the_curve_with_an_error(self, monkeypatch):
         ds, sched, config = self.CURVES[TaskKind.BINARY_CLASSIFICATION]
@@ -271,7 +272,7 @@ class TestForkedCurve:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
         assert isinstance(caught.value.__cause__, BrokenProcessPool)
-        assert multiprocessing.active_children() == []
+        assert_no_child()
 
     def test_points_keep_schedule_order_when_the_smallest_size_finishes_last(self, monkeypatch):
         ds, sched, config = self.CURVES[TaskKind.BINARY_CLASSIFICATION]
@@ -313,7 +314,7 @@ class TestForkedCurve:
         with pytest.raises(ArithmeticError, match=r"^the fit at 60 rows failed$"):
             run_curve(ds, sched, TaskKind.BINARY_CLASSIFICATION, config, seed=5)
         assert pools == started
-        assert multiprocessing.active_children() == []
+        assert_no_child()
 
 
 class TestSmooth:

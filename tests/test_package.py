@@ -2,7 +2,6 @@
 the fork helper reaches its workers."""
 
 import concurrent.futures
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -12,6 +11,7 @@ import numpy as np
 import normetric
 from normetric import data, exceptions, factors, harness, learners, metrics, synthetic
 from normetric._fork import map_on_cores
+from workers import assert_no_child
 
 
 def test_exports_are_the_module_lists_joined():
@@ -92,4 +92,4 @@ def test_work_reaches_the_workers_by_fork_and_is_never_pickled(monkeypatch):
     work = lambda job: features[job].tolist()  # noqa: E731
     assert list(map_on_cores(work, [3, 1, 2], "job {} was done".format)) == [work(3), work(1), work(2)]
     assert pools == [3]
-    assert multiprocessing.active_children() == []
+    assert_no_child()

@@ -83,10 +83,11 @@ def schedule(start: int, stop: int, step: int) -> SampleSchedule:
 # data rows per block of a CSV file read or written: a block's cells are parsed before the next is split
 _BLOCK_ROWS = 4096
 _SCAN_BYTES = 2**20  # bytes per read of read_blocks's scan for the newlines that end its blocks
-# save_csv forks a file of this many cells or more: the workers cost some 45 ms to start, a cell about 1.2 us
+# save_csv forks a file of this many cells or more, a cell taking about 1.2 us: set when starting the workers cost
+# some 45 ms, where it now costs 4-5 ms in a warm process and 8-11 ms at a process's first fork (2 cores)
 _FORK_SAVE_CELLS = 2**17
 # read_blocks forks the blocks numpy splits if they hold this many bytes or more: its cost follows the bytes, not
-# the cells, and starting the workers costs some 55 ms in a new process; every shape on 2 cores broke even at 2-4 MB
+# the cells; every shape on 2 cores broke even at 2-4 MB when a new process's workers cost some 55 ms to start
 _FORK_READ_BYTES = 3 * 2**20
 
 
@@ -486,7 +487,7 @@ def split(ds: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Datase
 
 # float temporaries per block of the neighbour scan (512 KB each, whatever the pool size)
 _SCAN_BLOCK_FLOATS = 2**16
-# a scan of fewer blocks runs in this process: starting the workers costs 15-80 ms, a block about 0.5 ms
+# a scan of fewer blocks runs in this process: starting the workers costs 4-11 ms (15-80 ms when set), a block 0.5 ms
 _FORK_BLOCKS = 192
 _JOB_BLOCKS = 32  # blocks per job of a scan
 

@@ -35,4 +35,5 @@ class DivergenceError(NormetricError, ArithmeticError):
 
 
 class WorkerError(NormetricError):
-    """A worker process died before it returned its result (killed, or out of memory)."""
+    """A worker process died before it returned its result (killed, or out of memory), or what it returned or
+    raised could not be pickled in the worker or unpickled in the calling process."""

@@ -13,7 +13,6 @@ read_blocks splits a plain file (no quotes, no carriage returns) itself and
 sends any other through csv.reader, so both kinds of file are generated.
 """
 
-import concurrent.futures
 import contextlib
 import csv
 import errno
@@ -28,7 +27,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import reference as ref
-from workers import assert_no_child
+from workers import assert_no_child, recorded_pools
 from normetric import (DataError, Dataset, DomainError, TaskKind, load_csv, make_binary_classification, make_blobs,
                        make_regression, save_csv)
 from normetric import data
@@ -372,7 +371,7 @@ def test_no_worker_runs_work_on_a_block_that_csv_reader_reads(tmp_path, monkeypa
     monkeypatch.setattr(data, "_BLOCK_ROWS", 100)
     monkeypatch.setattr(data, "_FORK_READ_BYTES", 1)
     _usable_cores(monkeypatch, {0, 1, 2})
-    pools = _recorded_pools(monkeypatch)
+    pools = recorded_pools(monkeypatch)
 
     def work(block):
         with open(log, "a") as fh:
@@ -398,7 +397,7 @@ def test_the_fork_counts_only_the_bytes_of_the_blocks_numpy_splits(tmp_path, mon
     _usable_cores(monkeypatch, {0})
     one_core = rows_of(blocks(lambda block: block))
     _usable_cores(monkeypatch, {0, 1, 2})
-    pools = _recorded_pools(monkeypatch)
+    pools = recorded_pools(monkeypatch)
     assert rows_of(blocks(lambda block: block)) == one_core
     assert pools == []
 
@@ -446,7 +445,7 @@ def test_save_csv_rejects_a_nan_class_target(tmp_path, monkeypatch, cores):
     _usable_cores(monkeypatch, set(range(cores)))
     monkeypatch.setattr(data, "_BLOCK_ROWS", 1)
     monkeypatch.setattr(data, "_FORK_SAVE_CELLS", 1)
-    pools = _recorded_pools(monkeypatch)
+    pools = recorded_pools(monkeypatch)
     with pytest.raises(ValueError):
         save_csv(ds, str(tmp_path / "got.csv"))
     assert not (tmp_path / "got.csv").exists()
@@ -568,19 +567,6 @@ def _usable_cores(monkeypatch, cores):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cores))
 
 
-def _recorded_pools(monkeypatch):
-    """The worker count of every process pool started from here on."""
-    pools = []
-
-    class Recorded(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, max_workers, *args):
-            pools.append(max_workers)
-            super().__init__(max_workers, *args)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorded)
-    return pools
-
-
 def _scan_blocks(ds, rows):
     """The blocks of a scan of the given rows, pool by pool."""
     return sum(-(-np.count_nonzero(np.isin(pool, rows)) // data._block_rows(pool.size, ds.d)) for pool in _pools(ds))
@@ -608,7 +594,7 @@ class TestForkedExpand:
             return scan(features, pools, k, rows)
 
         monkeypatch.setattr(data, "_neighbor_table", recorded)
-        pools = _recorded_pools(monkeypatch)
+        pools = recorded_pools(monkeypatch)
         written = []
         for cores in ({0, 1, 2}, {0}):
             _usable_cores(monkeypatch, cores)
@@ -625,7 +611,7 @@ class TestForkedExpand:
     def test_a_scan_under_the_threshold_stays_in_this_process(self, monkeypatch):
         ds = make_regression(1150, d=8, seed=3)
         assert _scan_blocks(ds, np.arange(ds.n)) < data._FORK_BLOCKS
-        pools = _recorded_pools(monkeypatch)
+        pools = recorded_pools(monkeypatch)
         _usable_cores(monkeypatch, {0, 1, 2})
         _neighbor_lists(ds, 5)
         assert pools == []
@@ -635,7 +621,7 @@ class TestForkedExpand:
         ds = _several_blocks()
         monkeypatch.setattr(data, "_FORK_BLOCKS", 1)
         monkeypatch.setattr(data, "_JOB_BLOCKS", 1)
-        pools = _recorded_pools(monkeypatch)
+        pools = recorded_pools(monkeypatch)
         _usable_cores(monkeypatch, {0, 1, 2})
         got = _neighbor_lists(ds, 6)
         assert pools == [3]
@@ -683,7 +669,7 @@ class TestForkedSave:
         if threshold is not None:
             monkeypatch.setattr(data, "_FORK_SAVE_CELLS", threshold)
         ds = make_regression(n, d=d, seed=6)
-        pools = _recorded_pools(monkeypatch)
+        pools = recorded_pools(monkeypatch)
         _usable_cores(monkeypatch, {0, 1, 2})
         save_csv(ds, str(tmp_path / "got.csv"))
         ref.ref_save_csv(ds, str(tmp_path / "expected.csv"))
@@ -725,7 +711,7 @@ class TestForkedRead:
 
     def test_workers_read_the_blocks_of_one_process(self, blobs, monkeypatch):
         path, ds = blobs
-        pools = _recorded_pools(monkeypatch)
+        pools = recorded_pools(monkeypatch)
         outcomes = []
         for cores in ({0, 1, 2}, {0}):
             _usable_cores(monkeypatch, cores)
@@ -761,7 +747,7 @@ class TestForkedRead:
         if threshold is not None:
             monkeypatch.setattr(data, "_FORK_READ_BYTES", threshold)
         assert os.path.getsize(path) < data._FORK_READ_BYTES or rows <= data._BLOCK_ROWS
-        pools = _recorded_pools(monkeypatch)
+        pools = recorded_pools(monkeypatch)
         _usable_cores(monkeypatch, {0, 1, 2})
         got = load_csv(path, ds.target_name, ds.task)
         columns = _columns(path)

@@ -15,20 +15,20 @@ def assert_no_child():
 def recorded_pools(monkeypatch):
     """The worker count of every forked map_on_cores call from here on.
 
-    A forked call makes one selector, once every worker is forked, so each count is the children this process
-    forked since the previous selector was made.
+    A forked call makes one selector before it forks its workers, so each count is the children this process
+    forked after a selector was made and before the next.
     """
-    pools, forked, fork = [], [], os.fork
+    pools, fork = [], os.fork
 
     def counted():
         pid = fork()
-        forked.extend([pid] if pid else [])  # a worker's own fork returns 0 and records nothing
+        if pid and pools:  # a worker's own fork returns 0
+            pools[-1] += 1
         return pid
 
     class Recorded(selectors.DefaultSelector):
         def __init__(self):
-            pools.append(len(forked))
-            forked.clear()
+            pools.append(0)
             super().__init__()
 
     monkeypatch.setattr(os, "fork", counted)

@@ -160,26 +160,27 @@ class TestForkedCurve:
             run_curve(ds, sched, task, config, seed=5, d=d)
         assert str(raised.value) == f"d must be finite and positive, got d={d}"
 
-    @pytest.mark.parametrize("cores", [2, 3])
     @pytest.mark.parametrize("task", list(CURVES), ids=lambda task: task.value)
-    def test_workers_give_the_serial_points_bit_for_bit(self, monkeypatch, task, cores):
-        """Two or three workers (more than this host may have cores) on four chunks, the first of two sizes,
+    def test_workers_give_the_serial_points_bit_for_bit(self, monkeypatch, task):
+        """Two and three workers (more than this host may have cores) on four chunks, the first of two sizes,
         against the serial loop in this process, on one chunk of every size and on one chunk per size."""
         ds, sched, config = self.CURVES[task]
         pools = recorded_pools(monkeypatch)
         _chunk_rows(monkeypatch, 150 if task is TaskKind.CLUSTERING else 100, ds.d)
-        _usable_cores(monkeypatch, set(range(cores)))
-        forked = run_curve(ds, sched, task, config, seed=5)
-        assert_no_child()
-        assert pools == [cores]
+        forked = []
+        for cores in ({0, 1}, {0, 1, 2}):
+            _usable_cores(monkeypatch, cores)
+            forked.append(run_curve(ds, sched, task, config, seed=5))
+            assert_no_child()
+        assert pools == [2, 3]
         _usable_cores(monkeypatch, {0})
         for chunk_bytes in (1, 2**30):
             monkeypatch.setattr(harness, "_CHUNK_BYTES", chunk_bytes)
             serial = run_curve(ds, sched, task, config, seed=5)
-            assert pickle.dumps(forked) == pickle.dumps(serial)
-        assert pools == [cores]
-        assert [p.train_size for p in forked] == list(sched.sizes)
-        assert format_series_csv(forked) == format_series_csv(serial)
+            assert pickle.dumps(forked[0]) == pickle.dumps(forked[1]) == pickle.dumps(serial)
+        assert pools == [2, 3]
+        assert [p.train_size for p in serial] == list(sched.sizes)
+        assert format_series_csv(forked[1]) == format_series_csv(serial)
 
     def test_chunks_hold_consecutive_sizes_under_the_byte_bound(self, monkeypatch):
         ds, sched, config = self.CURVES[TaskKind.BINARY_CLASSIFICATION]

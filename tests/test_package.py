@@ -102,7 +102,8 @@ def test_work_reaches_the_workers_by_fork_and_is_never_pickled(monkeypatch):
     assert_no_child()
 
 
-def _on_cores(monkeypatch, cores):
+def _pools_on_cores(monkeypatch, cores):
+    """This many usable cores, and the worker count of each forked call from here on."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
     return recorded_pools(monkeypatch)
 
@@ -128,7 +129,7 @@ def _within_a_minute():
 
 @pytest.mark.parametrize("cores", [2, 3])
 def test_closing_early_or_failing_in_the_caller_leaves_no_worker_and_no_pipe(monkeypatch, cores):
-    pools = _on_cores(monkeypatch, cores)
+    pools = _pools_on_cores(monkeypatch, cores)
     before = _open_fds()
     results = map_on_cores(lambda job: 2 * job, range(10), "job {} was done".format)
     assert next(results) == 0
@@ -158,7 +159,7 @@ class TwoArguments(Exception):
 def test_an_error_that_cannot_come_back_names_its_job(monkeypatch, cores, error):
     """An error holding a lambda fails in the worker's pickle, one whose __init__ needs two arguments in this
     process's unpickle; either is a WorkerError naming the job through lost."""
-    pools = _on_cores(monkeypatch, cores)
+    pools = _pools_on_cores(monkeypatch, cores)
 
     def work(job):
         if job == 3:
@@ -176,7 +177,7 @@ def test_an_error_that_cannot_come_back_names_its_job(monkeypatch, cores, error)
 @pytest.mark.parametrize("cores", [2, 3])
 def test_results_larger_than_a_pipe_arrive_whole_and_in_job_order(monkeypatch, cores):
     """The first job ends last, so every other result comes early and waits for its turn."""
-    pools = _on_cores(monkeypatch, cores)
+    pools = _pools_on_cores(monkeypatch, cores)
     parent = os.getpid()
 
     def work(job):

@@ -4,26 +4,25 @@ from __future__ import annotations
 
 import contextlib
 import os
-import sys
 from typing import Any, Callable, Iterator, Sequence
 
 from .exceptions import WorkerError
 
 
-def map_on_cores(work: Callable, jobs: Sequence, lost: Callable[[Any], str], fork: bool = True) -> Iterator:
+def map_on_cores(work: Callable, jobs: Sequence, lost: Callable[[Any], str]) -> Iterator:
     """Yield work(job) for each job in order, computed by one forked worker per usable core.
 
     The workers, forked up front, inherit work and jobs, never pickled: each reads a job's 8-byte index from its
     job pipe and answers on its result pipe with an 8-byte length and a pickle of (True, result) or (False, the
     exception raised).  Each job after the workers' first goes to whichever worker answers first; early results
-    wait for their turn, so a failure raises the first failing job's error.  The jobs run here if fork is false,
-    with one usable core (os.sched_getaffinity) or job, or in a daemonic multiprocessing worker.  A worker that
-    dies, or an outcome that cannot be pickled there or unpickled here, raises WorkerError, worded by lost(the
-    first job not yet yielded).  However the generator ends, every worker is killed and reaped, every pipe closed.
+    wait for their turn, so a failure raises the first failing job's error.  This is a stage's one fork decision:
+    it forks with two jobs or more and two usable cores (os.sched_getaffinity) or more, and runs map(work, jobs)
+    here otherwise, so the caller decides by the size of the jobs it makes.  A worker that dies, or an outcome
+    that cannot be pickled there or unpickled here, raises WorkerError, worded by lost(the first job not yet
+    yielded).  However the generator ends, every worker is killed and reaped, every pipe closed.
     """
     workers = min(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1, len(jobs))
-    mp = sys.modules.get("multiprocessing")  # never imported here: a first fork would pay some 18 ms for it
-    if not fork or workers <= 1 or (mp is not None and mp.current_process().daemon):
+    if workers <= 1:
         yield from map(work, jobs)
         return
     import fcntl  # imported only to fork: every import at the top adds to every command's start-up

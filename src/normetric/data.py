@@ -83,12 +83,6 @@ def schedule(start: int, stop: int, step: int) -> SampleSchedule:
 # data rows per block of a CSV file read or written: a block's cells are parsed before the next is split
 _BLOCK_ROWS = 4096
 _SCAN_BYTES = 2**20  # bytes per read of read_blocks's scan for the newlines that end its blocks
-# save_csv forks a file of this many cells or more, a cell taking about 1.2 us: set when starting the workers cost
-# some 45 ms, where it now costs 4-5 ms in a warm process and 8-11 ms at a process's first fork (2 cores)
-_FORK_SAVE_CELLS = 2**17
-# read_blocks forks the blocks numpy splits if they hold this many bytes or more: its cost follows the bytes, not
-# the cells; every shape on 2 cores broke even at 2-4 MB when a new process's workers cost some 55 ms to start
-_FORK_READ_BYTES = 3 * 2**20
 
 
 def read_blocks(path: str) -> tuple[list[str], Callable[[Callable], Iterator]]:
@@ -101,12 +95,11 @@ def read_blocks(path: str) -> tuple[list[str], Callable[[Callable], Iterator]]:
     numpy finds a _SCAN_BYTES read at a time.  The same scan finds the first
     '"', '\\r' or NUL and the first line over csv.field_size_limit() bytes:
     the blocks before the one that holds either are split at '\\n' and ','
-    (_read_block), and csv.reader reads the rest in this process.  If those
-    plain blocks come to 3 MB or more (_FORK_READ_BYTES), they are split on
-    every usable core by forked workers, each reading its own blocks and
-    running work on them, so only what work returns comes back; the blocks
-    are yielded in order, and an error is raised as a read in one process
-    raises it.  A worker that dies raises WorkerError naming the first data
+    (_read_block), and csv.reader reads the rest in this process.  Two plain
+    blocks or more are split on every usable core by forked workers
+    (map_on_cores), each reading its own blocks and running work on them, so
+    only what work returns comes back; the blocks are yielded in order, and
+    an error is raised as a read in one process raises it.  A worker that dies raises WorkerError naming the first data
     row not read.  Each call of blocks reads the file again.
     """
     if not os.path.isfile(path):
@@ -138,8 +131,7 @@ def read_blocks(path: str) -> tuple[list[str], Callable[[Callable], Iterator]]:
         return f"data row {(ranges.index(job) - 1) * _BLOCK_ROWS + 1} of {path} was read"
 
     def blocks(work: Callable) -> Iterator:
-        fork = sum(length for _, length in ranges[1:rest]) >= _FORK_READ_BYTES  # only the plain blocks' bytes count
-        yield from map_on_cores(functools.partial(_read_block, path, width, work), ranges[1:rest], lost, fork)
+        yield from map_on_cores(functools.partial(_read_block, path, width, work), ranges[1:rest], lost)
         if rest == len(ranges):
             return
         rows = itertools.islice(_reader_rows(path, ranges[rest:]), int(not rest), None)  # past the header
@@ -240,7 +232,7 @@ def read_columns(path: str, kind: str) -> tuple[list[str], Callable[..., np.ndar
     ends before the column, it names the first whose cell is not a number,
     else the first that fails the rule, and else that short row.  Columns
     are parsed a block at a time where read_blocks splits the block, on
-    every usable core for a large file: no cell text is kept.
+    every usable core for a file of two blocks or more: no cell text is kept.
     """
     header, blocks = read_blocks(path)
     parts: list = [[] for _ in header]  # each column's values, a block at a time
@@ -342,7 +334,7 @@ def load_csv(path: str, target_column: str, task: TaskKind) -> Dataset:
     must parse.  If the target name occurs twice in the header, the last
     such column is the target.  Each block is parsed as parse_column parses
     it, or coded where it does not parse, where read_blocks splits it, on
-    every usable core for a large file.
+    every usable core for a file of two blocks or more.
     """
     header, blocks = read_blocks(path)
     if target_column not in header:
@@ -422,17 +414,16 @@ def save_csv(ds: Dataset, path: str) -> None:
     Features and regression targets are written as Python's repr of the
     float, the shortest text that reads back to the same bits; class
     targets as integers (a NaN class target raises ValueError before the
-    file is opened).  Rows are turned into text a block at a time, a file
-    of 2**17 cells or more (13108 rows of 9 features, say) on every usable
-    core by forked workers, each block written here in order as it comes
+    file is opened).  Rows are turned into text a block of _BLOCK_ROWS rows
+    at a time, a file of two blocks or more on every usable core by forked
+    workers (map_on_cores), each block written here in order as it comes
     back; the bytes are the same either way.  A worker that dies raises
     WorkerError naming the first data row not written.  An error once the
     file is open removes it, if it is a regular file (not /dev/null, say).
     """
     labels = list(map(int if ds.task.has_class_targets else float, ds.target.tolist()))
-    fork = ds.n * (ds.d + 1) >= _FORK_SAVE_CELLS
     blocks = map_on_cores(functools.partial(_text_rows, ds.features, labels), range(0, ds.n, _BLOCK_ROWS),
-                          lambda start: f"data row {start + 1} of {path} was written", fork)
+                          lambda start: f"data row {start + 1} of {path} was written")
     fh = open(path, "w", newline="", encoding="utf-8")
     regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
     try:
@@ -487,9 +478,7 @@ def split(ds: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Datase
 
 # float temporaries per block of the neighbour scan (512 KB each, whatever the pool size)
 _SCAN_BLOCK_FLOATS = 2**16
-# a scan of fewer blocks runs in this process: starting the workers costs 4-11 ms (15-80 ms when set), a block 0.5 ms
-_FORK_BLOCKS = 192
-_JOB_BLOCKS = 32  # blocks per job of a scan
+_JOB_BLOCKS = 32  # blocks per job of a scan, whatever pools they come from
 
 
 def _block_rows(m: int, d: int) -> int:  # anchor rows per block of a scan over m rows of d features
@@ -534,19 +523,25 @@ def _pool_neighbors(features: np.ndarray, pools: list, k: int, job: tuple) -> np
 def _neighbor_table(features: np.ndarray, pools: list, k: int, rows: np.ndarray) -> np.ndarray:
     """Line i lists the k nearest rows to rows[i] (ascending, distinct) in its pool, then -1 up to k columns.
 
-    Each pool's rows among them are cut into jobs of _JOB_BLOCKS blocks, run in order and forked for _FORK_BLOCKS
-    blocks or more: an anchor's neighbours depend on its own row of distances alone, so any cut gives the same bits.
+    The scan's blocks, pool after pool, are cut into jobs of _JOB_BLOCKS blocks, a job holding a piece of each pool
+    it reaches, and run in order (map_on_cores): an anchor's neighbours depend on its own row of distances alone, so
+    any cut gives the same bits.
     """
-    jobs, blocks = [], 0
+    jobs, room = [], 0  # room: the blocks the last job may still take
     for at, pool in enumerate(pools):
         positions = np.flatnonzero(np.isin(pool, rows))
         step = _block_rows(pool.size, features.shape[1])
-        blocks += -(-positions.size // step)
-        jobs += [(at, positions[lo:lo + step * _JOB_BLOCKS]) for lo in range(0, positions.size, step * _JOB_BLOCKS)]
+        while positions.size:
+            if not room:
+                jobs.append([])
+                room = _JOB_BLOCKS
+            take = min(room, -(-positions.size // step))
+            jobs[-1].append((at, positions[:take * step]))
+            positions, room = positions[take * step:], room - take
     scan = functools.partial(_pool_neighbors, features, pools, k)
-    tables = list(map_on_cores(scan, jobs, "the neighbour scan ended".format, blocks >= _FORK_BLOCKS))
+    tables = list(map_on_cores(lambda job: list(map(scan, job)), jobs, "the neighbour scan ended".format))
     table = np.full((rows.size, k), -1, dtype=np.intp)
-    for (at, positions), nearest in zip(jobs, tables):
+    for (at, positions), nearest in zip(itertools.chain.from_iterable(jobs), itertools.chain.from_iterable(tables)):
         table[np.searchsorted(rows, pools[at][positions]), :nearest.shape[1]] = pools[at][nearest]
     return table
 
@@ -565,9 +560,8 @@ def synthetic_expand(ds: Dataset, target_n: int, k_neighbors: int, seed: int) ->
     The anchors, picks and lambdas are drawn first, and only the drawn
     anchors are scanned, each exactly against its whole class of m rows, in
     blocks of 2**16 // (m * d) anchors: each float temporary is at most 512
-    KB.  A scan of 192 blocks of drawn anchors or more (all of three classes
-    of 700 rows at d = 8, say) forks on every usable core, with the same
-    bits.  A worker that dies raises WorkerError; a distance from a drawn
+    KB.  A scan of more than _JOB_BLOCKS blocks of drawn anchors, over all
+    classes, forks on every usable core (map_on_cores), with the same bits.  A worker that dies raises WorkerError; a distance from a drawn
     anchor that overflows raises DomainError.
     """
     if target_n <= ds.n:

@@ -127,10 +127,10 @@ def run_curve(
     The schedule is cut into chunks of consecutive sizes whose training
     features stay under _CHUNK_BYTES; a classifier's chunk descends as one
     stack (learners._fit_logistic_stack), other tasks fit each size in turn.
-    The chunks are fitted in forked worker processes, one per usable core
-    (os.sched_getaffinity) up to one per chunk, in order.  With one usable
-    core or chunk, or in a daemonic process, they are fitted in this process.
-    Either way the points are the same bits, and a failure, to standardize,
+    A regression curve is one chunk: its line fits take a few milliseconds,
+    less than forking costs.  Two chunks or more are fitted in forked worker
+    processes (map_on_cores), one per usable core up to one per chunk, in
+    order.  Either way the points are the same bits, and a failure, to standardize,
     fit, predict or score, raises the error of the first failing size in
     schedule order once the sizes before it are scored; a worker that dies
     raises WorkerError.
@@ -226,9 +226,9 @@ def run_curve(
             points.append(CurvePoint(size, scored(model, (test.features - mean) / std, size)))
         return points
 
-    chunks = [[]]
-    for size in sched.sizes:  # a size joins the chunk before it while their features fit in _CHUNK_BYTES
-        if chunks[-1] and (sum(chunks[-1]) + size) * pool.features[:1].nbytes > _CHUNK_BYTES:
+    chunks, limit = [[]], np.inf if task is TaskKind.REGRESSION else _CHUNK_BYTES  # a regression curve is one chunk
+    for size in sched.sizes:  # a size joins the chunk before it while their features fit in the limit
+        if chunks[-1] and (sum(chunks[-1]) + size) * pool.features[:1].nbytes > limit:
             chunks.append([])
         chunks[-1].append(size)
     # each fit is seeded by its size alone, and a stack gives each set its own bits, so forked workers give

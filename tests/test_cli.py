@@ -813,8 +813,7 @@ class TestExpand:
 
     def test_distances_that_overflow_in_three_workers_exit_3(self, huge_csv, tmp_path, capsys, monkeypatch):
         """Each worker raises on overflow itself, whatever the errstate it was forked with."""
-        monkeypatch.setattr(data, "_FORK_BLOCKS", 1)  # the 200-row scan has 2 blocks
-        monkeypatch.setattr(data, "_JOB_BLOCKS", 1)
+        monkeypatch.setattr(data, "_JOB_BLOCKS", 1)  # the 200-row scan has 2 blocks
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
         out = tmp_path / "big.csv"
         with warnings.catch_warnings(record=True) as caught, np.errstate(over="ignore"):
@@ -839,7 +838,7 @@ class TestExpand:
             return scan(features, pools, k, job)
 
         monkeypatch.setattr(data, "_pool_neighbors", killed)
-        monkeypatch.setattr(data, "_FORK_BLOCKS", 1)
+        monkeypatch.setattr(data, "_JOB_BLOCKS", 1)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         out = tmp_path / "big.csv"
         previous = signal.signal(signal.SIGALRM, _raise_timeout)
@@ -870,7 +869,6 @@ class TestExpand:
 
         monkeypatch.setattr(data, "_text_rows", killed)
         monkeypatch.setattr(data, "_BLOCK_ROWS", 100)
-        monkeypatch.setattr(data, "_FORK_SAVE_CELLS", 1)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         out = tmp_path / "big.csv"
         previous = signal.signal(signal.SIGALRM, _raise_timeout)
@@ -903,7 +901,6 @@ class TestExpand:
 
         monkeypatch.setattr(data, "_text_rows", failed)
         monkeypatch.setattr(data, "_BLOCK_ROWS", 100)
-        monkeypatch.setattr(data, "_FORK_SAVE_CELLS", 1)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
         out = tmp_path / "big.csv"
         code = main([
@@ -928,7 +925,6 @@ def test_a_killed_reader_worker_exits_4(blobs_csv, binary_preds, capsys, monkeyp
 
     monkeypatch.setattr(data, "_read_block", killed)
     monkeypatch.setattr(data, "_BLOCK_ROWS", 100)
-    monkeypatch.setattr(data, "_FORK_READ_BYTES", 1)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     path = blobs_csv if command == "curve" else binary_preds
     argv = (["curve", "--task", "binary", "--data", path, "--target-column", "label", "--start", "40", "--stop", "80",

@@ -96,9 +96,8 @@ def plain_only(variant):
 
 @contextlib.contextmanager
 def on_cores(cores):
-    """Reads on this many usable cores, forked on more than one whatever the file's size."""
-    with mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cores))), \
-            mock.patch.object(data, "_FORK_READ_BYTES", 1):
+    """Reads on this many usable cores, forked on more than one for a file of two blocks or more."""
+    with mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cores))):
         yield
     assert_no_child()
 

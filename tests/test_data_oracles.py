@@ -17,7 +17,6 @@ import contextlib
 import csv
 import errno
 import io
-import multiprocessing
 import os
 import pickle
 from unittest import mock
@@ -27,7 +26,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import reference as ref
-from workers import assert_no_child, recorded_pools
+from workers import assert_no_child, in_pool_worker, recorded_pools
 from normetric import (DataError, Dataset, DomainError, TaskKind, load_csv, make_binary_classification, make_blobs,
                        make_regression, save_csv)
 from normetric import data
@@ -119,9 +118,9 @@ def load_both(path, task):
 
 @contextlib.contextmanager
 def reading_on(cores):
-    """Reads in blocks of three rows on this many usable cores, forked on more than one whatever the file's size."""
+    """Reads in blocks of three rows on this many usable cores, forked on more than one for a file of two blocks."""
     with mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cores))), \
-            mock.patch.object(data, "_BLOCK_ROWS", 3), mock.patch.object(data, "_FORK_READ_BYTES", 1):
+            mock.patch.object(data, "_BLOCK_ROWS", 3):
         yield
     assert_no_child()
 
@@ -261,14 +260,16 @@ def test_a_line_over_the_field_limit_is_left_to_csv_reader(tmp_path):
 
 
 def read_recording_ranges(path):
-    """read_blocks's header, blocks and the byte range of each _read_block call: the header's, then each block's."""
+    """read_blocks's header, blocks and the byte range of each _read_block call: the header's, then each block's.
+
+    Read on one usable core, so every call is made, and recorded, in this process."""
     ranges, read_block = [], data._read_block
 
     def recorded(path, width, work, job):
         ranges.append(job)
         return read_block(path, width, work, job)
 
-    with mock.patch.object(data, "_read_block", recorded), \
+    with mock.patch.object(data, "_read_block", recorded), mock.patch.object(os, "sched_getaffinity", lambda pid: {0}), \
             mock.patch.object(data.csv, "reader", side_effect=AssertionError("plain file sent to csv.reader")):
         header, blocks = read_blocks(str(path))
         return header, list(blocks(lambda block: block)), ranges
@@ -369,7 +370,6 @@ def test_no_worker_runs_work_on_a_block_that_csv_reader_reads(tmp_path, monkeypa
     path, log = tmp_path / "file.csv", tmp_path / "work.log"
     text = _quoted_in_third_block(path)
     monkeypatch.setattr(data, "_BLOCK_ROWS", 100)
-    monkeypatch.setattr(data, "_FORK_READ_BYTES", 1)
     _usable_cores(monkeypatch, {0, 1, 2})
     pools = recorded_pools(monkeypatch)
 
@@ -383,23 +383,6 @@ def test_no_worker_runs_work_on_a_block_that_csv_reader_reads(tmp_path, monkeypa
     assert_no_child()
     assert len(log.read_text().splitlines()) == 40
     assert pools == [2]
-
-
-def test_the_fork_counts_only_the_bytes_of_the_blocks_numpy_splits(tmp_path, monkeypatch):
-    """A file over _FORK_READ_BYTES whose two plain blocks come to less is read in this process."""
-    path = tmp_path / "file.csv"
-    size = len(_quoted_in_third_block(path))
-    monkeypatch.setattr(data, "_BLOCK_ROWS", 100)
-    ranges = ref.ref_block_ranges(str(path), 100)
-    monkeypatch.setattr(data, "_FORK_READ_BYTES", ranges[1][1] + ranges[2][1] + 1)
-    assert data._FORK_READ_BYTES < size
-    header, blocks = read_blocks(str(path))
-    _usable_cores(monkeypatch, {0})
-    one_core = rows_of(blocks(lambda block: block))
-    _usable_cores(monkeypatch, {0, 1, 2})
-    pools = recorded_pools(monkeypatch)
-    assert rows_of(blocks(lambda block: block)) == one_core
-    assert pools == []
 
 
 special_floats = st.sampled_from([-0.0, 0.0, 5e-324, 1e16, 1e-5, 0.1, -1.5e300, 123456789.125])
@@ -430,7 +413,7 @@ def test_save_csv_matches_row_loop(tmp_path_factory, cores, ds):
     folder = tmp_path_factory.mktemp("save")
     ref.ref_save_csv(ds, str(folder / "expected.csv"))
     with mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cores))), \
-            mock.patch.object(data, "_BLOCK_ROWS", 3), mock.patch.object(data, "_FORK_SAVE_CELLS", 1):
+            mock.patch.object(data, "_BLOCK_ROWS", 3):
         save_csv(ds, str(folder / "got.csv"))
     assert (folder / "got.csv").read_bytes() == (folder / "expected.csv").read_bytes()
     assert_no_child()
@@ -444,7 +427,6 @@ def test_save_csv_rejects_a_nan_class_target(tmp_path, monkeypatch, cores):
         ref.ref_save_csv(ds, str(tmp_path / "expected.csv"))
     _usable_cores(monkeypatch, set(range(cores)))
     monkeypatch.setattr(data, "_BLOCK_ROWS", 1)
-    monkeypatch.setattr(data, "_FORK_SAVE_CELLS", 1)
     pools = recorded_pools(monkeypatch)
     with pytest.raises(ValueError):
         save_csv(ds, str(tmp_path / "got.csv"))
@@ -511,8 +493,7 @@ def test_expand_matches_row_loop(cores, case, extra):
     ds, k = case
     expected = ref.ref_synthetic_expand(ds, ds.n + extra, k, seed=extra)
     with mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cores))), \
-            mock.patch.object(data, "_SCAN_BLOCK_FLOATS", 1), mock.patch.object(data, "_FORK_BLOCKS", 1), \
-            mock.patch.object(data, "_JOB_BLOCKS", 1):
+            mock.patch.object(data, "_SCAN_BLOCK_FLOATS", 1), mock.patch.object(data, "_JOB_BLOCKS", 1):
         got = data.synthetic_expand(ds, ds.n + extra, k, seed=extra)
     assert (bits(got.features), bits(got.target)) == (bits(expected.features), bits(expected.target))
     assert_no_child()
@@ -573,8 +554,8 @@ def _scan_blocks(ds, rows):
 
 
 class TestForkedExpand:
-    # four times their rows draws over 192 scan blocks, from which the scan forks, and saves under 2**17 cells;
-    # regression is one pool
+    # four times their rows draws far over _JOB_BLOCKS scan blocks, and saves two blocks or more; regression is
+    # one pool
     DATASETS = {
         TaskKind.BINARY_CLASSIFICATION: make_binary_classification(1800, d=8, seed=1),
         TaskKind.MULTICLASS_CLASSIFICATION: make_blobs(2400, d=8, n_classes=3, seed=2),
@@ -603,23 +584,30 @@ class TestForkedExpand:
                          ds.target_name, "--target-n", str(4 * ds.n), "--out", str(out), "--seed", "3"]) == 0
             assert_no_child()
             written.append(out.read_bytes())
-        assert _scan_blocks(ds, drawn[0]) >= data._FORK_BLOCKS
-        assert 4 * ds.n * (ds.d + 1) < data._FORK_SAVE_CELLS
-        assert pools == [3]
+        assert _scan_blocks(ds, drawn[0]) > 2 * data._JOB_BLOCKS
+        assert pools == [3, min(3, -(-4 * ds.n // data._BLOCK_ROWS))]  # the scan's workers, then the save's
         assert written[0] == written[1]
 
-    def test_a_scan_under_the_threshold_stays_in_this_process(self, monkeypatch):
-        ds = make_regression(1150, d=8, seed=3)
-        assert _scan_blocks(ds, np.arange(ds.n)) < data._FORK_BLOCKS
-        pools = recorded_pools(monkeypatch)
+    def test_a_scan_of_one_job_runs_here_and_two_jobs_fork_on_two_workers(self, monkeypatch):
+        """A job holds _JOB_BLOCKS blocks over all pools: 16 blocks of three classes (5, 5 and 6) are one job, or
+        two jobs of 15 blocks and 1, the first holding a piece of every class."""
+        ds = make_blobs(600, d=8, n_classes=3, seed=6)
+        assert _scan_blocks(ds, np.arange(ds.n)) == 16
+        pools, cuts, forking = recorded_pools(monkeypatch), [], data.map_on_cores
+        monkeypatch.setattr(data, "map_on_cores", lambda work, jobs, lost: cuts.append(list(map(len, jobs))) or forking(
+            work, jobs, lost))
         _usable_cores(monkeypatch, {0, 1, 2})
-        _neighbor_lists(ds, 5)
-        assert pools == []
+        got = [_neighbor_lists(ds, 5)]
+        monkeypatch.setattr(data, "_JOB_BLOCKS", 15)
+        got.append(_neighbor_lists(ds, 5))
+        assert_no_child()
+        assert (cuts, pools) == ([[3], [3, 1]], [2])
+        for lists in got:
+            assert [bits(row) for row in lists] == [bits(row) for row in ref.ref_neighbor_lists(ds, 5)]
 
     def test_scan_spans_several_blocks_and_jobs_on_three_workers(self, monkeypatch):
         """test_neighbour_scan_spans_several_blocks again, forked, with a job per block."""
         ds = _several_blocks()
-        monkeypatch.setattr(data, "_FORK_BLOCKS", 1)
         monkeypatch.setattr(data, "_JOB_BLOCKS", 1)
         pools = recorded_pools(monkeypatch)
         _usable_cores(monkeypatch, {0, 1, 2})
@@ -630,50 +618,38 @@ class TestForkedExpand:
         for row_got, expected in zip(got, ref.ref_neighbor_lists(ds, 6)):
             assert bits(row_got) == bits(expected)
 
-    def test_a_pool_worker_scans_in_its_own_process(self, monkeypatch):
-        """A multiprocessing.Pool worker is daemonic, and a daemonic process may not start workers."""
+    def test_a_pool_worker_forks_the_scan(self, monkeypatch):
+        """A multiprocessing.Pool worker is daemonic; it forks a scan of several jobs as any other process does."""
         ds = self.DATASETS[TaskKind.MULTICLASS_CLASSIFICATION]
         _usable_cores(monkeypatch, {0, 1})
-        pool = multiprocessing.get_context("fork").Pool(1)
-        try:
-            inside = pool.apply_async(_neighbor_lists, (ds, 5)).get(timeout=60)
-        finally:
-            pool.terminate()
-            pool.join()
+        inside, pools = in_pool_worker(_neighbor_lists, ds, 5)
+        assert pools == [2]
         _usable_cores(monkeypatch, {0})
         assert [bits(row) for row in inside] == [bits(row) for row in _neighbor_lists(ds, 5)]
         assert_no_child()
 
 
 class TestForkedSave:
-    def test_a_pool_worker_saves_in_its_own_process(self, tmp_path, monkeypatch):
-        """A daemonic process may not start workers, so a save of several blocks runs where it is called."""
+    def test_a_pool_worker_forks_the_save(self, tmp_path, monkeypatch):
+        """A multiprocessing.Pool worker is daemonic; it forks a save of several blocks as any other process does."""
         ds = make_blobs(20_000, d=8, n_classes=3, seed=5)
-        assert ds.n * (ds.d + 1) >= data._FORK_SAVE_CELLS and ds.n > data._BLOCK_ROWS
         _usable_cores(monkeypatch, {0, 1})
-        pool = multiprocessing.get_context("fork").Pool(1)
-        try:
-            pool.apply_async(save_csv, (ds, str(tmp_path / "inside.csv"))).get(timeout=60)
-        finally:
-            pool.terminate()
-            pool.join()
+        assert in_pool_worker(save_csv, ds, str(tmp_path / "inside.csv")) == (None, [2])
         _usable_cores(monkeypatch, {0})
         save_csv(ds, str(tmp_path / "here.csv"))
         assert (tmp_path / "inside.csv").read_bytes() == (tmp_path / "here.csv").read_bytes()
         assert_no_child()
 
-    @pytest.mark.parametrize("n, d, threshold", [(4000, 8, 1), (10_000, 1, None)],
-                             ids=["one block", "under the cell threshold"])
-    def test_a_small_save_stays_in_this_process(self, tmp_path, monkeypatch, n, d, threshold):
-        """One block is one job; three blocks of two cells a row cost less than starting the workers."""
-        if threshold is not None:
-            monkeypatch.setattr(data, "_FORK_SAVE_CELLS", threshold)
-        ds = make_regression(n, d=d, seed=6)
+    @pytest.mark.parametrize("extra, forked", [(0, []), (1, [2])], ids=["one block", "two blocks"])
+    def test_one_block_is_written_here_and_two_fork_on_two_workers(self, tmp_path, monkeypatch, extra, forked):
+        """A block is one job, so a row past a full block forks, on two of three usable cores."""
+        ds = make_regression(data._BLOCK_ROWS + extra, d=1, seed=6)
         pools = recorded_pools(monkeypatch)
         _usable_cores(monkeypatch, {0, 1, 2})
         save_csv(ds, str(tmp_path / "got.csv"))
         ref.ref_save_csv(ds, str(tmp_path / "expected.csv"))
-        assert pools == []
+        assert pools == forked
+        assert_no_child()
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full, a device whose writes fail")
@@ -684,7 +660,6 @@ class TestForkedSave:
         """
         removed = []
         monkeypatch.setattr(os, "remove", removed.append)
-        monkeypatch.setattr(data, "_FORK_SAVE_CELLS", 1)
         _usable_cores(monkeypatch, {0, 1})
         with pytest.raises(OSError) as caught:  # holding the error keeps save_csv's frame alive
             save_csv(make_regression(30_000, d=2, seed=7), "/dev/full")
@@ -702,11 +677,10 @@ def _columns(path):
 class TestForkedRead:
     @pytest.fixture
     def blobs(self, tmp_path, monkeypatch):
-        """A 2000-row file of 20 blocks, read forked whatever its size."""
+        """A 2000-row file, read in 20 blocks."""
         ds = make_blobs(2000, d=3, n_classes=3, seed=5)
         save_csv(ds, str(tmp_path / "blobs.csv"))
         monkeypatch.setattr(data, "_BLOCK_ROWS", 100)
-        monkeypatch.setattr(data, "_FORK_READ_BYTES", 1)
         return str(tmp_path / "blobs.csv"), ds
 
     def test_workers_read_the_blocks_of_one_process(self, blobs, monkeypatch):
@@ -721,35 +695,31 @@ class TestForkedRead:
         assert outcomes[0] == outcomes[1]
         assert bits(pickle.loads(outcomes[0])[0].features) == bits(ds.features)
 
-    def test_a_pool_worker_reads_in_its_own_process(self, blobs, monkeypatch):
-        """A daemonic process may not start workers, so a read of several blocks runs where it is called."""
+    def test_a_pool_worker_forks_the_read(self, blobs, monkeypatch):
+        """A multiprocessing.Pool worker is daemonic; it forks a read of several blocks as any other process does."""
         path, ds = blobs
         _usable_cores(monkeypatch, {0, 1})
-        pool = multiprocessing.get_context("fork").Pool(1)
-        try:
-            inside = pool.apply_async(load_csv, (path, ds.target_name, ds.task)).get(timeout=60)
-            columns = pool.apply_async(_columns, (path,)).get(timeout=60)
-        finally:
-            pool.terminate()
-            pool.join()
+        inside, pools = in_pool_worker(load_csv, path, ds.target_name, ds.task)
+        assert pools == [2]
+        columns, pools = in_pool_worker(_columns, path)
+        assert pools == [2]
         _usable_cores(monkeypatch, {0})
         assert pickle.dumps(inside) == pickle.dumps(load_csv(path, ds.target_name, ds.task))
         assert [bits(c) for c in columns] == [bits(c) for c in _columns(path)]
         assert_no_child()
 
-    @pytest.mark.parametrize("rows, threshold", [(100, 1), (2000, None)], ids=["one block", "under the byte threshold"])
-    def test_a_small_read_stays_in_this_process(self, tmp_path, monkeypatch, rows, threshold):
-        """One block is one job, and a file far under 3 MB costs less to read than starting the workers."""
+    @pytest.mark.parametrize("rows, forked", [(100, []), (101, [2, 2])], ids=["one block", "two blocks"])
+    def test_one_block_is_read_here_and_two_fork_on_two_workers(self, tmp_path, monkeypatch, rows, forked):
+        """A block is one job, so a row past a full block forks load_csv's read and read_columns's, each on two of
+        three usable cores."""
         ds = make_regression(rows, d=3, seed=6)
         path = str(tmp_path / "small.csv")
         save_csv(ds, path)
         monkeypatch.setattr(data, "_BLOCK_ROWS", 100)
-        if threshold is not None:
-            monkeypatch.setattr(data, "_FORK_READ_BYTES", threshold)
-        assert os.path.getsize(path) < data._FORK_READ_BYTES or rows <= data._BLOCK_ROWS
         pools = recorded_pools(monkeypatch)
         _usable_cores(monkeypatch, {0, 1, 2})
         got = load_csv(path, ds.target_name, ds.task)
         columns = _columns(path)
-        assert pools == []
+        assert pools == forked
+        assert_no_child()
         assert bits(got.features) == bits(ds.features) and bits(columns[-1]) == bits(ds.target)

@@ -2,7 +2,6 @@
 
 import dataclasses
 import math
-import multiprocessing
 import os
 import pickle
 import signal
@@ -14,7 +13,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import reference as ref
-from workers import assert_no_child, recorded_pools
+from workers import assert_no_child, in_pool_worker, recorded_pools
 from normetric import (
     ConfigurationError,
     CurvePoint,
@@ -160,7 +159,9 @@ class TestForkedCurve:
             run_curve(ds, sched, task, config, seed=5, d=d)
         assert str(raised.value) == f"d must be finite and positive, got d={d}"
 
-    @pytest.mark.parametrize("task", list(CURVES), ids=lambda task: task.value)
+    FORKED = [task for task in CURVES if task is not TaskKind.REGRESSION]  # a regression curve is one chunk
+
+    @pytest.mark.parametrize("task", FORKED, ids=lambda task: task.value)
     def test_workers_give_the_serial_points_bit_for_bit(self, monkeypatch, task):
         """Two and three workers (more than this host may have cores) on four chunks, the first of two sizes,
         against the serial loop in this process, on one chunk of every size and on one chunk per size."""
@@ -181,6 +182,33 @@ class TestForkedCurve:
         assert pools == [2, 3]
         assert [p.train_size for p in serial] == list(sched.sizes)
         assert format_series_csv(forked[1]) == format_series_csv(serial)
+
+    def test_one_chunk_is_fitted_here_and_two_fork_on_two_workers(self, monkeypatch):
+        ds, sched, config = self.CURVES[TaskKind.BINARY_CLASSIFICATION]
+        _usable_cores(monkeypatch, {0, 1, 2})
+        pools = recorded_pools(monkeypatch)
+        points = []
+        for rows in (450, 449):  # sizes 30..150 by 30 as one chunk, then as [30, 60, 90, 120] and [150]
+            _chunk_rows(monkeypatch, rows, ds.d)
+            points.append(pickle.dumps(run_curve(ds, sched, TaskKind.BINARY_CLASSIFICATION, config, seed=5)))
+            assert_no_child()
+        assert pools == [2]
+        assert points[0] == points[1]
+
+    def test_a_regression_curve_is_one_chunk_fitted_here(self, monkeypatch):
+        """Its line fits take a few milliseconds, less than forking costs, so no byte bound cuts it; its points
+        are those of each size fitted on its own."""
+        ds, sched, config = self.CURVES[TaskKind.REGRESSION]
+        _usable_cores(monkeypatch, {0, 1})
+        _chunk_rows(monkeypatch, 1, ds.d)
+        pools, chunks, forking = recorded_pools(monkeypatch), [], harness.map_on_cores
+        monkeypatch.setattr(harness, "map_on_cores", lambda work, jobs, lost: chunks.extend(jobs) or forking(
+            work, jobs, lost))
+        points = run_curve(ds, sched, TaskKind.REGRESSION, config, seed=5)
+        assert chunks == [list(sched.sizes)]
+        alone = [run_curve(ds, schedule(size, size, 1), TaskKind.REGRESSION, config, seed=5)[0] for size in sched.sizes]
+        assert pools == []
+        assert pickle.dumps(points) == pickle.dumps(alone)
 
     def test_chunks_hold_consecutive_sizes_under_the_byte_bound(self, monkeypatch):
         ds, sched, config = self.CURVES[TaskKind.BINARY_CLASSIFICATION]
@@ -215,27 +243,28 @@ class TestForkedCurve:
                 tracemalloc.stop()
         assert peaks[1] - peaks[0] < 2 * 18000 * ds.features[:1].nbytes
 
-    def test_a_pool_worker_runs_the_serial_loop(self, monkeypatch):
-        """A multiprocessing.Pool worker is daemonic, and a daemonic process may not start workers."""
-        ds, sched, config = self.CURVES[TaskKind.REGRESSION]
+    def test_a_pool_worker_forks_the_curve(self, monkeypatch):
+        """A multiprocessing.Pool worker is daemonic; it forks a curve's chunks as any other process does."""
+        ds, sched, config = self.CURVES[TaskKind.BINARY_CLASSIFICATION]
         _usable_cores(monkeypatch, {0, 1})
-        pool = multiprocessing.get_context("fork").Pool(1)
-        try:
-            inside = pool.apply_async(run_curve, (ds, sched, TaskKind.REGRESSION, config, 5)).get(timeout=60)
-        finally:
-            pool.terminate()
-            pool.join()
-        assert pickle.dumps(inside) == pickle.dumps(run_curve(ds, sched, TaskKind.REGRESSION, config, seed=5))
+        _chunk_rows(monkeypatch, 100, ds.d)
+        inside, pools = in_pool_worker(run_curve, ds, sched, TaskKind.BINARY_CLASSIFICATION, config, 5)
+        assert pools == [2]
+        _usable_cores(monkeypatch, {0})
+        assert pickle.dumps(inside) == pickle.dumps(run_curve(ds, sched, TaskKind.BINARY_CLASSIFICATION, config, seed=5))
         assert_no_child()
 
     def test_a_column_too_large_to_standardize_is_named_from_a_worker(self, monkeypatch):
         rng = np.random.default_rng(0)
         ds = Dataset(["x0", "x1"], np.column_stack([rng.choice([-1.5e308, 1.5e308, 1.7e308], size=200),
                                                     rng.standard_normal(200)]),
-                     np.arange(200, dtype=float), TaskKind.REGRESSION)
+                     np.arange(200) % 2, TaskKind.CLUSTERING)
         _usable_cores(monkeypatch, {0, 1})
+        _chunk_rows(monkeypatch, 1, ds.d)  # a chunk per size, so the first fails in a worker
+        pools = recorded_pools(monkeypatch)
         with pytest.raises(DomainError, match=r"^feature column 'x0' is too large to standardize$"):
-            run_curve(ds, schedule(40, 160, 40), TaskKind.REGRESSION, seed=0)
+            run_curve(ds, schedule(40, 160, 40), TaskKind.CLUSTERING, seed=0)
+        assert pools == [2]
         assert_no_child()
 
     def test_a_killed_worker_ends_the_curve_with_an_error(self, monkeypatch):

@@ -59,7 +59,7 @@ def test_the_forked_stages_run_without_a_warning_under_dev_mode(tmp_path):
 import os, pathlib, selectors
 from normetric import TaskKind, data, harness, make_blobs, run_curve, schedule, synthetic_expand
 os.sched_getaffinity = lambda pid: {{0, 1}}
-data._FORK_BLOCKS, data._FORK_SAVE_CELLS, data._FORK_READ_BYTES, data._BLOCK_ROWS = 1, 1, 1, 100
+data._JOB_BLOCKS, data._BLOCK_ROWS = 1, 100
 harness._CHUNK_BYTES = 1
 pools, fork = [], os.fork  # each forked call's workers: the forks after its one selector is made
 def counted():

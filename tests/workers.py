@@ -1,5 +1,6 @@
 """What the tests check of the fork helper's worker processes: that none is left, and how many each call forked."""
 
+import multiprocessing
 import os
 import selectors
 
@@ -18,6 +19,10 @@ def recorded_pools(monkeypatch):
     A forked call makes one selector before it forks its workers, so each count is the children this process
     forked after a selector was made and before the next.
     """
+    return _recorded(monkeypatch.setattr)
+
+
+def _recorded(setattr):
     pools, fork = [], os.fork
 
     def counted():
@@ -31,6 +36,29 @@ def recorded_pools(monkeypatch):
             pools.append(0)
             super().__init__()
 
-    monkeypatch.setattr(os, "fork", counted)
-    monkeypatch.setattr(selectors, "DefaultSelector", Recorded)
+    setattr(os, "fork", counted)
+    setattr(selectors, "DefaultSelector", Recorded)
     return pools
+
+
+def in_pool_worker(stage, *args):
+    """stage(*args) in a multiprocessing.Pool worker, a daemonic process: its result, and the worker count of every
+    forked map_on_cores call it made there, where no child may be left once it returns."""
+    pool = multiprocessing.get_context("fork").Pool(1)
+    try:
+        return pool.apply_async(_counted_in_daemon, (stage, args)).get(timeout=60)
+    finally:
+        pool.terminate()
+        pool.join()
+
+
+def _counted_in_daemon(stage, args):
+    if not multiprocessing.current_process().daemon:
+        raise AssertionError("a multiprocessing.Pool worker that is not daemonic")
+    pools = _recorded(setattr)  # the pool worker's own os and selectors, for the rest of its short life
+    result = stage(*args)
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return result, pools
+    raise AssertionError("a child is left in the pool worker")

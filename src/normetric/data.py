@@ -99,8 +99,9 @@ def read_blocks(path: str) -> tuple[list[str], Callable[[Callable], Iterator]]:
     blocks or more are split on every usable core by forked workers
     (map_on_cores), each reading its own blocks and running work on them, so
     only what work returns comes back; the blocks are yielded in order, and
-    an error is raised as a read in one process raises it.  A worker that dies raises WorkerError naming the first data
-    row not read.  Each call of blocks reads the file again.
+    an error is raised as a read in one process raises it.  A worker that
+    dies raises WorkerError naming the first data row not read.  Each call
+    of blocks reads the file again.
     """
     if not os.path.isfile(path):
         raise DataError(f"no such file: {path}")
@@ -561,8 +562,9 @@ def synthetic_expand(ds: Dataset, target_n: int, k_neighbors: int, seed: int) ->
     anchors are scanned, each exactly against its whole class of m rows, in
     blocks of 2**16 // (m * d) anchors: each float temporary is at most 512
     KB.  A scan of more than _JOB_BLOCKS blocks of drawn anchors, over all
-    classes, forks on every usable core (map_on_cores), with the same bits.  A worker that dies raises WorkerError; a distance from a drawn
-    anchor that overflows raises DomainError.
+    classes, forks on every usable core (map_on_cores), with the same bits.
+    A worker that dies raises WorkerError; a distance from a drawn anchor
+    that overflows raises DomainError.
     """
     if target_n <= ds.n:
         raise DomainError(f"target_n must exceed the current {ds.n} rows, got {target_n}")

@@ -130,10 +130,10 @@ def run_curve(
     A regression curve is one chunk: its line fits take a few milliseconds,
     less than forking costs.  Two chunks or more are fitted in forked worker
     processes (map_on_cores), one per usable core up to one per chunk, in
-    order.  Either way the points are the same bits, and a failure, to standardize,
-    fit, predict or score, raises the error of the first failing size in
-    schedule order once the sizes before it are scored; a worker that dies
-    raises WorkerError.
+    order.  Either way the points are the same bits, and a failure, to
+    standardize, fit, predict or score, raises the error of the first
+    failing size in schedule order once the sizes before it are scored; a
+    worker that dies raises WorkerError.
     """
     config = config if config is not None else LearnerConfig()
     if not 0 < (d := d if d is not None else ds.d) < np.inf:  # in factors' words, before any chunk is fitted

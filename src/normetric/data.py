@@ -479,71 +479,62 @@ def split(ds: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Datase
 
 # float temporaries per block of the neighbour scan (512 KB each, whatever the pool size)
 _SCAN_BLOCK_FLOATS = 2**16
-_JOB_BLOCKS = 32  # blocks per job of a scan, whatever pools they come from
+_JOB_BLOCKS = 32  # most blocks per job of a scan, whatever pools they come from: its jobs are of equal size
 
 
 def _block_rows(m: int, d: int) -> int:  # anchor rows per block of a scan over m rows of d features
     return max(1, _SCAN_BLOCK_FLOATS // max(1, m * d))
 
 
-def _pool_neighbors(features: np.ndarray, pools: list, k: int, job: tuple) -> np.ndarray:
-    """The neighbour table of pools[at]'s rows at positions, for job (at, positions), positions ascending.
+def _pool_neighbors(pooled: list, k: int, block: tuple) -> np.ndarray:
+    """The neighbour table of one block (at, anchors): the rows of pool pooled[at] at positions anchors.
 
-    Row i lists the positions of the k pool rows nearest to the row at positions[i], itself excluded, ordered by
+    Row i lists the positions of the k pool rows nearest to the row at anchors[i], itself excluded, ordered by
     (Euclidean distance, position), as a stable sort of the distances orders them, so ties go to the lower
     position.  A pool of one row lists that row itself; a pool of m <= k rows lists the other m - 1.  A
     distance that overflows raises FloatingPointError.
     """
-    at, positions = job
-    features = features[pools[at]]
-    m, d = features.shape
+    at, anchors = block
+    features = pooled[at]
+    m, b = features.shape[0], anchors.size
     if m == 1:
-        return np.zeros((positions.size, 1), dtype=np.intp)
+        return np.zeros((b, 1), dtype=np.intp)
     k = min(k, m - 1)
-    step = _block_rows(m, d)
-    table = np.empty((positions.size, k), dtype=np.intp)
     with np.errstate(over="raise"):  # an infinite distance would tie with every other, ranked by position
-        for start in range(0, positions.size, step):
-            anchors = positions[start:start + step]
-            b = anchors.size
-            diff = features - features[anchors][:, np.newaxis, :]
-            # the very sum np.linalg.norm takes, so distances match it bit for bit
-            distances = np.sqrt(np.add.reduce(np.square(diff, out=diff), axis=-1))
-            # the k nearest others lie within the (k+1)-th smallest distance, self included
-            cutoff = np.partition(distances, k, axis=1)[:, k:k + 1]
-            candidate = (distances <= cutoff) | np.isnan(cutoff)
-            candidate[np.arange(b), anchors] = False
-            rows, cols = np.nonzero(candidate)
-            order = np.lexsort((cols, distances[rows, cols], rows))
-            counts = np.bincount(rows, minlength=b)
-            rank = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
-            table[start:start + b] = cols[order][rank < k].reshape(b, k)
-    return table
+        diff = features - features[anchors][:, np.newaxis, :]
+        # the very sum np.linalg.norm takes, so distances match it bit for bit
+        distances = np.sqrt(np.add.reduce(np.square(diff, out=diff), axis=-1))
+    # the k nearest others lie within the (k+1)-th smallest distance, self included
+    cutoff = np.partition(distances, k, axis=1)[:, k:k + 1]
+    candidate = (distances <= cutoff) | np.isnan(cutoff)
+    candidate[np.arange(b), anchors] = False
+    rows, cols = np.nonzero(candidate)
+    order = np.lexsort((cols, distances[rows, cols], rows))
+    counts = np.bincount(rows, minlength=b)
+    rank = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    return cols[order][rank < k].reshape(b, k)
 
 
-def _neighbor_table(features: np.ndarray, pools: list, k: int, rows: np.ndarray) -> np.ndarray:
-    """Line i lists the k nearest rows to rows[i] (ascending, distinct) in its pool, then -1 up to k columns.
+def _neighbor_table(features: np.ndarray, pools: list, k: int, drawn: np.ndarray) -> np.ndarray:
+    """Line r lists the k nearest rows to row r in its pool, then -1 up to k columns; a row not drawn is all -1.
 
-    The scan's blocks, pool after pool, are cut into jobs of _JOB_BLOCKS blocks, a job holding a piece of each pool
-    it reaches, and run in order (map_on_cores): an anchor's neighbours depend on its own row of distances alone, so
-    any cut gives the same bits.
+    Each pool's features are gathered once, here, and its drawn rows cut into blocks of _block_rows anchors.  The B
+    blocks of all pools (B >= 1) make ceil(B / _JOB_BLOCKS) jobs of equal size, at most _JOB_BLOCKS blocks, the last
+    taking the rest, run in order (map_on_cores); an anchor's neighbours depend on its own row of distances alone, so
+    any cut gives the same bits.  The gathered copy is n x d floats, the table n x k (0.19 and 0.12 MB at n = 3000,
+    d = 8, k = 5).
     """
-    jobs, room = [], 0  # room: the blocks the last job may still take
+    pooled, blocks = [features[pool] for pool in pools], []
     for at, pool in enumerate(pools):
-        positions = np.flatnonzero(np.isin(pool, rows))
-        step = _block_rows(pool.size, features.shape[1])
-        while positions.size:
-            if not room:
-                jobs.append([])
-                room = _JOB_BLOCKS
-            take = min(room, -(-positions.size // step))
-            jobs[-1].append((at, positions[:take * step]))
-            positions, room = positions[take * step:], room - take
-    scan = functools.partial(_pool_neighbors, features, pools, k)
+        positions, step = np.flatnonzero(drawn[pool]), _block_rows(pool.size, features.shape[1])
+        blocks += [(at, positions[start:start + step]) for start in range(0, positions.size, step)]
+    size = -(-len(blocks) // -(-len(blocks) // _JOB_BLOCKS))
+    jobs = [blocks[start:start + size] for start in range(0, len(blocks), size)]
+    scan = functools.partial(_pool_neighbors, pooled, k)
     tables = list(map_on_cores(lambda job: list(map(scan, job)), jobs, "the neighbour scan ended".format))
-    table = np.full((rows.size, k), -1, dtype=np.intp)
-    for (at, positions), nearest in zip(itertools.chain.from_iterable(jobs), itertools.chain.from_iterable(tables)):
-        table[np.searchsorted(rows, pools[at][positions]), :nearest.shape[1]] = pools[at][nearest]
+    table = np.full((features.shape[0], k), -1, dtype=np.intp)
+    for (at, positions), nearest in zip(blocks, itertools.chain.from_iterable(tables)):
+        table[pools[at][positions], :nearest.shape[1]] = pools[at][nearest]
     return table
 
 
@@ -561,10 +552,11 @@ def synthetic_expand(ds: Dataset, target_n: int, k_neighbors: int, seed: int) ->
     The anchors, picks and lambdas are drawn first, and only the drawn
     anchors are scanned, each exactly against its whole class of m rows, in
     blocks of 2**16 // (m * d) anchors: each float temporary is at most 512
-    KB.  A scan of more than _JOB_BLOCKS blocks of drawn anchors, over all
-    classes, forks on every usable core (map_on_cores), with the same bits.
-    A worker that dies raises WorkerError; a distance from a drawn anchor
-    that overflows raises DomainError.
+    KB.  The blocks of all classes make jobs of equal size, at most
+    _JOB_BLOCKS (32) blocks, and two jobs or more fork on every usable core
+    (map_on_cores), with the same bits.  This process holds a gathered copy
+    of the features (n x d floats) and an n x k table.  A worker that dies
+    raises WorkerError; a drawn anchor's distance that overflows, DomainError.
     """
     if target_n <= ds.n:
         raise DomainError(f"target_n must exceed the current {ds.n} rows, got {target_n}")
@@ -580,13 +572,13 @@ def synthetic_expand(ds: Dataset, target_n: int, k_neighbors: int, seed: int) ->
         anchors[row] = anchor = rng.integers(ds.n)
         picks[row] = rng.integers(widths[anchor])
         lams[row] = rng.random()
-    rows = np.unique(anchors)
+    drawn = np.bincount(anchors, minlength=ds.n).astype(bool)
     try:
-        table = _neighbor_table(ds.features, pools, k_neighbors, rows)
+        table = _neighbor_table(ds.features, pools, k_neighbors, drawn)
     except FloatingPointError:
         raise DomainError("features too large to compare: the distance between two rows overflows") from None
     base = ds.features[anchors]
-    new_features = ds.features[table[np.searchsorted(rows, anchors), picks]] - base
+    new_features = ds.features[table[anchors, picks]] - base
     new_features *= lams[:, np.newaxis]
     new_features += base  # base + lam * (neighbor - base), one IEEE step at a time
     return replace(ds, features=np.concatenate([ds.features, new_features]),

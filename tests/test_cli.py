@@ -17,7 +17,7 @@ from normetric import (DataError, TaskKind, data, load_csv, make_binary_classifi
                        save_csv)
 from normetric.cli import main
 from test_data_oracles import FAILING, PARSING, csv_texts, plain_csv_texts
-from workers import assert_no_child
+from workers import assert_no_child, usable_cores
 
 
 @pytest.fixture
@@ -483,7 +483,7 @@ class TestCurve:
                 "--start", "30", "--stop", "150", "--step", "30", "--epochs", "50", "--lr", "1e308"]
         outcomes = []
         for cores in ({0, 1, 2}, {0}):  # three workers, then the serial loop
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cores=cores: cores)
+            usable_cores(monkeypatch, cores)
             outcomes.append((main(argv), capsys.readouterr()))
             assert_no_child()
         assert outcomes[0] == outcomes[1]
@@ -814,7 +814,7 @@ class TestExpand:
     def test_distances_that_overflow_in_three_workers_exit_3(self, huge_csv, tmp_path, capsys, monkeypatch):
         """Each worker raises on overflow itself, whatever the errstate it was forked with."""
         monkeypatch.setattr(data, "_JOB_BLOCKS", 1)  # the 200-row scan has 2 blocks
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        usable_cores(monkeypatch, {0, 1, 2})
         out = tmp_path / "big.csv"
         with warnings.catch_warnings(record=True) as caught, np.errstate(over="ignore"):
             warnings.simplefilter("always")
@@ -832,14 +832,14 @@ class TestExpand:
     def test_a_killed_scan_worker_exits_4(self, blobs_csv, tmp_path, capsys, monkeypatch):
         parent, scan = os.getpid(), data._pool_neighbors
 
-        def killed(features, pools, k, job):
+        def killed(pooled, k, block):
             if os.getpid() != parent:  # never this process
                 os.kill(os.getpid(), signal.SIGKILL)
-            return scan(features, pools, k, job)
+            return scan(pooled, k, block)
 
         monkeypatch.setattr(data, "_pool_neighbors", killed)
         monkeypatch.setattr(data, "_JOB_BLOCKS", 1)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        usable_cores(monkeypatch, {0, 1})
         out = tmp_path / "big.csv"
         previous = signal.signal(signal.SIGALRM, _raise_timeout)
         signal.alarm(60)
@@ -869,7 +869,7 @@ class TestExpand:
 
         monkeypatch.setattr(data, "_text_rows", killed)
         monkeypatch.setattr(data, "_BLOCK_ROWS", 100)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        usable_cores(monkeypatch, {0, 1})
         out = tmp_path / "big.csv"
         previous = signal.signal(signal.SIGALRM, _raise_timeout)
         signal.alarm(60)
@@ -901,7 +901,7 @@ class TestExpand:
 
         monkeypatch.setattr(data, "_text_rows", failed)
         monkeypatch.setattr(data, "_BLOCK_ROWS", 100)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+        usable_cores(monkeypatch, range(cores))
         out = tmp_path / "big.csv"
         code = main([
             "expand", "--task", "binary", "--data", blobs_csv, "--target-column", "label",
@@ -925,7 +925,7 @@ def test_a_killed_reader_worker_exits_4(blobs_csv, binary_preds, capsys, monkeyp
 
     monkeypatch.setattr(data, "_read_block", killed)
     monkeypatch.setattr(data, "_BLOCK_ROWS", 100)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    usable_cores(monkeypatch, {0, 1})
     path = blobs_csv if command == "curve" else binary_preds
     argv = (["curve", "--task", "binary", "--data", path, "--target-column", "label", "--start", "40", "--stop", "80",
              "--step", "40"] if command == "curve" else

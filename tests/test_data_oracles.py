@@ -26,7 +26,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import reference as ref
-from workers import assert_no_child, in_pool_worker, recorded_pools
+from workers import assert_no_child, in_pool_worker, recorded_pools, usable_cores
 from normetric import (DataError, Dataset, DomainError, TaskKind, load_csv, make_binary_classification, make_blobs,
                        make_regression, save_csv)
 from normetric import data
@@ -370,7 +370,7 @@ def test_no_worker_runs_work_on_a_block_that_csv_reader_reads(tmp_path, monkeypa
     path, log = tmp_path / "file.csv", tmp_path / "work.log"
     text = _quoted_in_third_block(path)
     monkeypatch.setattr(data, "_BLOCK_ROWS", 100)
-    _usable_cores(monkeypatch, {0, 1, 2})
+    usable_cores(monkeypatch, {0, 1, 2})
     pools = recorded_pools(monkeypatch)
 
     def work(block):
@@ -425,7 +425,7 @@ def test_save_csv_rejects_a_nan_class_target(tmp_path, monkeypatch, cores):
     ds = Dataset(["a"], np.zeros((2, 1)), np.array([0.0, np.nan]), TaskKind.BINARY_CLASSIFICATION)
     with pytest.raises(ValueError):
         ref.ref_save_csv(ds, str(tmp_path / "expected.csv"))
-    _usable_cores(monkeypatch, set(range(cores)))
+    usable_cores(monkeypatch, set(range(cores)))
     monkeypatch.setattr(data, "_BLOCK_ROWS", 1)
     pools = recorded_pools(monkeypatch)
     with pytest.raises(ValueError):
@@ -467,7 +467,7 @@ def _pools(ds):
 
 def _neighbor_lists(ds, k):
     """Each row's neighbour list, every row scanned as if drawn: its line of _neighbor_table up to the -1s."""
-    return [line[line >= 0] for line in _neighbor_table(ds.features, _pools(ds), k, np.arange(ds.n))]
+    return [line[line >= 0] for line in _neighbor_table(ds.features, _pools(ds), k, np.ones(ds.n, dtype=bool))]
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
@@ -543,14 +543,17 @@ def test_neighbour_scan_spans_several_blocks():
         assert bits(got) == bits(expected)
 
 
-def _usable_cores(monkeypatch, cores):
-    """The scan starts one worker per usable core; {0} means this process scans."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cores))
+def _scan_blocks(ds, drawn):
+    """The blocks of a scan of the rows drawn (a mask of ds.n), pool by pool."""
+    return sum(-(-np.count_nonzero(drawn[pool]) // data._block_rows(pool.size, ds.d)) for pool in _pools(ds))
 
 
-def _scan_blocks(ds, rows):
-    """The blocks of a scan of the given rows, pool by pool."""
-    return sum(-(-np.count_nonzero(np.isin(pool, rows)) // data._block_rows(pool.size, ds.d)) for pool in _pools(ds))
+def _recorded_cuts(monkeypatch):
+    """The blocks of each job of every map_on_cores call the scan makes from here on."""
+    cuts, forking = [], data.map_on_cores
+    monkeypatch.setattr(data, "map_on_cores", lambda work, jobs, lost: cuts.append(list(map(len, jobs))) or forking(
+        work, jobs, lost))
+    return cuts
 
 
 class TestForkedExpand:
@@ -568,49 +571,71 @@ class TestForkedExpand:
         """Three workers (more than this host may have cores) against the scan in this process."""
         ds = self.DATASETS[task]
         save_csv(ds, str(tmp_path / "in.csv"))
-        drawn, scan = [], data._neighbor_table
+        masks, scan = [], data._neighbor_table
 
-        def recorded(features, pools, k, rows):
-            drawn.append(rows)
-            return scan(features, pools, k, rows)
+        def recorded(features, pools, k, drawn):
+            masks.append(drawn)
+            return scan(features, pools, k, drawn)
 
         monkeypatch.setattr(data, "_neighbor_table", recorded)
         pools = recorded_pools(monkeypatch)
         written = []
         for cores in ({0, 1, 2}, {0}):
-            _usable_cores(monkeypatch, cores)
+            usable_cores(monkeypatch, cores)
             out = tmp_path / f"out{len(cores)}.csv"
             assert main(["expand", "--task", task.value, "--data", str(tmp_path / "in.csv"), "--target-column",
                          ds.target_name, "--target-n", str(4 * ds.n), "--out", str(out), "--seed", "3"]) == 0
             assert_no_child()
             written.append(out.read_bytes())
-        assert _scan_blocks(ds, drawn[0]) > 2 * data._JOB_BLOCKS
+        assert _scan_blocks(ds, masks[0]) > 2 * data._JOB_BLOCKS
         assert pools == [3, min(3, -(-4 * ds.n // data._BLOCK_ROWS))]  # the scan's workers, then the save's
         assert written[0] == written[1]
 
     def test_a_scan_of_one_job_runs_here_and_two_jobs_fork_on_two_workers(self, monkeypatch):
-        """A job holds _JOB_BLOCKS blocks over all pools: 16 blocks of three classes (5, 5 and 6) are one job, or
-        two jobs of 15 blocks and 1, the first holding a piece of every class."""
+        """Jobs of equal size, at most _JOB_BLOCKS blocks over all pools: 16 blocks of three classes (5, 5 and 6)
+        are one job, or two jobs of 8 blocks."""
         ds = make_blobs(600, d=8, n_classes=3, seed=6)
-        assert _scan_blocks(ds, np.arange(ds.n)) == 16
-        pools, cuts, forking = recorded_pools(monkeypatch), [], data.map_on_cores
-        monkeypatch.setattr(data, "map_on_cores", lambda work, jobs, lost: cuts.append(list(map(len, jobs))) or forking(
-            work, jobs, lost))
-        _usable_cores(monkeypatch, {0, 1, 2})
+        assert _scan_blocks(ds, np.ones(ds.n, dtype=bool)) == 16
+        pools, cuts = recorded_pools(monkeypatch), _recorded_cuts(monkeypatch)
+        usable_cores(monkeypatch, {0, 1, 2})
         got = [_neighbor_lists(ds, 5)]
         monkeypatch.setattr(data, "_JOB_BLOCKS", 15)
         got.append(_neighbor_lists(ds, 5))
         assert_no_child()
-        assert (cuts, pools) == ([[3], [3, 1]], [2])
+        assert (cuts, pools) == ([[16], [8, 8]], [2])
         for lists in got:
             assert [bits(row) for row in lists] == [bits(row) for row in ref.ref_neighbor_lists(ds, 5)]
+
+    def test_the_bench_s_scan_of_106_blocks_is_four_near_equal_jobs(self, monkeypatch):
+        """expand's benchmark shape: three classes of 1000 rows, d = 8, grown by 1000 rows.  Its 106 blocks of
+        drawn anchors make ceil(106 / 32) = 4 jobs of ceil(106 / 4) = 27 blocks, the last taking the 25 left."""
+        rng = np.random.default_rng(2)
+        labels = rng.permutation(np.repeat(np.arange(3), 1000))
+        features = rng.uniform(-3.0, 3.0, (3, 8))[labels] + rng.standard_normal((3000, 8))
+        ds = Dataset([f"x{j}" for j in range(8)], features, labels, TaskKind.MULTICLASS_CLASSIFICATION)
+        tables, scan = [], data._neighbor_table
+
+        def recorded(features, pools, k, drawn):
+            tables.append((drawn, scan(features, pools, k, drawn)))
+            return tables[-1][1]
+
+        monkeypatch.setattr(data, "_neighbor_table", recorded)
+        pools, cuts = recorded_pools(monkeypatch), _recorded_cuts(monkeypatch)
+        usable_cores(monkeypatch, {0, 1})
+        data.synthetic_expand(ds, 4000, 5, seed=2)
+        assert_no_child()
+        (drawn, table), = tables
+        assert (_scan_blocks(ds, drawn), cuts, pools) == (106, [[27, 27, 27, 25]], [2])
+        assert (table[~drawn] == -1).all()
+        expected, rows = ref.ref_neighbor_lists(ds, 5), np.flatnonzero(drawn)
+        assert [bits(table[row]) for row in rows] == [bits(expected[row]) for row in rows]
 
     def test_scan_spans_several_blocks_and_jobs_on_three_workers(self, monkeypatch):
         """test_neighbour_scan_spans_several_blocks again, forked, with a job per block."""
         ds = _several_blocks()
         monkeypatch.setattr(data, "_JOB_BLOCKS", 1)
         pools = recorded_pools(monkeypatch)
-        _usable_cores(monkeypatch, {0, 1, 2})
+        usable_cores(monkeypatch, {0, 1, 2})
         got = _neighbor_lists(ds, 6)
         assert pools == [3]
         assert_no_child()
@@ -621,10 +646,10 @@ class TestForkedExpand:
     def test_a_pool_worker_forks_the_scan(self, monkeypatch):
         """A multiprocessing.Pool worker is daemonic; it forks a scan of several jobs as any other process does."""
         ds = self.DATASETS[TaskKind.MULTICLASS_CLASSIFICATION]
-        _usable_cores(monkeypatch, {0, 1})
+        usable_cores(monkeypatch, {0, 1})
         inside, pools = in_pool_worker(_neighbor_lists, ds, 5)
         assert pools == [2]
-        _usable_cores(monkeypatch, {0})
+        usable_cores(monkeypatch, {0})
         assert [bits(row) for row in inside] == [bits(row) for row in _neighbor_lists(ds, 5)]
         assert_no_child()
 
@@ -633,9 +658,9 @@ class TestForkedSave:
     def test_a_pool_worker_forks_the_save(self, tmp_path, monkeypatch):
         """A multiprocessing.Pool worker is daemonic; it forks a save of several blocks as any other process does."""
         ds = make_blobs(20_000, d=8, n_classes=3, seed=5)
-        _usable_cores(monkeypatch, {0, 1})
+        usable_cores(monkeypatch, {0, 1})
         assert in_pool_worker(save_csv, ds, str(tmp_path / "inside.csv")) == (None, [2])
-        _usable_cores(monkeypatch, {0})
+        usable_cores(monkeypatch, {0})
         save_csv(ds, str(tmp_path / "here.csv"))
         assert (tmp_path / "inside.csv").read_bytes() == (tmp_path / "here.csv").read_bytes()
         assert_no_child()
@@ -645,7 +670,7 @@ class TestForkedSave:
         """A block is one job, so a row past a full block forks, on two of three usable cores."""
         ds = make_regression(data._BLOCK_ROWS + extra, d=1, seed=6)
         pools = recorded_pools(monkeypatch)
-        _usable_cores(monkeypatch, {0, 1, 2})
+        usable_cores(monkeypatch, {0, 1, 2})
         save_csv(ds, str(tmp_path / "got.csv"))
         ref.ref_save_csv(ds, str(tmp_path / "expected.csv"))
         assert pools == forked
@@ -660,7 +685,7 @@ class TestForkedSave:
         """
         removed = []
         monkeypatch.setattr(os, "remove", removed.append)
-        _usable_cores(monkeypatch, {0, 1})
+        usable_cores(monkeypatch, {0, 1})
         with pytest.raises(OSError) as caught:  # holding the error keeps save_csv's frame alive
             save_csv(make_regression(30_000, d=2, seed=7), "/dev/full")
         assert_no_child()
@@ -688,7 +713,7 @@ class TestForkedRead:
         pools = recorded_pools(monkeypatch)
         outcomes = []
         for cores in ({0, 1, 2}, {0}):
-            _usable_cores(monkeypatch, cores)
+            usable_cores(monkeypatch, cores)
             outcomes.append(pickle.dumps((load_csv(path, ds.target_name, ds.task), _columns(path))))
             assert_no_child()
         assert pools == [3, 3]
@@ -698,12 +723,12 @@ class TestForkedRead:
     def test_a_pool_worker_forks_the_read(self, blobs, monkeypatch):
         """A multiprocessing.Pool worker is daemonic; it forks a read of several blocks as any other process does."""
         path, ds = blobs
-        _usable_cores(monkeypatch, {0, 1})
+        usable_cores(monkeypatch, {0, 1})
         inside, pools = in_pool_worker(load_csv, path, ds.target_name, ds.task)
         assert pools == [2]
         columns, pools = in_pool_worker(_columns, path)
         assert pools == [2]
-        _usable_cores(monkeypatch, {0})
+        usable_cores(monkeypatch, {0})
         assert pickle.dumps(inside) == pickle.dumps(load_csv(path, ds.target_name, ds.task))
         assert [bits(c) for c in columns] == [bits(c) for c in _columns(path)]
         assert_no_child()
@@ -717,7 +742,7 @@ class TestForkedRead:
         save_csv(ds, path)
         monkeypatch.setattr(data, "_BLOCK_ROWS", 100)
         pools = recorded_pools(monkeypatch)
-        _usable_cores(monkeypatch, {0, 1, 2})
+        usable_cores(monkeypatch, {0, 1, 2})
         got = load_csv(path, ds.target_name, ds.task)
         columns = _columns(path)
         assert pools == forked

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import reference as ref
-from workers import assert_no_child, in_pool_worker, recorded_pools
+from workers import assert_no_child, in_pool_worker, recorded_pools, usable_cores
 from normetric import (
     ConfigurationError,
     CurvePoint,
@@ -110,11 +110,6 @@ class TestRunCurve:
             run_curve(ds, schedule(60, 120, 30), TaskKind.CLUSTERING, LearnerConfig(n_clusters=0), seed=3)
 
 
-def _usable_cores(monkeypatch, cores):
-    """run_curve starts one worker per usable core, up to one per chunk of sizes; {0} means the serial loop."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cores))
-
-
 def _chunk_rows(monkeypatch, rows, d=3):
     """Cut the curve's schedule into chunks of at most `rows` training rows of d features (one size may exceed it)."""
     monkeypatch.setattr(harness, "_CHUNK_BYTES", rows * d * 8)
@@ -170,11 +165,11 @@ class TestForkedCurve:
         _chunk_rows(monkeypatch, 150 if task is TaskKind.CLUSTERING else 100, ds.d)
         forked = []
         for cores in ({0, 1}, {0, 1, 2}):
-            _usable_cores(monkeypatch, cores)
+            usable_cores(monkeypatch, cores)
             forked.append(run_curve(ds, sched, task, config, seed=5))
             assert_no_child()
         assert pools == [2, 3]
-        _usable_cores(monkeypatch, {0})
+        usable_cores(monkeypatch, {0})
         for chunk_bytes in (1, 2**30):
             monkeypatch.setattr(harness, "_CHUNK_BYTES", chunk_bytes)
             serial = run_curve(ds, sched, task, config, seed=5)
@@ -185,7 +180,7 @@ class TestForkedCurve:
 
     def test_one_chunk_is_fitted_here_and_two_fork_on_two_workers(self, monkeypatch):
         ds, sched, config = self.CURVES[TaskKind.BINARY_CLASSIFICATION]
-        _usable_cores(monkeypatch, {0, 1, 2})
+        usable_cores(monkeypatch, {0, 1, 2})
         pools = recorded_pools(monkeypatch)
         points = []
         for rows in (450, 449):  # sizes 30..150 by 30 as one chunk, then as [30, 60, 90, 120] and [150]
@@ -199,7 +194,7 @@ class TestForkedCurve:
         """Its line fits take a few milliseconds, less than forking costs, so no byte bound cuts it; its points
         are those of each size fitted on its own."""
         ds, sched, config = self.CURVES[TaskKind.REGRESSION]
-        _usable_cores(monkeypatch, {0, 1})
+        usable_cores(monkeypatch, {0, 1})
         _chunk_rows(monkeypatch, 1, ds.d)
         pools, chunks, forking = recorded_pools(monkeypatch), [], harness.map_on_cores
         monkeypatch.setattr(harness, "map_on_cores", lambda work, jobs, lost: chunks.extend(jobs) or forking(
@@ -231,7 +226,7 @@ class TestForkedCurve:
               TaskKind.MULTICLASS_CLASSIFICATION: make_blobs(20000, d=4, n_classes=3, seed=1),
               TaskKind.REGRESSION: make_regression(20000, d=4, seed=1),
               TaskKind.CLUSTERING: make_blobs(20000, d=4, n_classes=2, seed=1, task=TaskKind.CLUSTERING)}[task]
-        _usable_cores(monkeypatch, {0})
+        usable_cores(monkeypatch, {0})
         monkeypatch.setattr(harness, "_CHUNK_BYTES", 2**30)
         peaks = []
         for stop in (20, 320):
@@ -246,11 +241,11 @@ class TestForkedCurve:
     def test_a_pool_worker_forks_the_curve(self, monkeypatch):
         """A multiprocessing.Pool worker is daemonic; it forks a curve's chunks as any other process does."""
         ds, sched, config = self.CURVES[TaskKind.BINARY_CLASSIFICATION]
-        _usable_cores(monkeypatch, {0, 1})
+        usable_cores(monkeypatch, {0, 1})
         _chunk_rows(monkeypatch, 100, ds.d)
         inside, pools = in_pool_worker(run_curve, ds, sched, TaskKind.BINARY_CLASSIFICATION, config, 5)
         assert pools == [2]
-        _usable_cores(monkeypatch, {0})
+        usable_cores(monkeypatch, {0})
         assert pickle.dumps(inside) == pickle.dumps(run_curve(ds, sched, TaskKind.BINARY_CLASSIFICATION, config, seed=5))
         assert_no_child()
 
@@ -259,7 +254,7 @@ class TestForkedCurve:
         ds = Dataset(["x0", "x1"], np.column_stack([rng.choice([-1.5e308, 1.5e308, 1.7e308], size=200),
                                                     rng.standard_normal(200)]),
                      np.arange(200) % 2, TaskKind.CLUSTERING)
-        _usable_cores(monkeypatch, {0, 1})
+        usable_cores(monkeypatch, {0, 1})
         _chunk_rows(monkeypatch, 1, ds.d)  # a chunk per size, so the first fails in a worker
         pools = recorded_pools(monkeypatch)
         with pytest.raises(DomainError, match=r"^feature column 'x0' is too large to standardize$"):
@@ -277,7 +272,7 @@ class TestForkedCurve:
 
         _before_each_set(monkeypatch, killed_at_90_rows)
         _chunk_rows(monkeypatch, 1)
-        _usable_cores(monkeypatch, {0, 1})
+        usable_cores(monkeypatch, {0, 1})
         previous = signal.signal(signal.SIGALRM, _raise_timeout)
         signal.alarm(60)
         try:
@@ -300,9 +295,9 @@ class TestForkedCurve:
         _before_each_set(monkeypatch, slow_at_30_rows)
         _chunk_rows(monkeypatch, 1)
         pools = recorded_pools(monkeypatch)
-        _usable_cores(monkeypatch, {0, 1, 2})
+        usable_cores(monkeypatch, {0, 1, 2})
         forked = run_curve(ds, sched, TaskKind.BINARY_CLASSIFICATION, config, seed=5)
-        _usable_cores(monkeypatch, {0})
+        usable_cores(monkeypatch, {0})
         serial = run_curve(ds, sched, TaskKind.BINARY_CLASSIFICATION, config, seed=5)
         assert pools == [3]
         assert [p.train_size for p in forked] == list(sched.sizes)
@@ -325,7 +320,7 @@ class TestForkedCurve:
         _before_each_set(monkeypatch, failing_at_60_and_120_rows)
         _chunk_rows(monkeypatch, rows)
         pools = recorded_pools(monkeypatch)
-        _usable_cores(monkeypatch, {0, 1, 2})
+        usable_cores(monkeypatch, {0, 1, 2})
         with pytest.raises(ArithmeticError, match=r"^the fit at 60 rows failed$"):
             run_curve(ds, sched, TaskKind.BINARY_CLASSIFICATION, config, seed=5)
         assert pools == started

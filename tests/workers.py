@@ -1,4 +1,5 @@
-"""What the tests check of the fork helper's worker processes: that none is left, and how many each call forked."""
+"""The fork helper's worker processes as the tests see them: the usable cores a test sets, that no worker is left,
+and how many each call forked."""
 
 import multiprocessing
 import os
@@ -11,6 +12,11 @@ def assert_no_child():
     """No child of this process is left, running or unreaped: os.waitpid finds none to wait for."""
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def usable_cores(monkeypatch, cores):
+    """os.sched_getaffinity reads these cores: a stage forks one worker per usable core; {0} means it runs here."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cores))
 
 
 def recorded_pools(monkeypatch):

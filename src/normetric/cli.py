@@ -91,14 +91,15 @@ def _read_predictions(path: str, task: TaskKind) -> dict:
     any integers, in y_pred.  Each column must hold its rule in
     factors.input_rules (binary labels 0 or 1, say), and each row of
     p_0..p_{C-1} must sum to 1 within 1e-6.  A breach is a DataError naming
-    a data row: the one data.read_columns picks, or the first bad sum.
+    a data row: the one data.read_columns picks, or the first bad sum; p_*
+    columns named wrong, not contiguous or absent are a DataError before any row is read.
 
     The class sizes for h are counted from this file: y_true per class
     0..C-1 for classification, where each class must occur, and y_pred per
     cluster id for clustering.
     """
-    header, column = read_columns(path, "predictions file")
-    n_classes = 2
+    header, read = read_columns(path, "predictions file")
+    n_classes, prob_names = 2, []
     if task is TaskKind.MULTICLASS_CLASSIFICATION:
         prob_names = sorted(
             (name for name in header if name.startswith("p_") and name[2:].isdecimal()),
@@ -113,17 +114,19 @@ def _read_predictions(path: str, task: TaskKind) -> dict:
             raise DataError(f"probability columns of {path} must be contiguous p_0..p_(C-1), got {prob_names}")
         n_classes = len(prob_names)
     rules = input_rules(task, n_classes)  # the rules evaluate holds its arguments to
+    names = ["y_true", "y_pred", *(prob_names or ["y_prob"] if "y_prob" in rules else [])]
+    column = read({name: rules.get(name, rules.get("y_prob")) for name in names})  # p_* hold y_prob's rule
 
     if task is TaskKind.REGRESSION:
-        return {name: column(name, rule) for name, rule in rules.items()}
-    out = {name: column(name, rules[name]).astype(int) for name in ("y_true", "y_pred")}
+        return {name: column(name) for name in names}
+    out = {name: column(name).astype(int) for name in names[:2]}
     if task is TaskKind.CLUSTERING:
         # ids are arbitrary names (DBSCAN noise is -1): count the rows of each one present
         return {**out, "class_sizes": np.unique(out["y_pred"], return_counts=True)[1]}
     if task is TaskKind.BINARY_CLASSIFICATION:
-        out["y_prob"] = column("y_prob", rules["y_prob"])
+        out["y_prob"] = column("y_prob")
     else:
-        probs = np.column_stack([column(name, rules["y_prob"]) for name in prob_names])
+        probs = np.column_stack([column(name) for name in prob_names])
         sums = probs.sum(axis=1)
         if not (summed_to_one := _ROW_SUMS[1](sums)).all():
             bad = int(np.argmin(summed_to_one))

@@ -221,79 +221,71 @@ def parse_column(cells: Sequence[str]) -> tuple[np.ndarray, Optional[int], Optio
     return floats[codes], first_bad, (distinct, codes)
 
 
-def read_columns(path: str, kind: str) -> tuple[list[str], Callable[..., np.ndarray]]:
-    """The header of a CSV file, and a reader of its columns by name.
+def read_columns(path: str, kind: str) -> tuple[list[str], Callable[[dict], Callable[[str], np.ndarray]]]:
+    """The header of a CSV file, and read(rules), which reads the file once and returns column(name).
 
-    column(name, rule=None) parses the named column over every data row as
-    parse_column does; rule is (requirement, test), the test marking each
-    value that holds.  Blank lines are skipped and not counted as data rows,
-    and a row longer than the header is read for its named cells.  A
-    DataError names the file (a `kind`, such as "series file") and the
-    column when it is absent.  Else, among the rows before the first that
-    ends before the column, it names the first whose cell is not a number,
-    else the first that fails the rule, and else that short row.  Columns
-    are parsed a block at a time where read_blocks splits the block, on
-    every usable core for a file of two blocks or more: no cell text is kept.
+    rules maps each column the caller needs to its rule, (requirement, test), the test marking each value that
+    holds, or to None.  Only those columns are parsed, as parse_column does, and their rules tested (_parsed) where
+    read_blocks splits each block, on every usable core for a file of two blocks or more: no cell text is kept.
+    Blank lines are skipped and not counted as data rows; a longer row is read for its named cells.  A DataError
+    names the file (a `kind`, such as "series file"): read raises it for a file with no data rows, column(name) for
+    a name not in the header, else, among the rows before the first that ends before the column, for the first cell
+    not a number, else the first that breaks the rule, else that short row.
     """
     header, blocks = read_blocks(path)
-    parts: list = [[] for _ in header]  # each column's values, a block at a time
-    bad: list = [None] * len(header)  # the message on its first cell that is not a number
-    short: list = [None] * len(header)  # and on the first data row that ends before it
 
-    def must_hold(j: int, requirement: str, row: int, cell: str) -> str:
-        return f"column {header[j]!r} of {path} must hold {requirement}; data row {row + 1} has {cell!r}"
-
-    n_rows = 0
-    every_column = dict.fromkeys(range(len(header)), "parse")
-    for n_full, columns, widths in blocks(functools.partial(_parsed, every_column, True)):
-        for j, (values, at, coding, ends) in columns.items():
-            if bad[j] is None and short[j] is None:  # a column is read up to its first fault
+    def read(rules: dict) -> Callable[[str], np.ndarray]:
+        plan = {header.index(name): rule for name, rule in rules.items() if name in header}
+        parts: dict = {j: [] for j in plan}  # each column's values, a block at a time
+        faults: dict = {j: [None] * 3 for j in plan}  # its first cell not a number, first to break the rule, short row
+        n_rows = 0
+        for n_full, columns, widths in blocks(functools.partial(_parsed, plan, True)):
+            for j, (values, fault, _, ends) in columns.items():
+                if (found := faults[j])[0] or found[2]:  # read up to its first cell not a number or short row
+                    continue
                 parts[j].append(values)
-                bad[j] = None if at is None else must_hold(j, "numbers", n_rows + at, coding[0][coding[1][at]])
+                if fault is not None and not found[slot := int(fault[1] is not None)]:
+                    found[slot] = (f"column {header[j]!r} of {path} must hold {fault[1] or 'numbers'}; "
+                                   f"data row {n_rows + fault[0] + 1} has {fault[2]!r}")
                 if ends is not None:
-                    short[j] = (f"data row {n_rows + ends[0] + 1} of {path} ends after field {ends[1]}; "
+                    found[2] = (f"data row {n_rows + ends[0] + 1} of {path} ends after field {ends[1]}; "
                                 f"column {header[j]!r} is field {j + 1}")
-        n_rows += n_full + sum(map(bool, widths))
-    if not n_rows:
-        raise DataError(f"{kind} {path} has no data rows")
-    for j, values in enumerate(parts):
-        parts[j] = np.concatenate(values)
+            n_rows += n_full + sum(map(bool, widths))
+        if not n_rows:
+            raise DataError(f"{kind} {path} has no data rows")
+        parts = {j: np.concatenate(values) for j, values in parts.items()}
 
-    def column(name: str, rule: Optional[tuple] = None) -> np.ndarray:
-        if name not in header:
-            raise DataError(f"{kind} {path} lacks a {name!r} column")
-        j = header.index(name)
-        if bad[j] is None and rule is not None and not (holds := rule[1](parts[j])).all():
-            row = at = int(np.argmin(holds))
-            # read again for the cell's text, and leave no worker or file behind
-            with contextlib.closing(blocks(functools.partial(_parsed, {j: "code"}, True))) as coded:
-                for _, columns, _ in coded:
-                    cells, codes = columns[j][2]
-                    if at < codes.size:
-                        raise DataError(must_hold(j, rule[0], row, cells[codes[at]]))
-                    at -= codes.size
-        if bad[j] or short[j]:
-            raise DataError(bad[j] or short[j])
-        return parts[j]
+        def column(name: str) -> np.ndarray:
+            if name not in header:
+                raise DataError(f"{kind} {path} lacks a {name!r} column")
+            if message := next(filter(None, faults[header.index(name)]), None):
+                raise DataError(message)
+            return parts[header.index(name)]
 
-    return header, column
+        return column
+
+    return header, read
 
 
 def _parsed(plan: dict, spliced: bool, block: tuple) -> tuple[int, dict, list[int]]:
     """The columns of a block of data rows that plan names, read in the process that split the block.
 
-    plan maps a column to "parse" or to "code".  A column holds cell j of the
-    block's full rows, or if spliced, of each of its data rows up to the first
-    that ends before the column (_spliced).  Returns the number of full rows;
-    for each planned column its values, first bad cell and coding, as
-    parse_column gives them (None, None and _coded's for a coded column), and
-    where a row ends before it (or None); and the field count of each other row.
+    plan maps a column to "code", or to parse it to None or to a rule (read_columns's).  A column holds cell j of
+    the block's full rows, or if spliced, of each of its data rows up to the first that ends before the column
+    (_spliced).  Returns the number of full rows; for each planned column its values and coding, as parse_column
+    gives them (None and _coded's for a coded column), its first fault (at, requirement, cell) or None, the
+    requirement None for a cell that is not a number, and where a row ends before it (or None); and the field count
+    of each other row.
     """
     columns, others = block
     read = {}
-    for j, how in plan.items():
+    for j, rule in plan.items():
         cells, ends = _spliced(columns[j], others, j) if spliced else (columns[j], None)
-        read[j] = *(parse_column(cells) if how == "parse" else (None, None, _coded(cells))), ends
+        values, at, coding = (None, None, _coded(cells)) if rule == "code" else parse_column(cells)
+        fault = None if at is None else (at, None, cells[at])  # the first cell that is not a number, else
+        if at is None and rule not in (None, "code") and not (holds := rule[1](values)).all():
+            fault = (at := int(np.argmin(holds))), rule[0], cells[at]  # the first that breaks the rule
+        read[j] = values, fault, coding, ends
     return len(columns[0]) if columns else 0, read, [len(row) for _, row in others]
 
 
@@ -349,7 +341,7 @@ def load_csv(path: str, target_column: str, task: TaskKind) -> Dataset:
     codes: list = [[] for _ in header]  # and its cells' codes, None for a block that parsed whole
     seen: list[dict] = [{} for _ in header]  # the cells coded so far, with their codes
     n_read = n_full = 0
-    plan = {col: "code" if col in categorical else "parse" for col in range(len(header))}
+    plan = {col: "code" if col in categorical else None for col in range(len(header))}
     for rows, columns, widths in blocks(functools.partial(_parsed, plan, False)):
         n_full += rows
         n_read += rows + len(widths)

@@ -335,14 +335,16 @@ _UNIT_INTERVAL = ("numbers in [0, 1]", _PROBABILITIES[1])
 def parse_series_csv(path: str) -> list[CurvePoint]:
     """Read a series CSV back into curve points with full breakdowns.
 
-    Columns are read by name, as the predictions file of `evaluate` is.
-    A DataError names the file and a bad data row (data.read_columns says
-    which) when a field is not a number, a train_size is not an integer
-    >= 1 or does not exceed the one before it, or a base or adjusted metric
-    is not in [0, 1].
+    The nine raw columns are read by name in one read, as the predictions
+    file of `evaluate` is.  A DataError names the file and a bad data row
+    (data.read_columns says which) when a field is not a number, a
+    train_size is not an integer >= 1 or does not exceed the one before it,
+    or a base or adjusted metric is not in [0, 1], train_size's first.
     """
-    _, column = read_columns(path, "series file")
-    sizes = column("train_size", integer_rule("integers >= 1", 1)).astype(int)
+    rules = {"train_size": integer_rule("integers >= 1", 1), "base_metric": _UNIT_INTERVAL,
+             "adjusted_metric": _UNIT_INTERVAL}
+    column = read_columns(path, "series file")[1]({col: rules.get(col) for col in SERIES_COLUMNS[:-2]})  # not smoothed
+    sizes = column("train_size").astype(int)
     drop = np.flatnonzero(np.diff(sizes) <= 0)
     if drop.size:
         at = int(drop[0]) + 1
@@ -350,8 +352,7 @@ def parse_series_csv(path: str) -> list[CurvePoint]:
             f"column 'train_size' of {path} must increase strictly; data row {at + 1} has "
             f"{sizes[at]} after {sizes[at - 1]}"
         )
-    rules = {"base_metric": _UNIT_INTERVAL, "adjusted_metric": _UNIT_INTERVAL}
-    fields = {name: column(col, rules.get(col)).tolist() for col, name in _SERIES_FIELDS}
+    fields = {name: column(col).tolist() for col, name in _SERIES_FIELDS}
     return [
         CurvePoint(size, MetricBreakdown(**dict(zip(fields, values))))
         for size, values in zip(sizes.tolist(), zip(*fields.values()))

@@ -462,40 +462,44 @@ def ref_read_columns(path, kind):
     if not rows:
         raise DataError(f"{path} is empty (no header row)")
     header, data = rows[0], [row for row in rows[1:] if row]
-    if not data:
-        raise DataError(f"{kind} {path} has no data rows")
 
-    def column(name, rule=None):
-        if name not in header:
-            raise DataError(f"{kind} {path} lacks a {name!r} column")
-        index = header.index(name)
-        cells, short = [], None
-        for number, row in enumerate(data, 1):
-            if len(row) <= index:
-                short = (number, len(row))
-                break
-            cells.append(row[index])
-        values = []
-        for number, cell in enumerate(cells, 1):
-            try:
-                values.append(float(cell))
-            except ValueError:
-                raise DataError(f"column {name!r} of {path} must hold numbers; data row {number} has {cell!r}")
-        values = np.array(values, dtype=float)
-        if rule is not None:
-            requirement, holds = rule
-            for number, (cell, holds_here) in enumerate(zip(cells, holds(values).tolist()), 1):
-                if not holds_here:
-                    raise DataError(
-                        f"column {name!r} of {path} must hold {requirement}; data row {number} has {cell!r}"
-                    )
-        if short is not None:
-            raise DataError(
-                f"data row {short[0]} of {path} ends after field {short[1]}; column {name!r} is field {index + 1}"
-            )
-        return values
+    def read(rules):
+        if not data:
+            raise DataError(f"{kind} {path} has no data rows")
 
-    return header, column
+        def column(name):
+            if name not in header:
+                raise DataError(f"{kind} {path} lacks a {name!r} column")
+            index, rule = header.index(name), rules[name]
+            cells, short = [], None
+            for number, row in enumerate(data, 1):
+                if len(row) <= index:
+                    short = (number, len(row))
+                    break
+                cells.append(row[index])
+            values = []
+            for number, cell in enumerate(cells, 1):
+                try:
+                    values.append(float(cell))
+                except ValueError:
+                    raise DataError(f"column {name!r} of {path} must hold numbers; data row {number} has {cell!r}")
+            values = np.array(values, dtype=float)
+            if rule is not None:
+                requirement, holds = rule
+                for number, (cell, holds_here) in enumerate(zip(cells, holds(values).tolist()), 1):
+                    if not holds_here:
+                        raise DataError(
+                            f"column {name!r} of {path} must hold {requirement}; data row {number} has {cell!r}"
+                        )
+            if short is not None:
+                raise DataError(
+                    f"data row {short[0]} of {path} ends after field {short[1]}; column {name!r} is field {index + 1}"
+                )
+            return values
+
+        return column
+
+    return header, read
 
 
 def ref_block_ranges(path, block_rows):

@@ -362,6 +362,14 @@ class TestEvaluate:
         assert code == 1
         assert "usage" in capsys.readouterr().err
 
+    def test_a_misnamed_probability_column_is_named_before_the_missing_data_rows(self, tmp_path, capsys):
+        """The header is checked before the one read of its named columns, so a header fault comes first."""
+        path = tmp_path / "header_only.csv"
+        path.write_text("y_true,y_pred,p_0,p_1,p_02\n", encoding="utf-8")
+        code = main(["evaluate", "--task", "multiclass", "--predictions", str(path), "--d", "2", "--n", "10"])
+        assert (code, capsys.readouterr().err) == (
+            2, f"normetric: data error: probability column 'p_02' of {path} must be named p_2\n")
+
     def test_probability_column_named_with_a_non_ascii_digit_is_ignored(self, tmp_path, capsys):
         """p_² passes str.isdigit but not int(): like p_x, it is not a probability column."""
         outputs = []

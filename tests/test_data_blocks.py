@@ -26,6 +26,7 @@ import reference as ref
 from workers import assert_no_child
 from normetric import DataError, TaskKind, load_csv, save_csv
 from normetric import data
+from normetric.cli import main
 from normetric.data import read_columns
 from normetric.factors import input_rules
 
@@ -194,18 +195,20 @@ def test_categorical_column_whose_blocks_all_fail_is_read_once(tmp_path, cores):
 
 
 def column_outcomes(reader, path, cores=1):
-    """Each column of a binary predictions file read under each rule, plus an absent one: values or message."""
+    """Each column of a binary predictions file, plus an absent one, read under each rule, one read per rule:
+    values or message."""
+    rules = [None] + list(input_rules(TaskKind.BINARY_CLASSIFICATION).values())
     with on_cores(cores):
         try:
-            header, column = reader(path, "predictions file")
+            header, read = reader(path, "predictions file")
+            columns = [read(dict.fromkeys(header + ["absent"], rule)) for rule in rules]
         except DataError as exc:
             return str(exc)
-        rules = [None] + list(input_rules(TaskKind.BINARY_CLASSIFICATION).values())
         outcomes = []
         for name in header + ["absent"]:
-            for rule in rules:
+            for column in columns:
                 try:
-                    outcomes.append(bits(column(name, rule)))
+                    outcomes.append(bits(column(name)))
                 except DataError as exc:
                     outcomes.append(str(exc))
         return outcomes
@@ -242,10 +245,9 @@ def test_read_columns_matches_row_loop_across_blocks(tmp_path_factory, cores, ch
 ])
 def test_first_fault_at_the_edge_of_a_block(tmp_path, variant, at, kind, message, cores):
     path = write(tmp_path / "predictions.csv", mutate(predictions_lines(), at, kind), variant)
-    rules = input_rules(TaskKind.BINARY_CLASSIFICATION)
+    name = "y_pred" if kind == "first-field-only" else "y_true"
     with on_cores(cores), pytest.raises(DataError) as raised:
-        column = read_columns(path, "predictions file")[1]
-        column("y_pred" if kind == "first-field-only" else "y_true", rules["y_true"])
+        read_columns(path, "predictions file")[1]({name: input_rules(TaskKind.BINARY_CLASSIFICATION)["y_true"]})(name)
     assert str(raised.value) == message.format(path=path, row=at + 1)
     assert column_outcomes(read_columns, path, cores) == column_outcomes(ref.ref_read_columns, path)
 
@@ -256,21 +258,70 @@ def test_first_fault_at_the_edge_of_a_block(tmp_path, variant, at, kind, message
 def test_blank_lines_of_an_earlier_block_are_not_counted(tmp_path, variant, kind, requirement, cell, cores):
     lines = mutate(mutate(predictions_lines(), BLOCK + 5, kind), 10, "blank")
     path = write(tmp_path / "predictions.csv", lines, variant)
+    rule = input_rules(TaskKind.BINARY_CLASSIFICATION)["y_true"]
     with on_cores(cores), pytest.raises(DataError) as raised:
-        read_columns(path, "predictions file")[1]("y_true", input_rules(TaskKind.BINARY_CLASSIFICATION)["y_true"])
+        read_columns(path, "predictions file")[1]({"y_true": rule})("y_true")
     assert str(raised.value) == f"column 'y_true' of {path} must hold {requirement}; data row {BLOCK + 6} has {cell!r}"
+
+
+@pytest.mark.parametrize("cores", [1, 3])
+def test_a_rule_broken_on_the_last_row_is_named_from_one_read(tmp_path, cores):
+    """The rule is tested where each block is split, so naming the cell that breaks it reads no block again."""
+    lines = mutate(predictions_lines()[:BLOCK + 51], BLOCK + 49, "out-of-rule")  # two blocks, the last row broken
+    path = write(tmp_path / "predictions.csv", lines)
+    reads, jobs = [], []
+    read_blocks, map_on_cores = data.read_blocks, data.map_on_cores
+
+    def counted_reads(path):
+        header, blocks = read_blocks(path)
+        return header, lambda work: reads.append(path) or blocks(work)
+
+    def counted_jobs(work, todo, lost):
+        jobs.extend([len(todo)] if getattr(work, "func", None) is data._read_block else [])
+        return map_on_cores(work, todo, lost)
+
+    rule = input_rules(TaskKind.BINARY_CLASSIFICATION)["y_true"]
+    with mock.patch.object(data, "read_blocks", counted_reads), mock.patch.object(data, "map_on_cores", counted_jobs):
+        with on_cores(cores), pytest.raises(DataError) as raised:
+            read_columns(path, "predictions file")[1]({"y_true": rule})("y_true")
+    assert str(raised.value) == f"column 'y_true' of {path} must hold labels 0 or 1; data row {BLOCK + 50} has '2'"
+    assert (reads, jobs) == ([path], [2])
+
+
+@pytest.mark.parametrize("cores", [1, 3])
+def test_a_column_no_caller_names_is_never_parsed(tmp_path, capsys, cores):
+    """A text id column in a file of three blocks reaches no parse_column or _coded call, here or in a worker,
+    and evaluate scores the file as it scores the same file without it."""
+    lines = predictions_lines()
+    plain = write(tmp_path / "plain.csv", lines)
+    with_id = write(tmp_path / "with_id.csv", [lines[0] + ",id"] + [f"{line},id-{at}" for at, line in
+                                                                     enumerate(lines[1:])])
+
+    def guarded(real):
+        def call(cells):
+            assert not any(cell.startswith("id-") for cell in cells), "the id column was parsed"
+            return real(cells)
+        return call
+
+    argv = ["evaluate", "--task", "binary", "--d", "2", "--n", "100", "--predictions"]
+    with mock.patch.object(data, "parse_column", guarded(data.parse_column)), \
+            mock.patch.object(data, "_coded", guarded(data._coded)), on_cores(cores):
+        scored = [(main(argv + [path]), *capsys.readouterr()) for path in (plain, with_id)]
+    assert scored[0][:2] == scored[1][:2] and scored[0][0] == 0, scored
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts open files through /proc")
 @pytest.mark.parametrize("cores", [1, 3])
 def test_naming_a_cell_that_breaks_a_rule_leaves_no_file_open(tmp_path, cores):
-    """Nor a worker: the second read of the file is closed while the error's traceback holds its frame."""
+    """Nor a worker: the rule is tested where each block is split, so the one read has ended, its file closed and
+    its workers reaped, before column names the cell."""
     path = write(tmp_path / "predictions.csv", mutate(predictions_lines(), BLOCK + 5, "out-of-rule"))
     with on_cores(cores):
-        column = read_columns(path, "predictions file")[1]
+        read = read_columns(path, "predictions file")[1]
         before = len(os.listdir("/proc/self/fd"))
-        with pytest.raises(DataError) as raised:  # its traceback holds the frame that read the file again
-            column("y_true", input_rules(TaskKind.BINARY_CLASSIFICATION)["y_true"])
+        column = read({"y_true": input_rules(TaskKind.BINARY_CLASSIFICATION)["y_true"]})
+        with pytest.raises(DataError) as raised:
+            column("y_true")
         assert len(os.listdir("/proc/self/fd")) == before
     assert "data row 4102 has '2'" in str(raised.value)
 
@@ -334,7 +385,7 @@ def test_a_byte_that_is_not_utf8_is_placed_in_the_whole_file(tmp_path, cores, ki
         if kind == "dataset":
             load_csv(str(path), "y", TaskKind.MULTICLASS_CLASSIFICATION)
         else:
-            read_columns(str(path), "predictions file")
+            read_columns(str(path), "predictions file")[1]({"y_true": None})
     assert str(raised.value) == f"{path} is not a readable UTF-8 CSV file: {detail}"
 
 
@@ -397,7 +448,8 @@ def test_memory_follows_the_arrays_not_the_cell_text(large_files, tmp_path, read
     with on_cores(cores):
         if reader == "read_columns":
             def read():
-                header, column = read_columns(predictions, "predictions file")
+                header, read = read_columns(predictions, "predictions file")
+                column = read(dict.fromkeys(header))
                 return [column(name) for name in header]
 
             peak, columns = traced_peak(read)

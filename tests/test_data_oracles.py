@@ -695,7 +695,8 @@ class TestForkedSave:
 
 def _columns(path):
     """Every column of a file as read_columns reads it (its column reader cannot leave a pool worker)."""
-    header, column = read_columns(path, "series file")
+    header, read = read_columns(path, "series file")
+    column = read(dict.fromkeys(header))
     return [column(name) for name in header]
 
 

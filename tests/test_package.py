@@ -76,12 +76,14 @@ ds = make_blobs(300, d=3, n_classes=2, seed=0, task=TaskKind.BINARY_CLASSIFICATI
 run_curve(ds, schedule(40, 80, 40), TaskKind.BINARY_CLASSIFICATION, seed=1)
 data.save_csv(synthetic_expand(ds, 400, 5, seed=2), {str(tmp_path / "big.csv")!r})
 data.load_csv({str(tmp_path / "big.csv")!r}, ds.target_name, ds.task)
-header, column = data.read_columns({str(tmp_path / "big.csv")!r}, "series file")
+header, read = data.read_columns({str(tmp_path / "big.csv")!r}, "series file")
+column = read(dict.fromkeys(header))
 [column(name) for name in header]
 lines = pathlib.Path({str(tmp_path / "big.csv")!r}).read_text().splitlines(True)
 lines[251] = '"' + lines[251].replace(",", '",', 1)  # csv.reader reads from the third of four blocks
 pathlib.Path({str(tmp_path / "quoted.csv")!r}).write_text("".join(lines))
-header, column = data.read_columns({str(tmp_path / "quoted.csv")!r}, "series file")
+header, read = data.read_columns({str(tmp_path / "quoted.csv")!r}, "series file")
+column = read(dict.fromkeys(header))
 [column(name) for name in header]
 print(pools)
 """

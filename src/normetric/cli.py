@@ -92,7 +92,8 @@ def _read_predictions(path: str, task: TaskKind) -> dict:
     factors.input_rules (binary labels 0 or 1, say), and each row of
     p_0..p_{C-1} must sum to 1 within 1e-6.  A breach is a DataError naming
     a data row: the one data.read_columns picks, or the first bad sum; p_*
-    columns named wrong, not contiguous or absent are a DataError before any row is read.
+    columns named wrong, not contiguous or absent are a DataError before
+    any data row is read.
 
     The class sizes for h are counted from this file: y_true per class
     0..C-1 for classification, where each class must occur, and y_pred per
@@ -119,7 +120,7 @@ def _read_predictions(path: str, task: TaskKind) -> dict:
 
     if task is TaskKind.REGRESSION:
         return {name: column(name) for name in names}
-    out = {name: column(name).astype(int) for name in names[:2]}
+    out = {name: column(name).astype(int) for name in ("y_true", "y_pred")}
     if task is TaskKind.CLUSTERING:
         # ids are arbitrary names (DBSCAN noise is -1): count the rows of each one present
         return {**out, "class_sizes": np.unique(out["y_pred"], return_counts=True)[1]}

@@ -471,23 +471,20 @@ def split(ds: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Datase
 
 # float temporaries per block of the neighbour scan (512 KB each, whatever the pool size)
 _SCAN_BLOCK_FLOATS = 2**16
-_JOB_BLOCKS = 32  # most blocks per job of a scan, whatever pools they come from: its jobs are of equal size
 
 
 def _block_rows(m: int, d: int) -> int:  # anchor rows per block of a scan over m rows of d features
     return max(1, _SCAN_BLOCK_FLOATS // max(1, m * d))
 
 
-def _pool_neighbors(pooled: list, k: int, block: tuple) -> np.ndarray:
-    """The neighbour table of one block (at, anchors): the rows of pool pooled[at] at positions anchors.
+def _pool_neighbors(features: np.ndarray, k: int, anchors: np.ndarray) -> np.ndarray:
+    """The neighbour table of the rows of a pool's features at positions anchors.
 
     Row i lists the positions of the k pool rows nearest to the row at anchors[i], itself excluded, ordered by
     (Euclidean distance, position), as a stable sort of the distances orders them, so ties go to the lower
     position.  A pool of one row lists that row itself; a pool of m <= k rows lists the other m - 1.  A
     distance that overflows raises FloatingPointError.
     """
-    at, anchors = block
-    features = pooled[at]
     m, b = features.shape[0], anchors.size
     if m == 1:
         return np.zeros((b, 1), dtype=np.intp)
@@ -510,23 +507,18 @@ def _pool_neighbors(pooled: list, k: int, block: tuple) -> np.ndarray:
 def _neighbor_table(features: np.ndarray, pools: list, k: int, drawn: np.ndarray) -> np.ndarray:
     """Line r lists the k nearest rows to row r in its pool, then -1 up to k columns; a row not drawn is all -1.
 
-    Each pool's features are gathered once, here, and its drawn rows cut into blocks of _block_rows anchors.  The B
-    blocks of all pools (B >= 1) make ceil(B / _JOB_BLOCKS) jobs of equal size, at most _JOB_BLOCKS blocks, the last
-    taking the rest, run in order (map_on_cores); an anchor's neighbours depend on its own row of distances alone, so
-    any cut gives the same bits.  The gathered copy is n x d floats, the table n x k (0.19 and 0.12 MB at n = 3000,
-    d = 8, k = 5).
+    One pool at a time, its features are gathered and its drawn rows scanned in this process, in blocks of
+    _block_rows anchors.  The gathered pool is at most n x d floats (0.19 MB at n = 3000, d = 8, one pool), the table
+    n x k (0.12 MB at k = 5).
     """
-    pooled, blocks = [features[pool] for pool in pools], []
-    for at, pool in enumerate(pools):
-        positions, step = np.flatnonzero(drawn[pool]), _block_rows(pool.size, features.shape[1])
-        blocks += [(at, positions[start:start + step]) for start in range(0, positions.size, step)]
-    size = -(-len(blocks) // -(-len(blocks) // _JOB_BLOCKS))
-    jobs = [blocks[start:start + size] for start in range(0, len(blocks), size)]
-    scan = functools.partial(_pool_neighbors, pooled, k)
-    tables = list(map_on_cores(lambda job: list(map(scan, job)), jobs, "the neighbour scan ended".format))
     table = np.full((features.shape[0], k), -1, dtype=np.intp)
-    for (at, positions), nearest in zip(blocks, itertools.chain.from_iterable(tables)):
-        table[pools[at][positions], :nearest.shape[1]] = pools[at][nearest]
+    for pool in pools:
+        pooled, positions = features[pool], np.flatnonzero(drawn[pool])
+        step = _block_rows(pool.size, features.shape[1])
+        for start in range(0, positions.size, step):
+            anchors = positions[start:start + step]
+            nearest = _pool_neighbors(pooled, k, anchors)
+            table[pool[anchors], :nearest.shape[1]] = pool[nearest]
     return table
 
 
@@ -542,13 +534,11 @@ def synthetic_expand(ds: Dataset, target_n: int, k_neighbors: int, seed: int) ->
 
     Neighbours are ranked by distance, ties going to the lower row index.
     The anchors, picks and lambdas are drawn first, and only the drawn
-    anchors are scanned, each exactly against its whole class of m rows, in
-    blocks of 2**16 // (m * d) anchors: each float temporary is at most 512
-    KB.  The blocks of all classes make jobs of equal size, at most
-    _JOB_BLOCKS (32) blocks, and two jobs or more fork on every usable core
-    (map_on_cores), with the same bits.  This process holds a gathered copy
-    of the features (n x d floats) and an n x k table.  A worker that dies
-    raises WorkerError; a drawn anchor's distance that overflows, DomainError.
+    anchors are scanned in this process, each exactly against its whole
+    class of m rows, in blocks of 2**16 // (m * d) anchors: each float
+    temporary is at most 512 KB.  It also holds a gathered copy of one class
+    at a time and an n x k table.  A drawn anchor's distance that overflows
+    raises DomainError.
     """
     if target_n <= ds.n:
         raise DomainError(f"target_n must exceed the current {ds.n} rows, got {target_n}")

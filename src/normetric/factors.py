@@ -230,6 +230,14 @@ def snr_binary(y_true: Sequence, y_pred: Sequence, y_prob: Sequence[float]) -> f
     return _decibels(signal, noise)
 
 
+def _probability_rows(y_prob: Sequence[Sequence[float]]) -> np.ndarray:
+    """y_prob as a float matrix (samples x classes); a ShapeError if it is not 2-D."""
+    probs = np.asarray(y_prob, dtype=float)
+    if probs.ndim != 2:
+        raise ShapeError(f"y_prob must be 2-D (samples x classes), got ndim={probs.ndim}")
+    return probs
+
+
 def snr_multiclass(y_true: Sequence[int], y_prob: Sequence[Sequence[float]]) -> float:
     """Multiclass signal-to-noise ratio in dB from y_prob's probability vectors, each summing to 1 within 1e-6.
 
@@ -239,10 +247,7 @@ def snr_multiclass(y_true: Sequence[int], y_prob: Sequence[Sequence[float]]) -> 
     the total squared distance between each probability vector and the
     one-hot vector of its true class.  Returns +inf when noise is zero.
     """
-    yt = np.asarray(y_true, dtype=float)
-    probs = np.asarray(y_prob, dtype=float)
-    if probs.ndim != 2:
-        raise ShapeError(f"y_prob must be 2-D (samples x classes), got ndim={probs.ndim}")
+    yt, probs = np.asarray(y_true, dtype=float), _probability_rows(y_prob)
     if yt.shape[0] != probs.shape[0]:
         raise ShapeError(f"y_true has {yt.shape[0]} samples but y_prob has {probs.shape[0]}")
     if yt.size == 0:
@@ -346,7 +351,7 @@ def evaluate(
         raise ConfigurationError(f"{task.value} evaluation needs class sizes for the imbalance ratio")
     if y_prob is None and task in (TaskKind.BINARY_CLASSIFICATION, TaskKind.MULTICLASS_CLASSIFICATION):
         raise ConfigurationError(f"{task.value} evaluation needs per-sample predicted probabilities")
-    n_classes = np.shape(y_prob)[-1] if task is TaskKind.MULTICLASS_CLASSIFICATION else 2
+    n_classes = _probability_rows(y_prob).shape[1] if task is TaskKind.MULTICLASS_CLASSIFICATION else 2
     rules = input_rules(task, n_classes)  # y_prob's and class_sizes' are applied by the code that reads them
     _check("y_true", y_true, rules["y_true"])
     _check("y_pred", y_pred, rules["y_pred"])

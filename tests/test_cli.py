@@ -819,10 +819,8 @@ class TestExpand:
         )
         assert not caught and not out.exists()
 
-    def test_distances_that_overflow_in_three_workers_exit_3(self, huge_csv, tmp_path, capsys, monkeypatch):
-        """Each worker raises on overflow itself, whatever the errstate it was forked with."""
-        monkeypatch.setattr(data, "_JOB_BLOCKS", 1)  # the 200-row scan has 2 blocks
-        usable_cores(monkeypatch, {0, 1, 2})
+    def test_distances_that_overflow_under_a_caller_that_ignores_overflow_exit_3(self, huge_csv, tmp_path, capsys):
+        """The scan raises on overflow itself, whatever the errstate its caller set."""
         out = tmp_path / "big.csv"
         with warnings.catch_warnings(record=True) as caught, np.errstate(over="ignore"):
             warnings.simplefilter("always")
@@ -835,36 +833,6 @@ class TestExpand:
             "normetric: error: features too large to compare: the distance between two rows overflows\n"
         )
         assert not caught and not out.exists()
-        assert_no_child()
-
-    def test_a_killed_scan_worker_exits_4(self, blobs_csv, tmp_path, capsys, monkeypatch):
-        parent, scan = os.getpid(), data._pool_neighbors
-
-        def killed(pooled, k, block):
-            if os.getpid() != parent:  # never this process
-                os.kill(os.getpid(), signal.SIGKILL)
-            return scan(pooled, k, block)
-
-        monkeypatch.setattr(data, "_pool_neighbors", killed)
-        monkeypatch.setattr(data, "_JOB_BLOCKS", 1)
-        usable_cores(monkeypatch, {0, 1})
-        out = tmp_path / "big.csv"
-        previous = signal.signal(signal.SIGALRM, _raise_timeout)
-        signal.alarm(60)
-        try:
-            code = main([
-                "expand", "--task", "binary", "--data", blobs_csv, "--target-column", "label",
-                "--target-n", "400", "--out", str(out),
-            ])
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
-        assert code == 4
-        assert capsys.readouterr().err == (
-            "normetric: error: a worker process died before the neighbour scan ended (killed, or out of memory)\n"
-        )
-        assert not out.exists()
-        assert_no_child()
 
     def test_a_killed_save_worker_exits_4_and_leaves_no_file(self, blobs_csv, tmp_path, capsys, monkeypatch):
         """A file cut short at a row boundary would read back as a valid, smaller dataset."""

@@ -1,9 +1,10 @@
 """The array-code data layer against its former row loops, bit for bit.
 
 load_csv, save_csv and the neighbour scan inside synthetic_expand were
-rewritten as array code under the promise of identical output, and the
-scan, save_csv and the CSV reader were then forked across cores under the
-same promise; the scan was then narrowed to the rows synthetic_expand draws.
+rewritten as array code under the promise of identical output, and
+save_csv and the CSV reader were then forked across cores under the same
+promise; the scan, which runs in the calling process, was narrowed to the
+rows synthetic_expand draws.
 The old loops live on in tests/reference.py; these property tests feed
 both the kinds of input where column parsing, label encoding and
 tie-breaking could drift: wrong-width rows, cells Python's float() treats
@@ -483,20 +484,16 @@ def test_neighbour_scan_matches_row_loop(case):
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
-@pytest.mark.parametrize("cores", [1, 3])
 @settings(max_examples=200, deadline=None)
 @given(case=neighbour_datasets(), extra=st.integers(1, 60))
-def test_expand_matches_row_loop(cores, case, extra):
-    """Drawn first and scanned only where drawn, as the row loop over every row's list; a block and a job per
-    drawn row, so on three cores every scan of two drawn rows or more forks.  No distance here overflows, so a
-    scan of every row would succeed too."""
+def test_expand_matches_row_loop(case, extra):
+    """Drawn first and scanned only where drawn, as the row loop over every row's list; a block per drawn row.  No
+    distance here overflows, so a scan of every row would succeed too."""
     ds, k = case
     expected = ref.ref_synthetic_expand(ds, ds.n + extra, k, seed=extra)
-    with mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cores))), \
-            mock.patch.object(data, "_SCAN_BLOCK_FLOATS", 1), mock.patch.object(data, "_JOB_BLOCKS", 1):
+    with mock.patch.object(data, "_SCAN_BLOCK_FLOATS", 1):
         got = data.synthetic_expand(ds, ds.n + extra, k, seed=extra)
     assert (bits(got.features), bits(got.target)) == (bits(expected.features), bits(expected.target))
-    assert_no_child()
 
 
 def _one_draw_beside_huge_rows(anchor_joins_them):
@@ -548,17 +545,8 @@ def _scan_blocks(ds, drawn):
     return sum(-(-np.count_nonzero(drawn[pool]) // data._block_rows(pool.size, ds.d)) for pool in _pools(ds))
 
 
-def _recorded_cuts(monkeypatch):
-    """The blocks of each job of every map_on_cores call the scan makes from here on."""
-    cuts, forking = [], data.map_on_cores
-    monkeypatch.setattr(data, "map_on_cores", lambda work, jobs, lost: cuts.append(list(map(len, jobs))) or forking(
-        work, jobs, lost))
-    return cuts
-
-
 class TestForkedExpand:
-    # four times their rows draws far over _JOB_BLOCKS scan blocks, and saves two blocks or more; regression is
-    # one pool
+    # four times their rows saves two blocks or more
     DATASETS = {
         TaskKind.BINARY_CLASSIFICATION: make_binary_classification(1800, d=8, seed=1),
         TaskKind.MULTICLASS_CLASSIFICATION: make_blobs(2400, d=8, n_classes=3, seed=2),
@@ -568,16 +556,9 @@ class TestForkedExpand:
 
     @pytest.mark.parametrize("task", list(DATASETS), ids=lambda task: task.value)
     def test_workers_write_the_serial_file_byte_for_byte(self, tmp_path, monkeypatch, task):
-        """Three workers (more than this host may have cores) against the scan in this process."""
+        """Three workers (more than this host may have cores) against the save in this process."""
         ds = self.DATASETS[task]
         save_csv(ds, str(tmp_path / "in.csv"))
-        masks, scan = [], data._neighbor_table
-
-        def recorded(features, pools, k, drawn):
-            masks.append(drawn)
-            return scan(features, pools, k, drawn)
-
-        monkeypatch.setattr(data, "_neighbor_table", recorded)
         pools = recorded_pools(monkeypatch)
         written = []
         for cores in ({0, 1, 2}, {0}):
@@ -587,28 +568,12 @@ class TestForkedExpand:
                          ds.target_name, "--target-n", str(4 * ds.n), "--out", str(out), "--seed", "3"]) == 0
             assert_no_child()
             written.append(out.read_bytes())
-        assert _scan_blocks(ds, masks[0]) > 2 * data._JOB_BLOCKS
-        assert pools == [3, min(3, -(-4 * ds.n // data._BLOCK_ROWS))]  # the scan's workers, then the save's
+        assert pools == [min(3, -(-4 * ds.n // data._BLOCK_ROWS))]  # the save's workers
         assert written[0] == written[1]
 
-    def test_a_scan_of_one_job_runs_here_and_two_jobs_fork_on_two_workers(self, monkeypatch):
-        """Jobs of equal size, at most _JOB_BLOCKS blocks over all pools: 16 blocks of three classes (5, 5 and 6)
-        are one job, or two jobs of 8 blocks."""
-        ds = make_blobs(600, d=8, n_classes=3, seed=6)
-        assert _scan_blocks(ds, np.ones(ds.n, dtype=bool)) == 16
-        pools, cuts = recorded_pools(monkeypatch), _recorded_cuts(monkeypatch)
-        usable_cores(monkeypatch, {0, 1, 2})
-        got = [_neighbor_lists(ds, 5)]
-        monkeypatch.setattr(data, "_JOB_BLOCKS", 15)
-        got.append(_neighbor_lists(ds, 5))
-        assert_no_child()
-        assert (cuts, pools) == ([[16], [8, 8]], [2])
-        for lists in got:
-            assert [bits(row) for row in lists] == [bits(row) for row in ref.ref_neighbor_lists(ds, 5)]
-
-    def test_the_bench_s_scan_of_106_blocks_is_four_near_equal_jobs(self, monkeypatch):
+    def test_the_bench_s_scan_of_106_blocks_lists_each_drawn_row(self, monkeypatch):
         """expand's benchmark shape: three classes of 1000 rows, d = 8, grown by 1000 rows.  Its 106 blocks of
-        drawn anchors make ceil(106 / 32) = 4 jobs of ceil(106 / 4) = 27 blocks, the last taking the 25 left."""
+        drawn anchors are scanned in this process: each drawn row's line is the row loop's list, any other is -1."""
         rng = np.random.default_rng(2)
         labels = rng.permutation(np.repeat(np.arange(3), 1000))
         features = rng.uniform(-3.0, 3.0, (3, 8))[labels] + rng.standard_normal((3000, 8))
@@ -620,38 +585,12 @@ class TestForkedExpand:
             return tables[-1][1]
 
         monkeypatch.setattr(data, "_neighbor_table", recorded)
-        pools, cuts = recorded_pools(monkeypatch), _recorded_cuts(monkeypatch)
-        usable_cores(monkeypatch, {0, 1})
         data.synthetic_expand(ds, 4000, 5, seed=2)
-        assert_no_child()
         (drawn, table), = tables
-        assert (_scan_blocks(ds, drawn), cuts, pools) == (106, [[27, 27, 27, 25]], [2])
+        assert _scan_blocks(ds, drawn) == 106
         assert (table[~drawn] == -1).all()
         expected, rows = ref.ref_neighbor_lists(ds, 5), np.flatnonzero(drawn)
         assert [bits(table[row]) for row in rows] == [bits(expected[row]) for row in rows]
-
-    def test_scan_spans_several_blocks_and_jobs_on_three_workers(self, monkeypatch):
-        """test_neighbour_scan_spans_several_blocks again, forked, with a job per block."""
-        ds = _several_blocks()
-        monkeypatch.setattr(data, "_JOB_BLOCKS", 1)
-        pools = recorded_pools(monkeypatch)
-        usable_cores(monkeypatch, {0, 1, 2})
-        got = _neighbor_lists(ds, 6)
-        assert pools == [3]
-        assert_no_child()
-        assert len(got) == ds.n
-        for row_got, expected in zip(got, ref.ref_neighbor_lists(ds, 6)):
-            assert bits(row_got) == bits(expected)
-
-    def test_a_pool_worker_forks_the_scan(self, monkeypatch):
-        """A multiprocessing.Pool worker is daemonic; it forks a scan of several jobs as any other process does."""
-        ds = self.DATASETS[TaskKind.MULTICLASS_CLASSIFICATION]
-        usable_cores(monkeypatch, {0, 1})
-        inside, pools = in_pool_worker(_neighbor_lists, ds, 5)
-        assert pools == [2]
-        usable_cores(monkeypatch, {0})
-        assert [bits(row) for row in inside] == [bits(row) for row in _neighbor_lists(ds, 5)]
-        assert_no_child()
 
 
 class TestForkedSave:

@@ -284,6 +284,12 @@ class TestEvaluateDispatcher:
         with pytest.raises(ConfigurationError):
             evaluate(TaskKind.BINARY_CLASSIFICATION, [0, 1], [0, 1], d=1, n_train=10, class_sizes=[1, 1])
 
+    @pytest.mark.parametrize("y_prob, ndim", [([0.5, 0.6, 0.7], 1), (0.5, 0)], ids=["1-D", "scalar"])
+    def test_a_multiclass_y_prob_that_is_not_2_d_is_a_shape_error_before_any_rule(self, y_prob, ndim):
+        """A 1-D y_prob once set the label range from its length: y_true's 5 broke a rule of [0, 3)."""
+        with pytest.raises(ShapeError, match=fr"^y_prob must be 2-D \(samples x classes\), got ndim={ndim}$"):
+            evaluate(MULTICLASS, [0, 1, 5], [0, 1, 2], 3, 100, y_prob=y_prob, class_sizes=[1, 1, 1])
+
     def test_missing_class_sizes_is_a_configuration_error(self):
         with pytest.raises(ConfigurationError):
             evaluate(TaskKind.CLUSTERING, [0, 1], [0, 1], d=1, n_train=10)

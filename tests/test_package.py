@@ -59,7 +59,7 @@ def test_the_forked_stages_run_without_a_warning_under_dev_mode(tmp_path):
 import os, pathlib, selectors
 from normetric import TaskKind, data, harness, make_blobs, run_curve, schedule, synthetic_expand
 os.sched_getaffinity = lambda pid: {{0, 1}}
-data._JOB_BLOCKS, data._BLOCK_ROWS = 1, 100
+data._BLOCK_ROWS = 100
 harness._CHUNK_BYTES = 1
 pools, fork = [], os.fork  # each forked call's workers: the forks after its one selector is made
 def counted():
@@ -90,7 +90,7 @@ print(pools)
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(normetric.__file__))}
     command = [sys.executable, "-X", "dev", "-W", "error", "-c", script]
     done = subprocess.run(command, capture_output=True, text=True, env=env, timeout=120)
-    assert (done.returncode, done.stderr, done.stdout) == (0, "", "[2, 2, 2, 2, 2, 2]\n")
+    assert (done.returncode, done.stderr, done.stdout) == (0, "", "[2, 2, 2, 2, 2]\n")
 
 
 def test_work_reaches_the_workers_by_fork_and_is_never_pickled(monkeypatch):

@@ -592,6 +592,50 @@ class TestForkedExpand:
         expected, rows = ref.ref_neighbor_lists(ds, 5), np.flatnonzero(drawn)
         assert [bits(table[row]) for row in rows] == [bits(expected[row]) for row in rows]
 
+    def test_each_block_of_a_scan_is_one_call_within_the_float_bound(self, monkeypatch):
+        """Pool by pool, each run of _block_rows drawn anchors is one _pool_neighbors call, whose b x m x d
+        differences stay within _SCAN_BLOCK_FLOATS: 16 blocks of three classes (5, 5 and 6)."""
+        ds = make_blobs(600, d=8, n_classes=3, seed=6)
+        drawn = np.ones(ds.n, dtype=bool)
+        assert _scan_blocks(ds, drawn) == 16
+        calls, scan = [], data._pool_neighbors
+
+        def recorded(pooled, k, anchors):
+            calls.append((pooled.shape[0], bits(anchors)))
+            return scan(pooled, k, anchors)
+
+        monkeypatch.setattr(data, "_pool_neighbors", recorded)
+        _neighbor_table(ds.features, _pools(ds), 5, drawn)
+        expected = []
+        for pool in _pools(ds):
+            step = data._block_rows(pool.size, ds.d)
+            assert step * pool.size * ds.d <= data._SCAN_BLOCK_FLOATS
+            expected += [(pool.size, bits(np.arange(start, min(start + step, pool.size))))
+                         for start in range(0, pool.size, step)]
+        assert calls == expected
+
+    def test_a_scan_on_three_workers_spans_several_blocks_here(self, monkeypatch):
+        """test_neighbour_scan_spans_several_blocks again, on three usable cores: nothing forks."""
+        ds = _several_blocks()
+        pools = recorded_pools(monkeypatch)
+        usable_cores(monkeypatch, {0, 1, 2})
+        got = _neighbor_lists(ds, 6)
+        assert pools == []
+        assert_no_child()
+        assert len(got) == ds.n
+        for row_got, expected in zip(got, ref.ref_neighbor_lists(ds, 6)):
+            assert bits(row_got) == bits(expected)
+
+    def test_a_pool_worker_expands_in_its_own_process(self, monkeypatch):
+        """A multiprocessing.Pool worker is daemonic; its synthetic_expand forks nothing and matches this one's."""
+        ds = make_blobs(600, d=8, n_classes=3, seed=6)
+        usable_cores(monkeypatch, {0, 1})
+        inside, pools = in_pool_worker(data.synthetic_expand, ds, 1200, 5, 3)
+        assert pools == []
+        here = data.synthetic_expand(ds, 1200, 5, seed=3)
+        assert (bits(inside.features), bits(inside.target)) == (bits(here.features), bits(here.target))
+        assert_no_child()
+
 
 class TestForkedSave:
     def test_a_pool_worker_forks_the_save(self, tmp_path, monkeypatch):

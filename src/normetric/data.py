@@ -18,7 +18,8 @@ import numpy as np
 
 from ._fork import map_on_cores
 from .exceptions import DataError, DomainError
-from .factors import TaskKind
+from .factors import _FINITE, TaskKind, integer_rule
+from .metrics import _read
 
 __all__ = [
     "Dataset",
@@ -436,8 +437,11 @@ def split(ds: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Datase
     Classification and clustering datasets are stratified by class whenever
     every class has at least two members (per-class test counts allocated
     by largest remainder); otherwise the split is a plain shuffle.  The two
-    sides are disjoint, exhaustive, and deterministic given the seed.
+    sides are disjoint, exhaustive, and deterministic given the seed.  The
+    target must hold a class id per row (regression: a finite number).
     """
+    rule = integer_rule(f"class ids in [0, {ds.n})", 0, ds.n) if ds.task.has_class_targets else _FINITE
+    target = _read(ds.target_name, ds.target, rows=ds.n, rule=rule)
     if not 0.0 < test_fraction < 1.0:
         raise DomainError(f"test_fraction must be in (0, 1), got {test_fraction}")
     n_test = int(ds.n * test_fraction)
@@ -447,7 +451,7 @@ def split(ds: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Datase
     rng = np.random.default_rng(seed)
     test_indices: np.ndarray
     if ds.task.has_class_targets:
-        counts = np.bincount(ds.target.astype(int))
+        counts = np.bincount(target.astype(int))
     else:
         counts = np.array([])
     if ds.task.has_class_targets and counts.min() >= 2:

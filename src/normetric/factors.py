@@ -26,7 +26,7 @@ from .exceptions import (
     DomainError,
     ShapeError,
 )
-from .metrics import _as_equal_length, _contingency, _nmi_of_table, accuracy, mape_score
+from .metrics import _as_equal_length, _contingency, _nmi_of_table, _read, accuracy, mape_score
 
 __all__ = [
     "SAMPLES_PER_FEATURE",
@@ -94,14 +94,15 @@ _FINITE = ("finite numbers", np.isfinite)
 _PROBABILITIES = ("probabilities in [0, 1]", lambda v: (v >= 0.0) & (v <= 1.0))
 _ROW_SUMS = ("sum to 1 within 1e-6", lambda sums: np.abs(sums - 1.0) <= 1e-6)
 _CLASS_SIZES = integer_rule("integer counts >= 1", 1)
+_PROBABILITY_ROWS = "y_prob must be 2-D (samples x classes)"  # a multiclass y_prob's form
 
 
 def input_rules(task: TaskKind, n_classes: int = 2) -> dict[str, tuple]:
     """Each array argument evaluate takes for the task, mapped to its rule: (requirement, test).
 
-    The predictions file's columns hold the same rules.  An evaluate call applies each where it is read:
-    y_true and y_pred in evaluate, y_prob (rows: _ROW_SUMS) in the SNRs, class_sizes in the imbalances; a
-    multiclass call applies y_true's again in snr_multiclass, which may be called on its own.
+    The predictions file's columns hold the same rules.  The input rules are applied once per call, by the code
+    that reads the argument: y_true and y_pred in evaluate (a multiclass y_true in snr_multiclass), y_prob (rows:
+    _ROW_SUMS) in the SNRs, class_sizes in the imbalances.
     """
     if task is TaskKind.REGRESSION:
         return dict.fromkeys(["y_true", "y_pred"], _FINITE)
@@ -113,14 +114,6 @@ def input_rules(task: TaskKind, n_classes: int = 2) -> dict[str, tuple]:
     else:
         labels = integer_rule(f"integer labels in [0, {n_classes})", 0, n_classes)
     return {"y_true": labels, "y_pred": labels, "y_prob": _PROBABILITIES, "class_sizes": _CLASS_SIZES}
-
-
-def _check(name: str, values, rule: tuple) -> None:
-    """Raise a DomainError naming the argument and its first value (row, of a matrix) that breaks the rule."""
-    values = np.atleast_1d(np.asarray(values, dtype=float))
-    if not (holds := rule[1](values)).all():
-        at = int(np.argmin(holds.reshape(len(values), -1).all(axis=1)))
-        raise DomainError(f"{name} must hold {rule[0]}; {name}[{at}] is {values[at].tolist()!r}")
 
 
 def dimensionality_factor(d: int, n: int) -> float:
@@ -138,20 +131,18 @@ def dimensionality_factor(d: int, n: int) -> float:
     return 1.0 + max(0.0, centered)
 
 
-def _check_class_sizes(sizes: Sequence[int], shown) -> None:
-    """Hold class sizes to their rule; an empty class, `shown` as given on one line, is degenerate, not malformed."""
-    if np.any(np.equal(sizes, 0)):  # numpy's text of a long array breaks its lines
-        raise DegenerateDistributionError(f"every class needs at least one sample, got {shown}".replace("\n", ""))
-    _check("class_sizes", sizes, _CLASS_SIZES)
+def _class_sizes(class_sizes: Sequence[int]) -> np.ndarray:
+    """class_sizes as read and held to their rule; an empty class, shown as given on one line, is degenerate."""
+    if np.any((sizes := _read("class_sizes", class_sizes)) == 0):  # numpy's text of a long array breaks its lines
+        raise DegenerateDistributionError(f"every class needs at least one sample, got {class_sizes}".replace("\n", ""))
+    return _read("class_sizes", sizes, rule=_CLASS_SIZES)
 
 
 def class_imbalance_ratio(class_sizes: Sequence[int]) -> float:
     """Majority-class count over minority-class count for two classes."""
-    sizes = list(class_sizes)
-    if len(sizes) != 2:
-        raise DomainError(f"binary imbalance ratio needs exactly 2 class sizes, got {len(sizes)}")
-    _check_class_sizes(sizes, sizes)
-    return max(sizes) / min(sizes)
+    if (sizes := _class_sizes(class_sizes)).size != 2:
+        raise DomainError(f"binary imbalance ratio needs exactly 2 class sizes, got {sizes.size}")
+    return float(sizes.max() / sizes.min())
 
 
 def imbalance_adjustment_binary(ci: float) -> float:
@@ -163,10 +154,8 @@ def imbalance_adjustment_binary(ci: float) -> float:
 
 def average_class_imbalance_ratio(class_sizes: Sequence[int]) -> float:
     """Mean over classes of (class size / majority size); 1 iff balanced."""
-    sizes = np.asarray(list(class_sizes), dtype=float)
-    if sizes.size < 2:
+    if (sizes := _class_sizes(class_sizes)).size < 2:
         raise DomainError(f"ACIR needs at least 2 classes, got {sizes.size}")
-    _check_class_sizes(sizes, class_sizes)
     return float(np.mean(sizes / sizes.max()))
 
 
@@ -183,9 +172,9 @@ def _decibels(signal: float, noise: float) -> float:
         raise DomainError("signal and noise are both zero; SNR undefined")
     if noise == 0.0:
         return math.inf
-    if signal == 0.0:
+    if (ratio := signal / noise) == 0.0:  # zero signal, an infinite noise, or an underflow
         return -math.inf
-    return 10.0 * math.log10(signal / noise)
+    return 10.0 * math.log10(ratio)
 
 
 def snr_regression(y_true: Sequence[float], y_pred: Sequence[float]) -> float:
@@ -194,14 +183,12 @@ def snr_regression(y_true: Sequence[float], y_pred: Sequence[float]) -> float:
     10 * log10(sum(y_true^2) / sum((y_pred - y_true)^2)); +inf when the
     residual sum is zero (perfect prediction).
     """
-    yt = np.asarray(y_true, dtype=float)
-    yp = np.asarray(y_pred, dtype=float)
-    if yt.shape != yp.shape:
-        raise ShapeError(f"y_true and y_pred lengths differ: {yt.shape} vs {yp.shape}")
-    if yt.size == 0:
-        raise DomainError("cannot compute SNR of empty sequences")
-    signal = float(np.sum(yt * yt))
-    noise = float(np.sum((yp - yt) ** 2))
+    yt, yp = _as_equal_length(y_true, y_pred, float)
+    try:
+        with np.errstate(all="raise", under="ignore"):
+            signal, noise = float(np.sum(yt * yt)), float(np.sum((yp - yt) ** 2))
+    except FloatingPointError:
+        raise DomainError("regression values too large to score: a square overflows") from None
     if signal <= 0.0:
         raise DomainError("all-zero y_true leaves the signal term undefined")
     return _decibels(signal, noise)
@@ -213,29 +200,13 @@ def snr_binary(y_true: Sequence, y_pred: Sequence, y_prob: Sequence[float]) -> f
     Signal is the count of correct predictions; noise is sum((1 - p)^2) over
     every sample, where p is the predicted probability of the predicted
     class.  Returns +inf for zero noise with nonzero signal and -inf for
-    zero signal with nonzero noise.
+    zero signal with nonzero noise.  The labels are compared as given.
     """
-    yt = np.asarray(y_true)
-    yp = np.asarray(y_pred)
-    prob = np.asarray(y_prob, dtype=float)
-    if not (yt.shape == yp.shape == prob.shape):
-        raise ShapeError(
-            f"y_true, y_pred, y_prob lengths differ: {yt.shape}, {yp.shape}, {prob.shape}"
-        )
-    if yt.size == 0:
-        raise DomainError("cannot compute SNR of empty sequences")
-    _check("y_prob", prob, _PROBABILITIES)
+    yt, yp = _as_equal_length(y_true, y_pred)
+    prob = _read("y_prob", y_prob, rows=yt.size, rule=_PROBABILITIES)
     signal = float(np.sum(yt == yp))
     noise = float(np.sum((1.0 - prob) ** 2))
     return _decibels(signal, noise)
-
-
-def _probability_rows(y_prob: Sequence[Sequence[float]]) -> np.ndarray:
-    """y_prob as a float matrix (samples x classes); a ShapeError if it is not 2-D."""
-    probs = np.asarray(y_prob, dtype=float)
-    if probs.ndim != 2:
-        raise ShapeError(f"y_prob must be 2-D (samples x classes), got ndim={probs.ndim}")
-    return probs
 
 
 def snr_multiclass(y_true: Sequence[int], y_prob: Sequence[Sequence[float]]) -> float:
@@ -247,17 +218,13 @@ def snr_multiclass(y_true: Sequence[int], y_prob: Sequence[Sequence[float]]) -> 
     the total squared distance between each probability vector and the
     one-hot vector of its true class.  Returns +inf when noise is zero.
     """
-    yt, probs = np.asarray(y_true, dtype=float), _probability_rows(y_prob)
-    if yt.shape[0] != probs.shape[0]:
-        raise ShapeError(f"y_true has {yt.shape[0]} samples but y_prob has {probs.shape[0]}")
+    probs = _read("y_prob", y_prob, 2, rule=_PROBABILITIES, form=_PROBABILITY_ROWS)  # its columns: y_true's range
+    labels = input_rules(TaskKind.MULTICLASS_CLASSIFICATION, n_classes := probs.shape[1])["y_true"]
+    yt = _read("y_true", y_true, rows=len(probs), rule=labels).astype(int)  # held to it before the cast
     if yt.size == 0:
         raise DomainError("cannot compute SNR of empty sequences")
-    n_classes = probs.shape[1]
-    _check("y_prob", probs, _PROBABILITIES)
     if not _ROW_SUMS[1](probs.sum(axis=1)).all():
         raise DomainError(f"every probability vector must {_ROW_SUMS[0]}")
-    _check("y_true", yt, input_rules(TaskKind.MULTICLASS_CLASSIFICATION, n_classes)["y_true"])
-    yt = yt.astype(int)
 
     predictions = np.argmax(probs, axis=1)
     diagonal_counts = np.bincount(yt[predictions == yt], minlength=n_classes)
@@ -345,16 +312,19 @@ def evaluate(
     `run_curve` counts the whole training pool (clustering: the fitted
     model's training assignments); the `evaluate` command counts the
     predictions file's y_true (clustering: y_pred).
+
+    Each array argument is read once and held to its input_rules rule: a ragged
+    one, or one of the wrong dimension, raises ShapeError; a bad value, DomainError.
     """
-    y_true, y_pred = _as_equal_length(y_true, y_pred)
     if class_sizes is None and task.has_class_targets:
         raise ConfigurationError(f"{task.value} evaluation needs class sizes for the imbalance ratio")
     if y_prob is None and task in (TaskKind.BINARY_CLASSIFICATION, TaskKind.MULTICLASS_CLASSIFICATION):
         raise ConfigurationError(f"{task.value} evaluation needs per-sample predicted probabilities")
-    n_classes = _probability_rows(y_prob).shape[1] if task is TaskKind.MULTICLASS_CLASSIFICATION else 2
-    rules = input_rules(task, n_classes)  # y_prob's and class_sizes' are applied by the code that reads them
-    _check("y_true", y_true, rules["y_true"])
-    _check("y_pred", y_pred, rules["y_pred"])
+    if multiclass := task is TaskKind.MULTICLASS_CLASSIFICATION:  # its column count sets the labels' range
+        y_prob = _read("y_prob", y_prob, 2, form=_PROBABILITY_ROWS)
+    rules = input_rules(task, y_prob.shape[1] if multiclass else 2)  # each applied where its argument is read
+    y_true, y_pred = _as_equal_length(_read("y_true", y_true, rule=None if multiclass else rules["y_true"]),
+                                      _read("y_pred", y_pred, rule=rules["y_pred"]))
 
     f = dimensionality_factor(d, n_train)
 
@@ -366,19 +336,14 @@ def evaluate(
     elif task is TaskKind.MULTICLASS_CLASSIFICATION:
         base = accuracy(y_true, y_pred)
         snr_db = snr_multiclass(y_true, y_prob)
-        if np.size(class_sizes) != n_classes:
-            raise ShapeError(f"class_sizes has {np.size(class_sizes)} sizes but y_prob has {n_classes} columns")
-        ratio = average_class_imbalance_ratio(class_sizes)
+        ratio = average_class_imbalance_ratio(class_sizes)  # which reads them as 1-D, so len() holds
+        if len(class_sizes) != y_prob.shape[1]:
+            raise ShapeError(f"class_sizes has {len(class_sizes)} sizes but y_prob has {y_prob.shape[1]} columns")
         h = imbalance_adjustment_multiclass(ratio)
     elif task is TaskKind.REGRESSION:
-        try:
-            with np.errstate(all="raise", under="ignore"):
-                base = mape_score(y_true, y_pred)
-                snr_db = snr_regression(y_true, y_pred)
-        except FloatingPointError:
-            raise DomainError("regression values too large to score: an error or a square overflows") from None
-        ratio = 1.0
-        h = 1.0
+        base = mape_score(y_true, y_pred)
+        snr_db = snr_regression(y_true, y_pred)
+        ratio = h = 1.0
     else:  # TaskKind.CLUSTERING
         # class and cluster ids are names, numbered 0.. in sorted order
         table = _contingency(y_true.astype(int), y_pred.astype(int))

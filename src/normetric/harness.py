@@ -11,7 +11,8 @@ from ._fork import map_on_cores
 from .data import Dataset, SampleSchedule, read_columns, split
 from .exceptions import ConfigurationError, DataError, DegenerateDistributionError, DomainError
 from .factors import _PROBABILITIES, SAMPLES_PER_FEATURE, MetricBreakdown, TaskKind, evaluate, integer_rule
-from .learners import _fit_logistic_stack, fit_kmeans, fit_linear
+from .learners import _MATRIX, _fit_logistic_stack, fit_kmeans, fit_linear
+from .metrics import _read
 
 __all__ = [
     "CurvePoint",
@@ -133,9 +134,13 @@ def run_curve(
     order.  Either way the points are the same bits, and a failure, to
     standardize, fit, predict or score, raises the error of the first
     failing size in schedule order once the sizes before it are scored; a
-    worker that dies raises WorkerError.
+    worker that dies raises WorkerError.  A non-finite feature is refused first.
     """
     config = config if config is not None else LearnerConfig()
+    if not np.isfinite(features := _read("features", ds.features, 2, cols=len(ds.feature_names), form=_MATRIX)).all():
+        column, row = divmod(int(np.argmin(np.isfinite(features).T)), len(features))  # its first non-finite column
+        raise DomainError(f"feature column {ds.feature_names[column]!r} must hold finite numbers; "
+                          f"row {row} is {float(features[row, column])!r}")
     if not 0 < (d := d if d is not None else ds.d) < np.inf:  # in factors' words, before any chunk is fitted
         raise DomainError(f"d must be finite and positive, got d={d}")
     train, test = split(ds, config.test_fraction, seed)
@@ -245,9 +250,10 @@ def smooth(values: Sequence[float], window: int) -> np.ndarray:
     """
     if window < 1 or window % 2 == 0:
         raise DomainError(f"smoothing window must be odd and >= 1, got {window}")
-    values = np.asarray(values, dtype=float)
+    values = _read("values", values)
     half = window // 2
-    return np.array([np.mean(values[max(0, i - half):i + half + 1]) for i in range(values.size)])
+    with np.errstate(over="ignore", invalid="ignore"):  # NaN, ±inf or an overflowing sum average to NaN or ±inf
+        return np.array([np.mean(values[max(0, i - half):i + half + 1]) for i in range(values.size)])
 
 
 def stability_report(

@@ -13,8 +13,9 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from .exceptions import DegenerateDistributionError, DivergenceError, DomainError, ShapeError
-from .factors import _FINITE, _check
+from .exceptions import DegenerateDistributionError, DivergenceError, DomainError
+from .factors import _FINITE, integer_rule
+from .metrics import _read
 
 __all__ = [
     "LinearModel",
@@ -27,6 +28,7 @@ __all__ = [
 
 RIDGE_FALLBACK = 1e-8
 KMEANS_MAX_ITERS = 100
+_MATRIX = "feature matrix must be 2-D"  # how an X of another dimension is refused
 
 
 @dataclass(frozen=True)
@@ -40,7 +42,7 @@ class LinearModel:
         """Predictions; ones that overflow raise DomainError."""
         try:
             with np.errstate(all="raise", under="ignore"):
-                return np.asarray(X, dtype=float) @ self.weights + self.intercept
+                return _read("X", X, 2, cols=self.weights.size, form=_MATRIX) @ self.weights + self.intercept
         except FloatingPointError:
             raise DomainError("predictions too large: a product of weights and features overflows") from None
 
@@ -59,8 +61,8 @@ class LogisticModel:
     n_classes: int
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        """Class probabilities; logits that overflow raise DomainError."""
-        X = np.asarray(X, dtype=float)
+        """Class probabilities of a finite X; logits that overflow raise DomainError."""
+        X = _read("X", X, 2, cols=self.weights.shape[1], rule=_FINITE, form=_MATRIX)
         binary = self.n_classes == 2
         try:
             with np.errstate(all="raise", under="ignore"):
@@ -85,19 +87,14 @@ class KMeansModel:
     assignments: np.ndarray  # cluster index per training sample
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        return _nearest_centroid(np.asarray(X, dtype=float), self.centroids)
+        return _nearest_centroid(_read("X", X, 2, cols=self.centroids.shape[1], form=_MATRIX), self.centroids)
 
 
-def _fit_inputs(X, y=None, y_dtype=float) -> tuple:
-    """X as a non-empty 2-D C-contiguous float matrix of finite numbers, and y, if given, as one value per row."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2:
-        raise ShapeError(f"feature matrix must be 2-D, got ndim={X.ndim}")
-    if X.shape[0] == 0:
+def _fit_inputs(X, y=None, rule=None) -> tuple:
+    """X as a non-empty C-contiguous matrix of finite floats, and y, given a rule, as one float per row held to it."""
+    if (X := _read("X", X, 2, rule=_FINITE, form=_MATRIX)).shape[0] == 0:
         raise DomainError("cannot fit on an empty dataset")
-    if y is not None and (y := np.asarray(y, dtype=y_dtype)).shape != (X.shape[0],):
-        raise ShapeError(f"y must have one value per row, got {y.shape} for {X.shape[0]} rows")
-    _check("X", X, _FINITE)
+    y = None if rule is None else _read("y", y, rows=len(X), rule=rule)
     return np.ascontiguousarray(X), y  # a strided or F-ordered X is copied once, so a fit gets its C copy's bits
 
 
@@ -109,7 +106,7 @@ def fit_linear(X: np.ndarray, y: np.ndarray) -> LinearModel:
     which keeps coefficients finite while leaving predictions on clean data
     effectively unchanged.  Sums or coefficients that overflow raise DomainError.
     """
-    X, y = _fit_inputs(X, y)
+    X, y = _fit_inputs(X, y, _FINITE)
 
     augmented = np.column_stack([X, np.ones(X.shape[0])])
     try:
@@ -232,15 +229,13 @@ def _fit_logistic_stack(sets: Iterable, n_classes: int, epochs: int,
         raise DomainError(f"learning rate must be finite and positive, got {learning_rate!r}")
     if n_classes < 2:
         raise DomainError(f"need at least 2 classes, got {n_classes}")
-    stack, failure = [], None
+    stack, failure, labels = [], None, integer_rule(f"integer labels in [0, {n_classes})", 0, n_classes)
     try:
         for X, y, seed in sets:
-            X, y = _fit_inputs(X, y, int)
-            if y.min() < 0 or y.max() >= n_classes:
-                raise DomainError(f"labels must lie in [0, {n_classes})")
+            X, y = _fit_inputs(X, y, labels)
             if np.unique(y).size < 2:
                 raise DegenerateDistributionError("training labels contain a single class")
-            stack.append((X, y, seed))
+            stack.append((X, y.astype(int), seed))
     except Exception as exc:  # raised once the sets before it are yielded
         failure = exc
     try:

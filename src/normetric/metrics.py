@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -11,11 +11,36 @@ from .exceptions import DomainError, ShapeError
 __all__ = ["accuracy", "mape_score", "nmi"]
 
 
-def _as_equal_length(y_true: Sequence, y_pred: Sequence) -> tuple[np.ndarray, np.ndarray]:
-    yt = np.asarray(y_true)
-    yp = np.asarray(y_pred)
-    if yt.shape != yp.shape or yt.ndim != 1:
-        raise ShapeError(f"sequences must be 1-D and equal length, got {yt.shape} vs {yp.shape}")
+def _read(name: str, values, ndim: int = 1, *, rows: Optional[int] = None, cols: Optional[int] = None,
+          rule: Optional[tuple] = None, dtype=float, form: Optional[str] = None) -> np.ndarray:
+    """The array argument `name`, read once, as an ndim-D array of floats (dtype None: numpy's dtype, for labels).
+
+    ShapeError if it is ragged, of another dimension (worded by form), or not `rows` long or `cols` wide; DomainError
+    naming it if float() cannot read a value, or at the first value (row, of a matrix) that breaks rule.
+    """
+    form = form or f"{name} must be {ndim}-D"
+    try:
+        array = np.asarray(values, dtype=dtype)
+        array = array.astype(float) if array.dtype.kind == "O" else array  # labels numpy reads only as objects
+    except (TypeError, ValueError, OverflowError) as error:
+        if str(error).startswith("setting an array element with a sequence"):  # numpy's words for ragged
+            raise ShapeError(f"{form}, got a ragged sequence") from None
+        raise DomainError(f"{name} must hold numbers; {error}") from None
+    if array.ndim != ndim:
+        raise ShapeError(f"{form}, got ndim={array.ndim}")
+    if rows is not None and len(array) != rows:
+        raise ShapeError(f"{name} must have one value per row, got {array.shape} for {rows} rows")
+    if cols is not None and array.shape[1] != cols:
+        raise ShapeError(f"{name} must have {cols} columns, got {array.shape[1]}")
+    if rule is not None and not (holds := rule[1](array)).all():
+        at = int(np.argmin(holds.reshape(len(array), -1).all(axis=1)))
+        raise DomainError(f"{name} must hold {rule[0]}; {name}[{at}] is {array[at].tolist()!r}")
+    return array
+
+
+def _as_equal_length(y_true, y_pred, dtype=None, names=("y_true", "y_pred")) -> tuple[np.ndarray, np.ndarray]:
+    yt = _read(names[0], y_true, dtype=dtype)
+    yp = _read(names[1], y_pred, rows=yt.size, dtype=dtype)
     if yt.size == 0:
         raise DomainError("metric undefined on empty sequences")
     return yt, yp
@@ -33,13 +58,14 @@ def mape_score(y_true: Sequence[float], y_pred: Sequence[float]) -> float:
     MAPE is mean(|y_pred - y_true| / |y_true|); it can exceed 1 on bad
     predictions, hence the floor.  Zero true values are rejected.
     """
-    yt, yp = _as_equal_length(y_true, y_pred)
-    yt = yt.astype(float)
-    yp = yp.astype(float)
+    yt, yp = _as_equal_length(y_true, y_pred, float)
     if np.any(yt == 0.0):
         raise DomainError("MAPE is undefined when y_true contains zeros")
-    mape = float(np.mean(np.abs(yp - yt) / np.abs(yt)))
-    return max(0.0, 1.0 - mape)
+    try:
+        with np.errstate(all="raise", under="ignore"):
+            return max(0.0, 1.0 - float(np.mean(np.abs(yp - yt) / np.abs(yt))))
+    except FloatingPointError:
+        raise DomainError("regression values too large to score: an error overflows") from None
 
 
 def _entropy(counts: np.ndarray, n: int) -> float:
@@ -89,4 +115,4 @@ def nmi(labels_a: Sequence[int], labels_b: Sequence[int]) -> float:
     single-cluster partitions align perfectly (1.0); a single-cluster
     partition against a split one carries no information (0.0).
     """
-    return _nmi_of_table(*_contingency(*_as_equal_length(labels_a, labels_b)))
+    return _nmi_of_table(*_contingency(*_as_equal_length(labels_a, labels_b, names=("labels_a", "labels_b"))))

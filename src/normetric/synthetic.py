@@ -9,6 +9,7 @@ import numpy as np
 from .data import Dataset
 from .exceptions import DomainError
 from .factors import TaskKind
+from .metrics import _read
 
 __all__ = ["make_binary_classification", "make_blobs", "make_regression"]
 
@@ -86,10 +87,11 @@ def make_blobs(
     if weights is None:
         probs = np.full(n_classes, 1.0 / n_classes)
     else:
-        probs = np.asarray(weights, dtype=float)
-        if probs.size != n_classes or probs.min() <= 0:
-            raise DomainError(f"weights must be {n_classes} positive values, got {weights}")
-        probs = probs / probs.sum()
+        with np.errstate(over="ignore"):  # a sum past the float range is no finite total
+            total = (probs := _read("weights", weights)).sum()
+        if probs.size != n_classes or not (probs > 0).all() or total == np.inf:
+            raise DomainError(f"weights must be {n_classes} positive values with a finite sum, got {weights}")
+        probs = probs / total
     centers = rng.uniform(-4.0, 4.0, size=(n_classes, d))
     y = rng.choice(n_classes, size=n, p=probs)
     X = centers[y] + spread * rng.standard_normal((n, d))

@@ -19,6 +19,7 @@ from normetric import (
     dimensionality_factor,
     evaluate,
     factors,
+    metrics,
     snr_multiclass,
 )
 from normetric.cli import main
@@ -55,17 +56,17 @@ def test_input_rules_name_exactly_the_arrays_evaluate_takes(task):
 @pytest.mark.parametrize("task", list(TaskKind), ids=lambda task: task.value)
 def test_each_rule_is_applied_once_per_evaluate_call(task, monkeypatch):
     applied = Counter()
-    check = factors._check
+    read = metrics._read
 
-    def counting(name, values, rule):
-        applied[name] += 1
-        check(name, values, rule)
+    def counting(name, *args, rule=None, **kwargs):
+        if rule is not None:
+            applied[name] += 1
+        return read(name, *args, rule=rule, **kwargs)
 
-    monkeypatch.setattr(factors, "_check", counting)
+    for module in (metrics, factors):  # every module evaluate's path reads an argument in
+        monkeypatch.setattr(module, "_read", counting)
     evaluate(task, d=2, n_train=30, **VALID[task])
-    once = dict.fromkeys(factors.input_rules(task, 3 if task is MULTICLASS else 2), 1)
-    # snr_multiclass, callable on its own, holds the labels it indexes with to their rule as well
-    assert applied == (once | {"y_true": 2} if task is MULTICLASS else once)
+    assert applied == dict.fromkeys(factors.input_rules(task, 3 if task is MULTICLASS else 2), 1)
 
 
 @pytest.mark.parametrize("task, class_sizes, error, message", [

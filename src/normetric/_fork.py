@@ -1,4 +1,4 @@
-"""One policy for running a stage's independent jobs on every usable core, in forked worker processes."""
+"""One size for a stage's blocks of work, and one policy for running them on every usable core, in forked workers."""
 
 from __future__ import annotations
 
@@ -7,6 +7,15 @@ import os
 from typing import Any, Callable, Iterator, Sequence
 
 from .exceptions import WorkerError
+
+# float64 values per block of work (512 KiB): a CSV block read or written, a curve chunk's training features, a
+# block of the neighbour scan's differences.  Curve chunks of 52k-85k values, and CSV reads, timed alike around it
+_BLOCK_VALUES = 2**16
+
+
+def block_rows(width: int) -> int:
+    """The rows in one block of rows `width` values wide: as many as _BLOCK_VALUES holds, at least one."""
+    return max(1, _BLOCK_VALUES // max(1, width))
 
 
 def map_on_cores(work: Callable, jobs: Sequence, lost: Callable[[Any], str]) -> Iterator:

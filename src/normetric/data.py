@@ -16,7 +16,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from ._fork import map_on_cores
+from ._fork import block_rows, map_on_cores
 from .exceptions import DataError, DomainError
 from .factors import _FINITE, TaskKind, integer_rule
 from .metrics import _read
@@ -81,28 +81,27 @@ def schedule(start: int, stop: int, step: int) -> SampleSchedule:
     return SampleSchedule(sizes=tuple(range(start, stop + 1, step)))
 
 
-# data rows per block of a CSV file read or written: a block's cells are parsed before the next is split
-_BLOCK_ROWS = 4096
 _SCAN_BYTES = 2**20  # bytes per read of read_blocks's scan for the newlines that end its blocks
 
 
 def read_blocks(path: str) -> tuple[list[str], Callable[[Callable], Iterator]]:
     """The header of a UTF-8 CSV file, and blocks(work), which yields work(block) for each block of data rows.
 
-    A block (columns, others) holds at most _BLOCK_ROWS rows, as csv.reader
-    reads them: columns[j] lists cell j of each row as wide as the header, in
-    order; others lists (position in the block from 0, cells) for every other
-    row, blank lines as [].  A block ends at every _BLOCK_ROWS-th newline, which
-    numpy finds a _SCAN_BYTES read at a time.  The same scan finds the first
-    '"', '\\r' or NUL and the first line over csv.field_size_limit() bytes:
-    the blocks before the one that holds either are split at '\\n' and ','
-    (_read_block), and csv.reader reads the rest in this process.  Two plain
-    blocks or more are split on every usable core by forked workers
-    (map_on_cores), each reading its own blocks and running work on them, so
-    only what work returns comes back; the blocks are yielded in order, and
-    an error is raised as a read in one process raises it.  A worker that
-    dies raises WorkerError naming the first data row not read.  Each call
-    of blocks reads the file again.
+    A block (columns, others) holds at most block_rows(width) rows, the width
+    the header line's commas + 1, as csv.reader reads them: columns[j] lists
+    cell j of each row as wide as the header, in order; others lists (position
+    in the block from 0, cells) for every other row, blank lines as [].  A
+    block ends at every block_rows(width)-th newline, which numpy finds a
+    _SCAN_BYTES read at a time.  The same scan finds the first '"', '\\r' or
+    NUL and the first line over csv.field_size_limit() bytes: the blocks
+    before the one that holds either are split at '\\n' and ',' (_read_block),
+    and csv.reader reads the rest in this process.  Two plain blocks or more
+    are split on every usable core by forked workers (map_on_cores), each
+    reading its own blocks and running work on them, so only what work
+    returns comes back; the blocks are yielded in order, and an error is
+    raised as a read in one process raises it.  A worker that dies raises
+    WorkerError naming the first data row not read.  Each call of blocks
+    reads the file again.
     """
     if not os.path.isfile(path):
         raise DataError(f"no such file: {path}")
@@ -110,9 +109,11 @@ def read_blocks(path: str) -> tuple[list[str], Callable[[Callable], Iterator]]:
         raise DataError(f"{path} is empty (no header row)")
     ends, seen, last, found = [], 0, -1, []  # the header's and each block's end; the newlines so far, and the last
     with open(path, "rb") as fh:
+        step = block_rows(fh.readline(csv.field_size_limit()).count(b",") + 1)  # by the header line's width
+        fh.seek(0)
         while chunk := fh.read(_SCAN_BYTES):
             newlines = np.flatnonzero(np.frombuffer(chunk, np.uint8) == 10) + (fh.tell() - len(chunk))
-            ends += (newlines[-seen % _BLOCK_ROWS::_BLOCK_ROWS] + 1).tolist()  # newline number 0 ends the header
+            ends += (newlines[-seen % step::step] + 1).tolist()  # newline number 0 ends the header
             seen += newlines.size
             if not found:  # the first bytes csv.reader must read: '"', '\r', NUL, a line over the field limit
                 found = [at + fh.tell() - len(chunk) for at in map(chunk.find, b'"\r\0') if at >= 0]
@@ -130,14 +131,14 @@ def read_blocks(path: str) -> tuple[list[str], Callable[[Callable], Iterator]]:
     width = len(header)
 
     def lost(job: tuple[int, int]) -> str:
-        return f"data row {(ranges.index(job) - 1) * _BLOCK_ROWS + 1} of {path} was read"
+        return f"data row {(ranges.index(job) - 1) * step + 1} of {path} was read"
 
     def blocks(work: Callable) -> Iterator:
         yield from map_on_cores(functools.partial(_read_block, path, width, work), ranges[1:rest], lost)
         if rest == len(ranges):
             return
         rows = itertools.islice(_reader_rows(path, ranges[rest:]), int(not rest), None)  # past the header
-        while block := list(itertools.islice(rows, _BLOCK_ROWS)):
+        while block := list(itertools.islice(rows, step)):
             full = [row for row in block if row and len(row) == width]
             others = [(at, row) for at, row in enumerate(block) if not row or len(row) != width]
             yield work((list(zip(*full)) if full else [()] * width, others))
@@ -393,10 +394,10 @@ def load_csv(path: str, target_column: str, task: TaskKind) -> Dataset:
     )
 
 
-def _text_rows(features: np.ndarray, labels: list, start: int) -> str:
-    """The text save_csv writes for the block of data rows from start."""
-    rows = features[start:start + _BLOCK_ROWS].tolist()
-    for at, label in enumerate(labels[start:start + _BLOCK_ROWS]):
+def _text_rows(features: np.ndarray, labels: list, step: int, start: int) -> str:
+    """The text save_csv writes for the block of step data rows from start."""
+    rows = features[start:start + step].tolist()
+    for at, label in enumerate(labels[start:start + step]):
         rows[at].append(label)
         rows[at] = ",".join(map(repr, rows[at])) + "\n"  # a row's floats are freed as its text is made
     return "".join(rows)
@@ -408,15 +409,16 @@ def save_csv(ds: Dataset, path: str) -> None:
     Features and regression targets are written as Python's repr of the
     float, the shortest text that reads back to the same bits; class
     targets as integers (a NaN class target raises ValueError before the
-    file is opened).  Rows are turned into text a block of _BLOCK_ROWS rows
-    at a time, a file of two blocks or more on every usable core by forked
-    workers (map_on_cores), each block written here in order as it comes
-    back; the bytes are the same either way.  A worker that dies raises
+    file is opened).  Rows are turned into text a block of block_rows(d + 1)
+    rows at a time, a file of two blocks or more on every usable core by
+    forked workers (map_on_cores), each block written here in order as it
+    comes back; the bytes are the same either way.  A worker that dies raises
     WorkerError naming the first data row not written.  An error once the
     file is open removes it, if it is a regular file (not /dev/null, say).
     """
     labels = list(map(int if ds.task.has_class_targets else float, ds.target.tolist()))
-    blocks = map_on_cores(functools.partial(_text_rows, ds.features, labels), range(0, ds.n, _BLOCK_ROWS),
+    step = block_rows(ds.d + 1)
+    blocks = map_on_cores(functools.partial(_text_rows, ds.features, labels, step), range(0, ds.n, step),
                           lambda start: f"data row {start + 1} of {path} was written")
     fh = open(path, "w", newline="", encoding="utf-8")
     regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
@@ -473,14 +475,6 @@ def split(ds: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Datase
     return ds.take(np.flatnonzero(~mask)), ds.take(np.flatnonzero(mask))
 
 
-# float temporaries per block of the neighbour scan (512 KB each, whatever the pool size)
-_SCAN_BLOCK_FLOATS = 2**16
-
-
-def _block_rows(m: int, d: int) -> int:  # anchor rows per block of a scan over m rows of d features
-    return max(1, _SCAN_BLOCK_FLOATS // max(1, m * d))
-
-
 def _pool_neighbors(features: np.ndarray, k: int, anchors: np.ndarray) -> np.ndarray:
     """The neighbour table of the rows of a pool's features at positions anchors.
 
@@ -512,13 +506,13 @@ def _neighbor_table(features: np.ndarray, pools: list, k: int, drawn: np.ndarray
     """Line r lists the k nearest rows to row r in its pool, then -1 up to k columns; a row not drawn is all -1.
 
     One pool at a time, its features are gathered and its drawn rows scanned in this process, in blocks of
-    _block_rows anchors.  The gathered pool is at most n x d floats (0.19 MB at n = 3000, d = 8, one pool), the table
-    n x k (0.12 MB at k = 5).
+    block_rows(m * d) anchors for a pool of m rows.  The gathered pool is at most n x d floats (0.19 MB at n = 3000,
+    d = 8, one pool), the table n x k (0.12 MB at k = 5).
     """
     table = np.full((features.shape[0], k), -1, dtype=np.intp)
     for pool in pools:
         pooled, positions = features[pool], np.flatnonzero(drawn[pool])
-        step = _block_rows(pool.size, features.shape[1])
+        step = block_rows(pool.size * features.shape[1])
         for start in range(0, positions.size, step):
             anchors = positions[start:start + step]
             nearest = _pool_neighbors(pooled, k, anchors)
@@ -539,10 +533,10 @@ def synthetic_expand(ds: Dataset, target_n: int, k_neighbors: int, seed: int) ->
     Neighbours are ranked by distance, ties going to the lower row index.
     The anchors, picks and lambdas are drawn first, and only the drawn
     anchors are scanned in this process, each exactly against its whole
-    class of m rows, in blocks of 2**16 // (m * d) anchors: each float
-    temporary is at most 512 KB.  It also holds a gathered copy of one class
-    at a time and an n x k table.  A drawn anchor's distance that overflows
-    raises DomainError.
+    class of m rows, in blocks of 2**16 // (m * d) anchors or one: each float
+    temporary holds at most 2**16 values (512 KiB) if m * d does.  It also
+    holds a gathered copy of one class at a time and an n x k table.  A drawn
+    anchor's distance that overflows raises DomainError.
     """
     if target_n <= ds.n:
         raise DomainError(f"target_n must exceed the current {ds.n} rows, got {target_n}")

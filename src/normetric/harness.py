@@ -7,7 +7,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._fork import map_on_cores
+from ._fork import block_rows, map_on_cores
 from .data import Dataset, SampleSchedule, read_columns, split
 from .exceptions import ConfigurationError, DataError, DegenerateDistributionError, DomainError
 from .factors import _PROBABILITIES, SAMPLES_PER_FEATURE, MetricBreakdown, TaskKind, evaluate, integer_rule
@@ -77,12 +77,6 @@ class LearnerConfig:
     n_clusters: Optional[int] = None
 
 
-# the training features of one curve job, a chunk of consecutive sizes (one size may exceed it).  Timed on a
-# 1400 x 13 binary curve, sizes 80..1000 by 20, on 2 cores: chunks of 4000-6500 rows (0.4-0.7 MB) ran alike,
-# 2000- and 9000-row chunks slower, and the whole curve as one stack of 2.6 MB took twice as long
-_CHUNK_BYTES = 2**19
-
-
 def derive_seed(master_seed: int, *tags: int) -> int:
     """Collapse (master seed, tags...) into an independent child seed."""
     return int(np.random.SeedSequence((master_seed, *tags)).generate_state(1)[0])
@@ -126,8 +120,9 @@ def run_curve(
     Deterministic given the seed.
 
     The schedule is cut into chunks of consecutive sizes whose training
-    features stay under _CHUNK_BYTES; a classifier's chunk descends as one
-    stack (learners._fit_logistic_stack), other tasks fit each size in turn.
+    rows sum to at most block_rows(width of the features), though one size
+    may exceed it alone; a classifier's chunk descends as one stack
+    (learners._fit_logistic_stack), other tasks fit each size in turn.
     A regression curve is one chunk: its line fits take a few milliseconds,
     less than forking costs.  Two chunks or more are fitted in forked worker
     processes (map_on_cores), one per usable core up to one per chunk, in
@@ -231,9 +226,9 @@ def run_curve(
             points.append(CurvePoint(size, scored(model, (test.features - mean) / std, size)))
         return points
 
-    chunks, limit = [[]], np.inf if task is TaskKind.REGRESSION else _CHUNK_BYTES  # a regression curve is one chunk
-    for size in sched.sizes:  # a size joins the chunk before it while their features fit in the limit
-        if chunks[-1] and (sum(chunks[-1]) + size) * pool.features[:1].nbytes > limit:
+    chunks, limit = [[]], np.inf if task is TaskKind.REGRESSION else block_rows(pool.d)  # regression: one chunk
+    for size in sched.sizes:  # a size joins the chunk before it while their rows fit in the limit
+        if chunks[-1] and sum(chunks[-1]) + size > limit:
             chunks.append([])
         chunks[-1].append(size)
     # each fit is seeded by its size alone, and a stack gives each set its own bits, so forked workers give

@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from normetric import (DataError, TaskKind, data, load_csv, make_binary_classification, make_blobs, make_regression,
-                       save_csv)
+from normetric import (DataError, TaskKind, _fork, data, load_csv, make_binary_classification, make_blobs,
+                       make_regression, save_csv)
 from normetric.cli import main
 from test_data_oracles import FAILING, PARSING, csv_texts, plain_csv_texts
 from workers import assert_no_child, usable_cores
@@ -838,13 +838,13 @@ class TestExpand:
         """A file cut short at a row boundary would read back as a valid, smaller dataset."""
         parent, text_rows = os.getpid(), data._text_rows
 
-        def killed(features, labels, start):
+        def killed(features, labels, step, start):
             if os.getpid() != parent and start == 0:  # the first block, so no row can have been written
                 os.kill(os.getpid(), signal.SIGKILL)
-            return text_rows(features, labels, start)
+            return text_rows(features, labels, step, start)
 
         monkeypatch.setattr(data, "_text_rows", killed)
-        monkeypatch.setattr(data, "_BLOCK_ROWS", 100)
+        monkeypatch.setattr(_fork, "_BLOCK_VALUES", 100 * 3)  # blocks of 100 rows of two features and a label
         usable_cores(monkeypatch, {0, 1})
         out = tmp_path / "big.csv"
         previous = signal.signal(signal.SIGALRM, _raise_timeout)
@@ -870,13 +870,13 @@ class TestExpand:
         """The disk filling up after the first block is written: the rows before would read back as a dataset."""
         text_rows = data._text_rows
 
-        def failed(features, labels, start):
+        def failed(features, labels, step, start):
             if start:
                 raise OSError(errno.ENOSPC, "No space left on device")
-            return text_rows(features, labels, start)
+            return text_rows(features, labels, step, start)
 
         monkeypatch.setattr(data, "_text_rows", failed)
-        monkeypatch.setattr(data, "_BLOCK_ROWS", 100)
+        monkeypatch.setattr(_fork, "_BLOCK_VALUES", 100 * 3)
         usable_cores(monkeypatch, range(cores))
         out = tmp_path / "big.csv"
         code = main([
@@ -900,7 +900,7 @@ def test_a_killed_reader_worker_exits_4(blobs_csv, binary_preds, capsys, monkeyp
         return read_block(path, width, work, job)
 
     monkeypatch.setattr(data, "_read_block", killed)
-    monkeypatch.setattr(data, "_BLOCK_ROWS", 100)
+    monkeypatch.setattr(_fork, "_BLOCK_VALUES", 100 * 3)  # blocks of 100 rows of either file's three columns
     usable_cores(monkeypatch, {0, 1})
     path = blobs_csv if command == "curve" else binary_preds
     argv = (["curve", "--task", "binary", "--data", path, "--target-column", "label", "--start", "40", "--stop", "80",

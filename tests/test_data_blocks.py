@@ -1,11 +1,13 @@
 """CSV files of several blocks of rows, read and written a block at a time.
 
-read_blocks hands load_csv and read_columns at most 4096 data rows at a
-time, and save_csv writes that many rows at a time.  Here the cases a block
-boundary could break are placed at and around data rows 4096 and 8192:
-rows of the wrong width, blank lines, a first bad cell, a categorical
-column whose first block parses whole, quoted cells that hand the rest of
-a file to csv.reader, and bytes that are not UTF-8.  load_csv is held to
+read_blocks hands load_csv and read_columns a block of data rows at a time,
+as many rows as _fork.block_rows gives for the header line's width.  Here,
+in blocks of 4 * 4096 values (on_cores), a block of the four-column dataset
+file holds 4096 rows and one of the three-column predictions file 5461, and
+the cases a block boundary could break are placed at and around the ends of
+the first two blocks: rows of the wrong width, blank lines, a first bad
+cell, a categorical column whose first block parses whole, quoted cells
+that hand the rest of a file to csv.reader, and bytes that are not UTF-8.  load_csv is held to
 tests/reference.py's ref_load_csv and read_columns to ref_read_columns,
 row loops over the whole file.  Each read runs on one usable core and on
 three, where forked workers split and parse the blocks whatever the file's
@@ -25,16 +27,23 @@ from hypothesis import given, settings, strategies as st
 import reference as ref
 from workers import assert_no_child
 from normetric import DataError, TaskKind, load_csv, save_csv
-from normetric import data
+from normetric import _fork, data
 from normetric.cli import main
 from normetric.data import read_columns
 from normetric.factors import input_rules
 
-BLOCK = data._BLOCK_ROWS
-N_ROWS = 2 * BLOCK + 50  # two full blocks and part of a third
-# data lines, from 0, where a block ends or starts: the first block holds data lines 0..4095,
-# the next 4096..8191
-AROUND = [BLOCK - 2, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK - 2, 2 * BLOCK - 1, 2 * BLOCK]
+VALUES = 4 * 4096  # _fork._BLOCK_VALUES while on_cores reads here
+BLOCK, PREDICTION_BLOCK = VALUES // 4, VALUES // 3  # data rows per block of dataset_lines and predictions_lines
+
+
+def around(block):
+    """Data lines, from 0, where a block ends or starts: the first block holds data lines 0..block - 1, the next
+    block..2 * block - 1."""
+    return [block - 2, block - 1, block, block + 1, 2 * block - 2, 2 * block - 1, 2 * block]
+
+
+def n_rows(block):
+    return 2 * block + 50  # two full blocks and part of a third
 
 
 def bits(array):
@@ -43,18 +52,18 @@ def bits(array):
 
 def dataset_lines(seed=0):
     """Header and data lines: two numeric columns, a categorical one and a class label y."""
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((N_ROWS, 2)).round(3).tolist()
-    colors = rng.choice(["red", "green", "blue"], N_ROWS).tolist()
-    labels = rng.integers(0, 3, N_ROWS).tolist()
+    rng, rows = np.random.default_rng(seed), n_rows(BLOCK)
+    x = rng.standard_normal((rows, 2)).round(3).tolist()
+    colors = rng.choice(["red", "green", "blue"], rows).tolist()
+    labels = rng.integers(0, 3, rows).tolist()
     return ["a,b,color,y"] + [f"{u!r},{v!r},{c},{y}" for (u, v), c, y in zip(x, colors, labels)]
 
 
 def predictions_lines(seed=0):
     """Header and data lines of a binary predictions file."""
-    rng = np.random.default_rng(seed)
-    y = rng.integers(0, 2, N_ROWS).tolist()
-    p = (rng.integers(500, 1001, N_ROWS) / 1000).tolist()
+    rng, rows = np.random.default_rng(seed), n_rows(PREDICTION_BLOCK)
+    y = rng.integers(0, 2, rows).tolist()
+    p = (rng.integers(500, 1001, rows) / 1000).tolist()
     return ["y_true,y_pred,y_prob"] + [f"{t},{1 - t},{q!r}" for t, q in zip(y, p)]
 
 
@@ -80,7 +89,7 @@ def mutate(lines, at, kind):
 def write(path, lines, variant="plain"):
     """Write lines as a plain file, with a quoted cell after the first block, or with CRLF endings."""
     if variant == "quoted":  # csv.reader takes over in the second block
-        at = next(at for at in range(BLOCK + 10, len(lines)) if lines[at])
+        at = next(at for at in range(VALUES // (lines[0].count(",") + 1) + 10, len(lines)) if lines[at])
         head, *rest = lines[at].split(",")
         lines = lines[:at] + [",".join([f'"{head}"'] + rest)] + lines[at + 1:]
     ending = "\r\n" if variant == "crlf" else "\n"
@@ -96,9 +105,11 @@ def plain_only(variant):
 
 
 @contextlib.contextmanager
-def on_cores(cores):
-    """Reads on this many usable cores, forked on more than one for a file of two blocks or more."""
-    with mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cores))):
+def on_cores(cores, values=VALUES):
+    """Reads on this many usable cores, forked on more than one for a file of two blocks or more, in blocks of
+    `values` values."""
+    with mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cores))), \
+            mock.patch.object(_fork, "_BLOCK_VALUES", values):
         yield
     assert_no_child()
 
@@ -123,7 +134,7 @@ def assert_loads_as_row_loop(path, task, variant, cores):
 
 
 faults = st.lists(
-    st.tuples(st.sampled_from(AROUND), st.sampled_from(["blank", "short", "long", "bad", "first-field-only"])),
+    st.tuples(st.sampled_from(around(BLOCK)), st.sampled_from(["blank", "short", "long", "bad", "first-field-only"])),
     min_size=1, max_size=4, unique_by=lambda change: change[0],
 )
 
@@ -171,12 +182,13 @@ def counted_passes():
 @pytest.mark.parametrize("variant", ["plain", "quoted"])
 def test_categorical_column_whose_first_block_parses_is_read_again(tmp_path, variant, cores):
     """'inf'/'nan' cells and numbers fill the first block; words the rest, so both columns are categorical."""
-    rng = np.random.default_rng(5)
-    odd = rng.choice(["inf", "nan", "-inf", "1e999"], N_ROWS).tolist()
-    numbers = rng.choice(["1", "2", "1.0"], N_ROWS).tolist()
-    words = rng.choice(["p", "q", "r"], N_ROWS).tolist()
+    rng, block = np.random.default_rng(5), VALUES // 3
+    odd = rng.choice(["inf", "nan", "-inf", "1e999"], n_rows(block)).tolist()
+    numbers = rng.choice(["1", "2", "1.0"], n_rows(block)).tolist()
+    words = rng.choice(["p", "q", "r"], n_rows(block)).tolist()
     lines = ["c,d,y"] + [
-        f"{odd[i] if i < BLOCK else words[i]},{numbers[i] if i < BLOCK else words[i]},{i % 3}" for i in range(N_ROWS)
+        f"{odd[i] if i < block else words[i]},{numbers[i] if i < block else words[i]},{i % 3}"
+        for i in range(n_rows(block))
     ]
     path = write(tmp_path / "data.csv", lines, variant)
     with counted_passes() as passes:
@@ -215,7 +227,7 @@ def column_outcomes(reader, path, cores=1):
 
 
 faults_of_predictions = st.lists(
-    st.tuples(st.sampled_from(AROUND),
+    st.tuples(st.sampled_from(around(PREDICTION_BLOCK)),
               st.sampled_from(["blank", "short", "long", "bad", "out-of-rule", "first-field-only"])),
     min_size=1, max_size=4, unique_by=lambda change: change[0],
 )
@@ -236,8 +248,8 @@ def test_read_columns_matches_row_loop_across_blocks(tmp_path_factory, cores, ch
 
 @pytest.mark.parametrize("cores", [1, 3])
 @pytest.mark.parametrize("variant", ["plain", "quoted"])
-@pytest.mark.parametrize("at", [BLOCK - 1, BLOCK, 2 * BLOCK - 1], ids=["last-of-first", "first-of-second",
-                                                                 "last-of-second"])
+@pytest.mark.parametrize("at", [PREDICTION_BLOCK - 1, PREDICTION_BLOCK, 2 * PREDICTION_BLOCK - 1],
+                         ids=["last-of-first", "first-of-second", "last-of-second"])
 @pytest.mark.parametrize("kind, message", [
     ("bad", "column 'y_true' of {path} must hold numbers; data row {row} has 'n/a'"),
     ("out-of-rule", "column 'y_true' of {path} must hold labels 0 or 1; data row {row} has '2'"),
@@ -256,18 +268,19 @@ def test_first_fault_at_the_edge_of_a_block(tmp_path, variant, at, kind, message
 @pytest.mark.parametrize("variant", ["plain", "quoted"])
 @pytest.mark.parametrize("kind, requirement, cell", [("bad", "numbers", "n/a"), ("out-of-rule", "labels 0 or 1", "2")])
 def test_blank_lines_of_an_earlier_block_are_not_counted(tmp_path, variant, kind, requirement, cell, cores):
-    lines = mutate(mutate(predictions_lines(), BLOCK + 5, kind), 10, "blank")
+    lines = mutate(mutate(predictions_lines(), PREDICTION_BLOCK + 5, kind), 10, "blank")
     path = write(tmp_path / "predictions.csv", lines, variant)
     rule = input_rules(TaskKind.BINARY_CLASSIFICATION)["y_true"]
     with on_cores(cores), pytest.raises(DataError) as raised:
         read_columns(path, "predictions file")[1]({"y_true": rule})("y_true")
-    assert str(raised.value) == f"column 'y_true' of {path} must hold {requirement}; data row {BLOCK + 6} has {cell!r}"
+    assert str(raised.value) == (f"column 'y_true' of {path} must hold {requirement}; "
+                                 f"data row {PREDICTION_BLOCK + 6} has {cell!r}")
 
 
 @pytest.mark.parametrize("cores", [1, 3])
 def test_a_rule_broken_on_the_last_row_is_named_from_one_read(tmp_path, cores):
     """The rule is tested where each block is split, so naming the cell that breaks it reads no block again."""
-    lines = mutate(predictions_lines()[:BLOCK + 51], BLOCK + 49, "out-of-rule")  # two blocks, the last row broken
+    lines = mutate(predictions_lines()[:PREDICTION_BLOCK + 51], PREDICTION_BLOCK + 49, "out-of-rule")  # two blocks
     path = write(tmp_path / "predictions.csv", lines)
     reads, jobs = [], []
     read_blocks, map_on_cores = data.read_blocks, data.map_on_cores
@@ -284,7 +297,8 @@ def test_a_rule_broken_on_the_last_row_is_named_from_one_read(tmp_path, cores):
     with mock.patch.object(data, "read_blocks", counted_reads), mock.patch.object(data, "map_on_cores", counted_jobs):
         with on_cores(cores), pytest.raises(DataError) as raised:
             read_columns(path, "predictions file")[1]({"y_true": rule})("y_true")
-    assert str(raised.value) == f"column 'y_true' of {path} must hold labels 0 or 1; data row {BLOCK + 50} has '2'"
+    assert str(raised.value) == (f"column 'y_true' of {path} must hold labels 0 or 1; "
+                                 f"data row {PREDICTION_BLOCK + 50} has '2'")
     assert (reads, jobs) == ([path], [2])
 
 
@@ -315,7 +329,7 @@ def test_a_column_no_caller_names_is_never_parsed(tmp_path, capsys, cores):
 def test_naming_a_cell_that_breaks_a_rule_leaves_no_file_open(tmp_path, cores):
     """Nor a worker: the rule is tested where each block is split, so the one read has ended, its file closed and
     its workers reaped, before column names the cell."""
-    path = write(tmp_path / "predictions.csv", mutate(predictions_lines(), BLOCK + 5, "out-of-rule"))
+    path = write(tmp_path / "predictions.csv", mutate(predictions_lines(), PREDICTION_BLOCK + 5, "out-of-rule"))
     with on_cores(cores):
         read = read_columns(path, "predictions file")[1]
         before = len(os.listdir("/proc/self/fd"))
@@ -323,15 +337,15 @@ def test_naming_a_cell_that_breaks_a_rule_leaves_no_file_open(tmp_path, cores):
         with pytest.raises(DataError) as raised:
             column("y_true")
         assert len(os.listdir("/proc/self/fd")) == before
-    assert "data row 4102 has '2'" in str(raised.value)
+    assert f"data row {PREDICTION_BLOCK + 6} has '2'" in str(raised.value)
 
 
 @pytest.mark.parametrize("char", ['"', "\r", "\0"], ids=["quote", "carriage-return", "nul"])
 @pytest.mark.parametrize("kind", ["dataset", "predictions"])
 def test_a_file_handed_to_csv_reader_in_its_third_block_reads_as_on_one_core(tmp_path, kind, char):
     """Workers split the first two blocks; csv.reader reads the rest here, from the third block's first byte."""
-    lines = dataset_lines() if kind == "dataset" else predictions_lines()
-    at = 2 * BLOCK + 8  # a data line of the third block, the first to hold char
+    lines, block = (dataset_lines(), BLOCK) if kind == "dataset" else (predictions_lines(), PREDICTION_BLOCK)
+    at = 2 * block + 8  # a data line of the third block, the first to hold char
     head, last = lines[at + 1].rsplit(",", 1)
     lines[at + 1] = {'"': f'{head},"{last}"', "\r": f"{head},{last}\r", "\0": f"{head},{last}\0"}[char]
     path = write(tmp_path / "file.csv", lines)
@@ -347,7 +361,7 @@ def test_a_file_handed_to_csv_reader_in_its_third_block_reads_as_on_one_core(tmp
         with mock.patch.object(data, "_reader_rows", recorded):
             outcomes.append(loaded(path, TaskKind.MULTICLASS_CLASSIFICATION, cores) if kind == "dataset" else
                             column_outcomes(read_columns, path, cores))
-    third = len("".join(line + "\n" for line in lines[:2 * BLOCK + 1]).encode())  # the header and two blocks
+    third = len("".join(line + "\n" for line in lines[:2 * block + 1]).encode())  # the header and two blocks
     assert set(handed) == {third}
     if kind == "dataset":
         expected = ref.ref_load_csv(path, "y", TaskKind.MULTICLASS_CLASSIFICATION)
@@ -373,9 +387,9 @@ def whole_file_decode_error(raw):
 @pytest.mark.parametrize("kind", ["dataset", "predictions"])
 @pytest.mark.parametrize("cores", [1, 3])
 def test_a_byte_that_is_not_utf8_is_placed_in_the_whole_file(tmp_path, cores, kind, bad, reason):
-    lines = dataset_lines() if kind == "dataset" else predictions_lines()
+    lines, block = (dataset_lines(), BLOCK) if kind == "dataset" else (predictions_lines(), PREDICTION_BLOCK)
     raw = "".join(line + "\n" for line in lines).encode()
-    at = len("".join(line + "\n" for line in lines[:BLOCK + 3]).encode()) + 1  # in the second block
+    at = len("".join(line + "\n" for line in lines[:block + 3]).encode()) + 1  # in the second block
     raw = raw[:at] + bad + raw[at:]
     path = tmp_path / "file.csv"
     path.write_bytes(raw)
@@ -438,14 +452,15 @@ def large_files(tmp_path_factory):
     return str(folder / "data.csv"), str(folder / "predictions.csv")
 
 
-# peak traced memory over the bytes of the arrays read or written; reading the
-# whole file as cell strings first took 11.1x, 6.2x and 6.8x on 200k rows.  On
-# two cores every read and save forks, and only this process's memory is traced.
+# peak traced memory over the bytes of the arrays read or written, in blocks of the
+# library's own size; reading the whole file as cell strings first took 11.1x, 6.2x
+# and 6.8x on 200k rows.  On two cores every read and save forks, and only this
+# process's memory is traced.
 @pytest.mark.parametrize("cores", [1, 2])
 @pytest.mark.parametrize("reader, bound", [("load_csv", 5.0), ("save_csv", 2.0), ("read_columns", 3.5)])
 def test_memory_follows_the_arrays_not_the_cell_text(large_files, tmp_path, reader, bound, cores):
     dataset, predictions = large_files
-    with on_cores(cores):
+    with on_cores(cores, _fork._BLOCK_VALUES):
         if reader == "read_columns":
             def read():
                 header, read = read_columns(predictions, "predictions file")
@@ -461,3 +476,4 @@ def test_memory_follows_the_arrays_not_the_cell_text(large_files, tmp_path, read
             peak, _ = traced_peak(call)
             arrays = ds.features.nbytes + ds.target.nbytes
     assert peak < bound * arrays, f"{reader} peaked at {peak / arrays:.2f}x its arrays"
+

@@ -30,7 +30,7 @@ import reference as ref
 from workers import assert_no_child, in_pool_worker, recorded_pools, usable_cores
 from normetric import (DataError, Dataset, DomainError, TaskKind, load_csv, make_binary_classification, make_blobs,
                        make_regression, save_csv)
-from normetric import data
+from normetric import _fork, data
 from normetric.cli import main
 from normetric.data import _neighbor_table, read_blocks, read_columns
 
@@ -45,6 +45,13 @@ NAMES = ["a", "b", "y", "c,d", "a"]
 
 def bits(array):
     return array.dtype, array.shape, array.tobytes()
+
+
+def blocks_of(rows, path):
+    """_fork._BLOCK_VALUES patched so that a block of the file at path holds this many rows: read_blocks sizes its
+    blocks by the header line's commas + 1."""
+    with open(path, "rb") as fh:
+        return mock.patch.object(_fork, "_BLOCK_VALUES", rows * (fh.readline().count(b",") + 1))
 
 
 @st.composite
@@ -118,17 +125,17 @@ def load_both(path, task):
 
 
 @contextlib.contextmanager
-def reading_on(cores):
-    """Reads in blocks of three rows on this many usable cores, forked on more than one for a file of two blocks."""
-    with mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cores))), \
-            mock.patch.object(data, "_BLOCK_ROWS", 3):
+def reading_on(cores, path):
+    """Reads of path in blocks of three rows on this many usable cores, forked on more than one for a file of two
+    blocks."""
+    with mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cores))), blocks_of(3, path):
         yield
     assert_no_child()
 
 
 def assert_loads_as_row_loop(path, task, cores=None):
     """load_csv against the row loop, on this many cores in blocks of three rows, or as configured (None)."""
-    with reading_on(cores) if cores else contextlib.nullcontext():
+    with reading_on(cores, path) if cores else contextlib.nullcontext():
         expected, got = load_both(str(path), task)
     if isinstance(expected, str):
         assert got == expected
@@ -288,7 +295,7 @@ def test_block_ranges_are_the_line_loop_s_wherever_a_scan_read_ends(tmp_path_fac
     assume(text)
     path = tmp_path_factory.mktemp("scan") / "data.csv"
     path.write_text(text, encoding="utf-8", newline="")
-    with mock.patch.object(data, "_SCAN_BYTES", scan_bytes), mock.patch.object(data, "_BLOCK_ROWS", block_rows):
+    with mock.patch.object(data, "_SCAN_BYTES", scan_bytes), blocks_of(block_rows, path):
         header, blocks, ranges = read_recording_ranges(path)
     assert ranges == ref.ref_block_ranges(str(path), block_rows)
     assert [header] + rows_of(blocks) == list(csv.reader(io.StringIO(text, newline="")))
@@ -343,7 +350,7 @@ def test_the_scan_hands_a_line_over_the_field_limit_to_csv_reader_from_its_own_b
     start = len("".join(line + "\n" for line in lines[:long_at + 1]))
     if across_reads:  # a read of the scan ends inside the long line, the newline before it in the read before
         monkeypatch.setattr(data, "_SCAN_BYTES", start + 5)
-    monkeypatch.setattr(data, "_BLOCK_ROWS", 2)
+    monkeypatch.setattr(_fork, "_BLOCK_VALUES", 2 * 3)  # two rows of three columns
     handed, reader_rows = [], data._reader_rows
 
     def recorded(path, ranges):
@@ -370,7 +377,7 @@ def test_no_worker_runs_work_on_a_block_that_csv_reader_reads(tmp_path, monkeypa
     once, whichever process runs it."""
     path, log = tmp_path / "file.csv", tmp_path / "work.log"
     text = _quoted_in_third_block(path)
-    monkeypatch.setattr(data, "_BLOCK_ROWS", 100)
+    monkeypatch.setattr(_fork, "_BLOCK_VALUES", 100 * 3)
     usable_cores(monkeypatch, {0, 1, 2})
     pools = recorded_pools(monkeypatch)
 
@@ -414,7 +421,7 @@ def test_save_csv_matches_row_loop(tmp_path_factory, cores, ds):
     folder = tmp_path_factory.mktemp("save")
     ref.ref_save_csv(ds, str(folder / "expected.csv"))
     with mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cores))), \
-            mock.patch.object(data, "_BLOCK_ROWS", 3):
+            mock.patch.object(_fork, "_BLOCK_VALUES", 3 * (ds.d + 1)):
         save_csv(ds, str(folder / "got.csv"))
     assert (folder / "got.csv").read_bytes() == (folder / "expected.csv").read_bytes()
     assert_no_child()
@@ -427,7 +434,7 @@ def test_save_csv_rejects_a_nan_class_target(tmp_path, monkeypatch, cores):
     with pytest.raises(ValueError):
         ref.ref_save_csv(ds, str(tmp_path / "expected.csv"))
     usable_cores(monkeypatch, set(range(cores)))
-    monkeypatch.setattr(data, "_BLOCK_ROWS", 1)
+    monkeypatch.setattr(_fork, "_BLOCK_VALUES", 1)  # a block per row
     pools = recorded_pools(monkeypatch)
     with pytest.raises(ValueError):
         save_csv(ds, str(tmp_path / "got.csv"))
@@ -491,7 +498,7 @@ def test_expand_matches_row_loop(case, extra):
     distance here overflows, so a scan of every row would succeed too."""
     ds, k = case
     expected = ref.ref_synthetic_expand(ds, ds.n + extra, k, seed=extra)
-    with mock.patch.object(data, "_SCAN_BLOCK_FLOATS", 1):
+    with mock.patch.object(_fork, "_BLOCK_VALUES", 1):
         got = data.synthetic_expand(ds, ds.n + extra, k, seed=extra)
     assert (bits(got.features), bits(got.target)) == (bits(expected.features), bits(expected.target))
 
@@ -542,11 +549,11 @@ def test_neighbour_scan_spans_several_blocks():
 
 def _scan_blocks(ds, drawn):
     """The blocks of a scan of the rows drawn (a mask of ds.n), pool by pool."""
-    return sum(-(-np.count_nonzero(drawn[pool]) // data._block_rows(pool.size, ds.d)) for pool in _pools(ds))
+    return sum(-(-np.count_nonzero(drawn[pool]) // _fork.block_rows(pool.size * ds.d)) for pool in _pools(ds))
 
 
 class TestForkedExpand:
-    # four times their rows saves two blocks or more
+    # four times their rows saves two blocks or more of 4096 rows
     DATASETS = {
         TaskKind.BINARY_CLASSIFICATION: make_binary_classification(1800, d=8, seed=1),
         TaskKind.MULTICLASS_CLASSIFICATION: make_blobs(2400, d=8, n_classes=3, seed=2),
@@ -559,6 +566,7 @@ class TestForkedExpand:
         """Three workers (more than this host may have cores) against the save in this process."""
         ds = self.DATASETS[task]
         save_csv(ds, str(tmp_path / "in.csv"))
+        monkeypatch.setattr(_fork, "_BLOCK_VALUES", 4096 * (ds.d + 1))
         pools = recorded_pools(monkeypatch)
         written = []
         for cores in ({0, 1, 2}, {0}):
@@ -568,7 +576,7 @@ class TestForkedExpand:
                          ds.target_name, "--target-n", str(4 * ds.n), "--out", str(out), "--seed", "3"]) == 0
             assert_no_child()
             written.append(out.read_bytes())
-        assert pools == [min(3, -(-4 * ds.n // data._BLOCK_ROWS))]  # the save's workers
+        assert pools == [min(3, -(-4 * ds.n // 4096))]  # the save's workers
         assert written[0] == written[1]
 
     def test_the_bench_s_scan_of_106_blocks_lists_each_drawn_row(self, monkeypatch):
@@ -593,8 +601,8 @@ class TestForkedExpand:
         assert [bits(table[row]) for row in rows] == [bits(expected[row]) for row in rows]
 
     def test_each_block_of_a_scan_is_one_call_within_the_float_bound(self, monkeypatch):
-        """Pool by pool, each run of _block_rows drawn anchors is one _pool_neighbors call, whose b x m x d
-        differences stay within _SCAN_BLOCK_FLOATS: 16 blocks of three classes (5, 5 and 6)."""
+        """Pool by pool, each run of block_rows(m * d) drawn anchors is one _pool_neighbors call, whose b x m x d
+        differences stay within _BLOCK_VALUES: 16 blocks of three classes (5, 5 and 6)."""
         ds = make_blobs(600, d=8, n_classes=3, seed=6)
         drawn = np.ones(ds.n, dtype=bool)
         assert _scan_blocks(ds, drawn) == 16
@@ -608,8 +616,8 @@ class TestForkedExpand:
         _neighbor_table(ds.features, _pools(ds), 5, drawn)
         expected = []
         for pool in _pools(ds):
-            step = data._block_rows(pool.size, ds.d)
-            assert step * pool.size * ds.d <= data._SCAN_BLOCK_FLOATS
+            step = _fork.block_rows(pool.size * ds.d)
+            assert step * pool.size * ds.d <= _fork._BLOCK_VALUES
             expected += [(pool.size, bits(np.arange(start, min(start + step, pool.size))))
                          for start in range(0, pool.size, step)]
         assert calls == expected
@@ -651,7 +659,7 @@ class TestForkedSave:
     @pytest.mark.parametrize("extra, forked", [(0, []), (1, [2])], ids=["one block", "two blocks"])
     def test_one_block_is_written_here_and_two_fork_on_two_workers(self, tmp_path, monkeypatch, extra, forked):
         """A block is one job, so a row past a full block forks, on two of three usable cores."""
-        ds = make_regression(data._BLOCK_ROWS + extra, d=1, seed=6)
+        ds = make_regression(_fork.block_rows(2) + extra, d=1, seed=6)
         pools = recorded_pools(monkeypatch)
         usable_cores(monkeypatch, {0, 1, 2})
         save_csv(ds, str(tmp_path / "got.csv"))
@@ -689,7 +697,7 @@ class TestForkedRead:
         """A 2000-row file, read in 20 blocks."""
         ds = make_blobs(2000, d=3, n_classes=3, seed=5)
         save_csv(ds, str(tmp_path / "blobs.csv"))
-        monkeypatch.setattr(data, "_BLOCK_ROWS", 100)
+        monkeypatch.setattr(_fork, "_BLOCK_VALUES", 100 * 4)  # rows of three features and a target
         return str(tmp_path / "blobs.csv"), ds
 
     def test_workers_read_the_blocks_of_one_process(self, blobs, monkeypatch):
@@ -724,7 +732,7 @@ class TestForkedRead:
         ds = make_regression(rows, d=3, seed=6)
         path = str(tmp_path / "small.csv")
         save_csv(ds, path)
-        monkeypatch.setattr(data, "_BLOCK_ROWS", 100)
+        monkeypatch.setattr(_fork, "_BLOCK_VALUES", 100 * 4)
         pools = recorded_pools(monkeypatch)
         usable_cores(monkeypatch, {0, 1, 2})
         got = load_csv(path, ds.target_name, ds.task)

@@ -24,6 +24,7 @@ from normetric import (
     MetricBreakdown,
     TaskKind,
     WorkerError,
+    _fork,
     derive_seed,
     format_report_json,
     format_series_csv,
@@ -112,7 +113,7 @@ class TestRunCurve:
 
 def _chunk_rows(monkeypatch, rows, d=3):
     """Cut the curve's schedule into chunks of at most `rows` training rows of d features (one size may exceed it)."""
-    monkeypatch.setattr(harness, "_CHUNK_BYTES", rows * d * 8)
+    monkeypatch.setattr(_fork, "_BLOCK_VALUES", rows * d)
 
 
 def _before_each_set(monkeypatch, before):
@@ -170,8 +171,8 @@ class TestForkedCurve:
             assert_no_child()
         assert pools == [2, 3]
         usable_cores(monkeypatch, {0})
-        for chunk_bytes in (1, 2**30):
-            monkeypatch.setattr(harness, "_CHUNK_BYTES", chunk_bytes)
+        for values in (1, 2**27):
+            monkeypatch.setattr(_fork, "_BLOCK_VALUES", values)
             serial = run_curve(ds, sched, task, config, seed=5)
             assert pickle.dumps(forked[0]) == pickle.dumps(forked[1]) == pickle.dumps(serial)
         assert pools == [2, 3]
@@ -191,7 +192,7 @@ class TestForkedCurve:
         assert points[0] == points[1]
 
     def test_a_regression_curve_is_one_chunk_fitted_here(self, monkeypatch):
-        """Its line fits take a few milliseconds, less than forking costs, so no byte bound cuts it; its points
+        """Its line fits take a few milliseconds, less than forking costs, so no block bound cuts it; its points
         are those of each size fitted on its own."""
         ds, sched, config = self.CURVES[TaskKind.REGRESSION]
         usable_cores(monkeypatch, {0, 1})
@@ -227,7 +228,7 @@ class TestForkedCurve:
               TaskKind.REGRESSION: make_regression(20000, d=4, seed=1),
               TaskKind.CLUSTERING: make_blobs(20000, d=4, n_classes=2, seed=1, task=TaskKind.CLUSTERING)}[task]
         usable_cores(monkeypatch, {0})
-        monkeypatch.setattr(harness, "_CHUNK_BYTES", 2**30)
+        monkeypatch.setattr(_fork, "_BLOCK_VALUES", 2**27)
         peaks = []
         for stop in (20, 320):
             tracemalloc.start()

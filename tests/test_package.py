@@ -42,8 +42,8 @@ for module, name in [(os, "fork"), (os, "forkpty"), (os, "posix_spawn"), (os, "p
     setattr(module, name, started)
 import normetric, normetric.cli
 print(sorted(name for name in sys.modules if name.split(".")[0] in ("multiprocessing", "concurrent")))
-from normetric import TaskKind, harness, make_binary_classification, run_curve, schedule
-os.fork, os.sched_getaffinity, harness._CHUNK_BYTES = lambda: forks.append(1) or fork(), lambda pid: {0, 1}, 1
+from normetric import TaskKind, _fork, make_binary_classification, run_curve, schedule
+os.fork, os.sched_getaffinity, _fork._BLOCK_VALUES = lambda: forks.append(1) or fork(), lambda pid: {0, 1}, 1
 run_curve(make_binary_classification(200, d=3, seed=0), schedule(40, 120, 40), TaskKind.BINARY_CLASSIFICATION, seed=1)
 print(len(forks), sorted(name for name in sys.modules if name.split(".")[0] in ("multiprocessing", "concurrent")))
 """
@@ -57,10 +57,9 @@ def test_the_forked_stages_run_without_a_warning_under_dev_mode(tmp_path):
     -X dev warns of a file never closed, as a read handed to csv.reader after its forked blocks could leave one."""
     script = f"""
 import os, pathlib, selectors
-from normetric import TaskKind, data, harness, make_blobs, run_curve, schedule, synthetic_expand
+from normetric import TaskKind, _fork, data, make_blobs, run_curve, schedule, synthetic_expand
 os.sched_getaffinity = lambda pid: {{0, 1}}
-data._BLOCK_ROWS = 100
-harness._CHUNK_BYTES = 1
+_fork._BLOCK_VALUES = 1  # a curve chunk per size
 pools, fork = [], os.fork  # each forked call's workers: the forks after its one selector is made
 def counted():
     pid = fork()
@@ -74,6 +73,7 @@ class Recorded(selectors.DefaultSelector):
 os.fork, selectors.DefaultSelector = counted, Recorded
 ds = make_blobs(300, d=3, n_classes=2, seed=0, task=TaskKind.BINARY_CLASSIFICATION)
 run_curve(ds, schedule(40, 80, 40), TaskKind.BINARY_CLASSIFICATION, seed=1)
+_fork._BLOCK_VALUES = 100 * 4  # CSV blocks of 100 rows of three features and a label
 data.save_csv(synthetic_expand(ds, 400, 5, seed=2), {str(tmp_path / "big.csv")!r})
 data.load_csv({str(tmp_path / "big.csv")!r}, ds.target_name, ds.task)
 header, read = data.read_columns({str(tmp_path / "big.csv")!r}, "series file")

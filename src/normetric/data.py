@@ -82,6 +82,7 @@ def schedule(start: int, stop: int, step: int) -> SampleSchedule:
 
 
 _SCAN_BYTES = 2**20  # bytes per read of read_blocks's scan for the newlines that end its blocks
+_CLASS_IDS = integer_rule("integer class ids")  # in int64's range, so int() of each is exact
 
 
 def read_blocks(path: str) -> tuple[list[str], Callable[[Callable], Iterator]]:
@@ -408,15 +409,17 @@ def save_csv(ds: Dataset, path: str) -> None:
 
     Features and regression targets are written as Python's repr of the
     float, the shortest text that reads back to the same bits; class
-    targets as integers (a NaN class target raises ValueError before the
-    file is opened).  Rows are turned into text a block of block_rows(d + 1)
-    rows at a time, a file of two blocks or more on every usable core by
-    forked workers (map_on_cores), each block written here in order as it
-    comes back; the bytes are the same either way.  A worker that dies raises
-    WorkerError naming the first data row not written.  An error once the
-    file is open removes it, if it is a regular file (not /dev/null, say).
+    targets as integers, each held to an integer in int64's range (DomainError
+    naming the target, before the file is opened).  Rows are turned into text
+    a block of block_rows(d + 1) rows at a time, a file of two blocks or more
+    on every usable core by forked workers (map_on_cores), each block written
+    here in order as it comes back; the bytes are the same either way.  A
+    worker that dies raises WorkerError naming the first data row not written.
+    An error once the file is open removes it, if it is a regular file (not
+    /dev/null, say).
     """
-    labels = list(map(int if ds.task.has_class_targets else float, ds.target.tolist()))
+    labels = _read(ds.target_name, ds.target, rows=ds.n, rule=_CLASS_IDS if ds.task.has_class_targets else None)
+    labels = list(map(int, labels.tolist())) if ds.task.has_class_targets else labels.tolist()
     step = block_rows(ds.d + 1)
     blocks = map_on_cores(functools.partial(_text_rows, ds.features, labels, step), range(0, ds.n, step),
                           lambda start: f"data row {start + 1} of {path} was written")
@@ -535,15 +538,19 @@ def synthetic_expand(ds: Dataset, target_n: int, k_neighbors: int, seed: int) ->
     anchors are scanned in this process, each exactly against its whole
     class of m rows, in blocks of 2**16 // (m * d) anchors or one: each float
     temporary holds at most 2**16 values (512 KiB) if m * d does.  It also
-    holds a gathered copy of one class at a time and an n x k table.  A drawn
-    anchor's distance that overflows raises DomainError.
+    holds a gathered copy of one class at a time and an n x k table.  A class
+    target is held to integers in int64's range (DomainError naming it) before
+    any draw; a drawn anchor's distance that overflows raises DomainError.
     """
     if target_n <= ds.n:
         raise DomainError(f"target_n must exceed the current {ds.n} rows, got {target_n}")
     if not 1 <= k_neighbors < ds.n:
         raise DomainError(f"k_neighbors must be in [1, {ds.n - 1}], got {k_neighbors}")
 
-    pool_of = np.unique(ds.target, return_inverse=True)[1] if ds.task.has_class_targets else np.zeros(ds.n, np.intp)
+    if ds.task.has_class_targets:  # a pool per class
+        pool_of = np.unique(_read(ds.target_name, ds.target, rows=ds.n, rule=_CLASS_IDS), return_inverse=True)[1]
+    else:
+        pool_of = np.zeros(ds.n, np.intp)
     pools = [np.flatnonzero(pool_of == at) for at in range(pool_of.max() + 1)]
     widths = np.clip(np.bincount(pool_of)[pool_of] - 1, 1, k_neighbors).tolist()  # a lone row lists itself
     rng = np.random.default_rng(seed)

@@ -28,8 +28,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import reference as ref
 from workers import assert_no_child, in_pool_worker, recorded_pools, usable_cores
-from normetric import (DataError, Dataset, DomainError, TaskKind, load_csv, make_binary_classification, make_blobs,
-                       make_regression, save_csv)
+from normetric import (DataError, Dataset, DomainError, NormetricError, TaskKind, load_csv, make_binary_classification,
+                       make_blobs, make_regression, save_csv)
 from normetric import _fork, data
 from normetric.cli import main
 from normetric.data import _neighbor_table, read_blocks, read_columns
@@ -428,16 +428,19 @@ def test_save_csv_matches_row_loop(tmp_path_factory, cores, ds):
 
 
 @pytest.mark.parametrize("cores", [1, 3])
-def test_save_csv_rejects_a_nan_class_target(tmp_path, monkeypatch, cores):
-    """Before the file is opened, and before any worker starts."""
-    ds = Dataset(["a"], np.zeros((2, 1)), np.array([0.0, np.nan]), TaskKind.BINARY_CLASSIFICATION)
-    with pytest.raises(ValueError):
-        ref.ref_save_csv(ds, str(tmp_path / "expected.csv"))
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1.5], ids=["nan", "inf", "-inf", "fraction"])
+def test_save_csv_rejects_a_nan_class_target(tmp_path, monkeypatch, cores, value):
+    """Or any class target that is not an integer, named, before the file is opened and before any worker starts.
+    int() of each, as the row loop converts them, raised ValueError for NaN and OverflowError for ±inf, and wrote
+    1.5 as 1."""
+    ds = Dataset(["a"], np.zeros((2, 1)), np.array([0.0, value]), TaskKind.BINARY_CLASSIFICATION)
     usable_cores(monkeypatch, set(range(cores)))
     monkeypatch.setattr(_fork, "_BLOCK_VALUES", 1)  # a block per row
     pools = recorded_pools(monkeypatch)
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError) as raised:
         save_csv(ds, str(tmp_path / "got.csv"))
+    assert isinstance(raised.value, NormetricError)
+    assert str(raised.value) == f"target must hold integer class ids; target[1] is {value!r}"
     assert not (tmp_path / "got.csv").exists()
     assert pools == []
 

@@ -7,6 +7,7 @@ module's __all__.
 
 import inspect
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from normetric import (
     Dataset, DomainError, LearnerConfig, NormetricError, ShapeError, TaskKind, accuracy,
     average_class_imbalance_ratio, class_imbalance_ratio, evaluate, fit_kmeans, fit_linear, fit_logistic,
     make_blobs, mape_score, nmi, run_curve, schedule, smooth, snr_binary, snr_multiclass, snr_regression, split,
+    synthetic_expand,
 )
 
 BINARY, MULTICLASS = TaskKind.BINARY_CLASSIFICATION, TaskKind.MULTICLASS_CLASSIFICATION
@@ -229,6 +231,17 @@ def test_split_names_a_class_target_that_is_no_class_id(value):
     with pytest.raises(DomainError) as raised:  # a RuntimeWarning would fail this too
         _split(BINARY)(X, target)
     assert str(raised.value) == f"y must hold class ids in [0, 8); y[3] is {value!r}"
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, 1.5], ids=["nan", "inf", "fraction"])
+def test_synthetic_expand_names_a_class_target_that_is_no_integer(value):
+    """Before any draw: each of these was grown as a class of its own."""
+    target = np.array(LABELS, dtype=float)
+    target[3] = value
+    with mock.patch.object(np.random, "default_rng", side_effect=AssertionError("drawn")), \
+            pytest.raises(DomainError) as raised:
+        synthetic_expand(_dataset(BINARY, X, target), 12, 2, seed=0)
+    assert str(raised.value) == f"y must hold integer class ids; y[3] is {value!r}"
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])

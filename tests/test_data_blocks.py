@@ -12,7 +12,7 @@ tests/reference.py's ref_load_csv and read_columns to ref_read_columns,
 row loops over the whole file.  Each read runs on one usable core and on
 three, where forked workers split and parse the blocks whatever the file's
 size.  The memory each reader takes is bounded by a multiple of the arrays
-it returns or writes.
+it returns or writes, for a narrow file and a wide one.
 """
 
 import contextlib
@@ -477,3 +477,28 @@ def test_memory_follows_the_arrays_not_the_cell_text(large_files, tmp_path, read
             arrays = ds.features.nbytes + ds.target.nbytes
     assert peak < bound * arrays, f"{reader} peaked at {peak / arrays:.2f}x its arrays"
 
+
+@pytest.fixture(scope="module")
+def wide_file(tmp_path_factory):
+    """A 400-row file of 1000 numeric columns and a class label: 1001 cells a row, 5.1 MB."""
+    path = tmp_path_factory.mktemp("wide") / "wide.csv"
+    x = np.random.default_rng(0).standard_normal((400, 1000)).round(3).tolist()
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(f"x{j}" for j in range(1000)) + ",y\n")
+        fh.writelines(",".join(map(repr, row)) + f",{i % 2}\n" for i, row in enumerate(x))
+    return str(path)
+
+
+# the narrow files' bounds: a block holds 2**16 cells whatever the width, 65 rows here, and loading this file
+# peaked at 2.7x its arrays, saving it at 0.7x; blocks of 4096 rows held every row's cell text at once, and
+# peaked at 9.0x and 4.0x
+@pytest.mark.parametrize("stage, bound", [("load_csv", 5.0), ("save_csv", 2.0)])
+def test_memory_of_a_wide_file_follows_the_arrays(wide_file, tmp_path, stage, bound):
+    with on_cores(1, _fork._BLOCK_VALUES):
+        if stage == "load_csv":
+            peak, ds = traced_peak(lambda: load_csv(wide_file, "y", TaskKind.BINARY_CLASSIFICATION))
+        else:
+            ds = load_csv(wide_file, "y", TaskKind.BINARY_CLASSIFICATION)
+            peak, _ = traced_peak(lambda: save_csv(ds, str(tmp_path / "saved.csv")))
+    arrays = ds.features.nbytes + ds.target.nbytes
+    assert peak < bound * arrays, f"{stage} peaked at {peak / arrays:.2f}x its arrays"

@@ -4,7 +4,7 @@ Exit codes: 0 success, 1 usage error (a numeric flag outside its own domain
 included), 2 data error (bad or missing files), 3 numeric or domain error,
 4 a worker process died (killed, or out of memory): a stage forks one worker
 per usable core when it has two jobs or more, as `curve`'s fits and any CSV
-read or write of two blocks or more may.
+read or write of more than one block of 2**16 values may.
 Diagnostics go to stderr; results go to stdout or to the requested output
 files.
 """
